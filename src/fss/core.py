@@ -1,4 +1,4 @@
-"""Density matrices, Lindblad dynamics and time integration for 2-4 level systems.
+"""Density matrices, Lindblad dynamics and time evolution for 2-4 level systems.
 
 The master equation solved here is
 
@@ -7,21 +7,27 @@ The master equation solved here is
 with hbar = 1, H in angular rad/ns and channel rates g_i in rad/ns.  Public
 rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
-Integration uses an adaptive embedded Runge-Kutta 4(5) scheme (scipy's RK45)
-on the vectorized Liouvillian with rtol 1e-8 / atol 1e-10, which handles the
-time-dependent two-tone envelopes of the four-level model.  States returned
-to the caller pass a positivity guard: eigenvalues in [-1e-8, 0) are clamped
-to zero with the trace renormalized, anything more negative is treated as an
-integration failure.
+A model without drives has a constant vectorized Liouvillian L, and its
+evolution is exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring,
+Al-Mohy & Higham 2009) per distinct step of the time grid, applied step by
+step and batched over models.  Only models with drives, such as the two-tone
+envelopes of the four-level model, are integrated numerically, with scipy's
+adaptive RK45 at rtol 2e-9 / atol 1e-11.  States returned to the caller pass
+a positivity guard: eigenvalues in [floor, 0) are clamped to zero with the
+trace renormalized, anything more negative is a numerical failure.  The floor
+is -1e-8 (exact states stay within about -1e-14 of zero), widened to -1e-7 for
+RK45 states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from .units import mhz_to_angular
@@ -30,14 +36,15 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
 
-# Slightly tighter than the nominal rtol 1e-8 / atol 1e-10: error at the
-# nominal setting random-walks right up to the -1e-8 positivity floor on
-# long pure-state evolutions and spuriously trips the guard.
+# RK45 tolerances for models with drives.  Slightly tighter than the nominal
+# rtol 1e-8 / atol 1e-10: error at the nominal setting random-walks right up
+# to the -1e-8 positivity floor on long pure-state evolutions and spuriously
+# trips the guard.
 _RTOL = 2e-9
 _ATOL = 1e-11
 
-# Integration drift on multi-hundred-ns pure-state evolutions can push the
-# zero eigenvalue a few 1e-8 negative; clamp up to this before failing.
+# RK45 drift on multi-hundred-ns pure-state evolutions can push the zero
+# eigenvalue a few 1e-8 negative; clamp up to this before failing.
 _EVOLUTION_EIG_FLOOR = -1e-7
 
 
@@ -53,6 +60,11 @@ def _require_square(m: np.ndarray, what: str) -> int:
     return m.shape[0]
 
 
+def _require_finite(m, what: str):
+    if not np.all(np.isfinite(m)):
+        raise UsageError(f"{what} has non-finite entries")
+
+
 def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL):
     dev = np.max(np.abs(m - m.conj().T))
     if dev > tol:
@@ -64,9 +76,9 @@ class DensityMatrix:
 
     Small negative eigenvalues (down to ``floor``) are clamped to zero with
     the trace renormalized; anything below the floor is a numerical failure.
-    The integrator passes a wider floor than direct construction uses, since
-    drift accumulates over long evolutions; returned states are exactly
-    positive either way.
+    RK45 states get a wider floor than direct construction uses, since
+    integration drift accumulates over long evolutions; returned states are
+    exactly positive either way.
     """
 
     __slots__ = ("matrix", "dim")
@@ -76,6 +88,8 @@ class DensityMatrix:
         dim = _require_square(m, "density matrix")
         if not 2 <= dim <= 4:
             raise UsageError(f"supported level counts are 2-4, got {dim}")
+        if not np.all(np.isfinite(m)):
+            raise NumericalFailure("density matrix has non-finite entries", time_ns)
         _require_hermitian(m, "density matrix")
         m = 0.5 * (m + m.conj().T)
         tr = m.trace().real
@@ -138,10 +152,11 @@ class CollapseChannel:
     label: str = ""
 
     def __post_init__(self):
-        if self.rate_mhz < 0:
-            raise UsageError(f"channel rate must be >= 0, got {self.rate_mhz}")
+        if not (math.isfinite(self.rate_mhz) and self.rate_mhz >= 0):
+            raise UsageError(f"channel rate must be finite and >= 0, got {self.rate_mhz}")
         op = np.asarray(self.operator, dtype=complex)
         _require_square(op, "jump operator")
+        _require_finite(op, "jump operator")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -166,6 +181,7 @@ class Drive:
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
         _require_square(op, "drive operator")
+        _require_finite(op, "drive operator")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -184,6 +200,7 @@ class LindbladModel:
         h0 = np.asarray(self.h0, dtype=complex)
         if _require_square(h0, "Hamiltonian") != self.dim:
             raise UsageError("Hamiltonian dimension does not match model dim")
+        _require_finite(h0, "static Hamiltonian")
         _require_hermitian(h0, "static Hamiltonian", tol=1e-12)
         h0.setflags(write=False)
         object.__setattr__(self, "h0", h0)
@@ -299,6 +316,45 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return L
 
 
+def _checked_grid(times, models, rho0s) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise UsageError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(t)):
+        raise UsageError("times must be finite")
+    if t.size > 1 and np.any(np.diff(t) <= 0):
+        raise UsageError("times must be strictly increasing")
+    if len(models) != len(rho0s):
+        raise UsageError("need one initial state per model")
+    if any(r.dim != m.dim for m, r in zip(models, rho0s)):
+        raise UsageError("initial state dimension does not match model")
+    return t
+
+
+def _propagate_static(models, rho0s, t: np.ndarray) -> list[tuple[DensityMatrix, ...]]:
+    """Exact states of time-independent models on a shared grid.
+
+    The Liouvillians are stacked as (B, n, n) and one expm(L dt) is built per
+    distinct grid step; each step then advances the whole batch with einsum,
+    which keeps these tiny products off threaded BLAS.
+    """
+    if len({m.dim for m in models}) > 1:
+        raise UsageError("batched models must share a dimension")
+    dim = models[0].dim
+    gens = np.stack([liouvillian(m) for m in models])
+    steps, which = np.unique(np.diff(t), return_inverse=True)
+    props = [expm(gens * dt) for dt in steps]
+    vecs = np.empty((t.size, len(models), dim * dim), dtype=complex)
+    vecs[0] = np.stack([r.matrix.reshape(-1) for r in rho0s])
+    for k, j in enumerate(which, start=1):
+        vecs[k] = np.einsum("bij,bj->bi", props[j], vecs[k - 1])
+    mats = vecs.reshape(t.size, len(models), dim, dim)
+    return [
+        (rho0,) + tuple(DensityMatrix(mats[k, b], time_ns=float(t[k])) for k in range(1, t.size))
+        for b, rho0 in enumerate(rho0s)
+    ]
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -308,18 +364,19 @@ def evolve(
     rtol: float = _RTOL,
     atol: float = _ATOL,
 ) -> Trajectory:
-    """Integrate the master equation, returning the state on the given grid.
+    """Evolve the master equation, returning the state on the given grid.
 
     ``times`` must be strictly increasing with times[0] the initial time.
+    A model without drives is propagated exactly; ``max_step``, ``rtol`` and
+    ``atol`` apply only to models with drives, which RK45 integrates.
     Deterministic for fixed inputs.
     """
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise UsageError("times must be a non-empty 1-d grid")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise UsageError("times must be strictly increasing")
-    if rho0.dim != model.dim:
-        raise UsageError("initial state dimension does not match model")
+    t = _checked_grid(times, [model], [rho0])
+    if not model.time_dependent:
+        states = _propagate_static([model], [rho0], t)[0]
+        return Trajectory(times=t, states=states, values=_traj_values(states, observables))
+    if t.size == 1:
+        return Trajectory(times=t, states=(rho0,), values=_traj_values([rho0], observables))
 
     L0 = liouvillian(model)
     drive_terms = [
@@ -327,29 +384,21 @@ def evolve(
         for dr in model.drives
     ]
 
-    if drive_terms:
-        def rhs(tt, y):
-            dy = L0 @ y
-            for env, c_op, c_opd in drive_terms:
-                f = env(tt)
-                dy += f * (c_op @ y) + np.conj(f) * (c_opd @ y)
-            return dy
-    else:
-        def rhs(tt, y):
-            return L0 @ y
+    def rhs(tt, y):
+        dy = L0 @ y
+        for env, c_op, c_opd in drive_terms:
+            f = env(tt)
+            dy += f * (c_op @ y) + np.conj(f) * (c_opd @ y)
+        return dy
 
     if max_step is None:
-        freq = max((dr.frequency_scale for dr in model.drives), default=0.0)
+        freq = max(dr.frequency_scale for dr in model.drives)
         max_step = (2 * np.pi / freq) / 10.0 if freq > 0 else np.inf
-
-    y0 = rho0.matrix.reshape(-1)
-    if t.size == 1:
-        return Trajectory(times=t, states=(rho0,), values=_traj_values([rho0], observables))
 
     sol = solve_ivp(
         rhs,
         (t[0], t[-1]),
-        y0,
+        rho0.matrix.reshape(-1),
         method="RK45",
         t_eval=t,
         rtol=rtol,
@@ -383,50 +432,21 @@ def evolve_batch(
     rtol: float = _RTOL,
     atol: float = _ATOL,
 ) -> list[Trajectory]:
-    """Integrate several independent time-independent models in one RK45 run.
+    """Evolve several independent models on one shared time grid.
 
-    Equivalent to calling :func:`evolve` per model (same method and
-    tolerances) but with the integrator overhead amortized over the batch;
-    used by the scan loops where hundreds of small static systems share a
-    time grid.  Models with drives fall back to individual calls.
+    Equivalent to calling :func:`evolve` per model.  Time-independent models
+    of one dimension are propagated together, with each distinct step's
+    propagator built once for the whole batch; used by the scan loops where
+    many small static systems share a grid.  If any model has drives, every
+    model gets its own :func:`evolve` call, and ``rtol``/``atol`` apply to the
+    RK45 integration of those with drives.
     """
-    if len(models) != len(rho0s):
-        raise UsageError("need one initial state per model")
+    t = _checked_grid(times, models, rho0s)
     if any(m.time_dependent for m in models):
-        return [evolve(m, r, times, rtol=rtol, atol=atol) for m, r in zip(models, rho0s)]
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise UsageError("times must be a non-empty 1-d grid")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
-        raise UsageError("times must be strictly increasing")
-
-    blocks = [liouvillian(m) for m in models]
-    sizes = [m.dim * m.dim for m in models]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    big = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
-    for k, L in enumerate(blocks):
-        big[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = L
-    y0 = np.concatenate([r.matrix.reshape(-1) for r in rho0s])
-
-    if t.size == 1:
-        sol_y = y0[:, None]
-    else:
-        sol = solve_ivp(lambda tt, y: big @ y, (t[0], t[-1]), y0, method="RK45",
-                        t_eval=t, rtol=rtol, atol=atol)
-        if not sol.success:
-            t_fail = float(sol.t[-1]) if sol.t.size else float(t[0])
-            raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
-        sol_y = sol.y
-
-    out = []
-    for k, m in enumerate(models):
-        states = []
-        for j in range(sol_y.shape[1]):
-            mat = sol_y[offsets[k]:offsets[k + 1], j].reshape(m.dim, m.dim)
-            states.append(DensityMatrix(mat, time_ns=float(t[min(j, t.size - 1)]),
-                                        floor=_EVOLUTION_EIG_FLOOR))
-        out.append(Trajectory(times=t, states=tuple(states)))
-    return out
+        return [evolve(m, r, t, rtol=rtol, atol=atol) for m, r in zip(models, rho0s)]
+    if not models:
+        return []
+    return [Trajectory(times=t, states=s) for s in _propagate_static(models, rho0s, t)]
 
 
 def expectation(rho, observable: np.ndarray) -> float:

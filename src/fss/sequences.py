@@ -176,12 +176,18 @@ def esr_scan_protocol(
     """Fixed-duration probe versus drive frequency; the resonance sits at
     omega_e0 + stark_ratio * Omega.  With ``tau_ns`` omitted the probe runs
     for the pi time 1/(2 Omega)."""
+    if tau_ns is None:
+        if omega_mhz <= 0:
+            raise UsageError("the pi-time probe needs omega_mhz > 0")
+        tau_ns = 1e3 / (2.0 * omega_mhz)
+    elif tau_ns <= 0:
+        raise UsageError(f"probe duration must be > 0, got {tau_ns}")
     grid = np.asarray(omega_grid_ghz, dtype=float)
     return Protocol(
         kind="esr_scan",
         params={
             "omega_mhz": omega_mhz,
-            "tau_ns": tau_ns if tau_ns else 1e3 / (2.0 * omega_mhz),
+            "tau_ns": tau_ns,
             "stark_ratio": stark_ratio,
             "omega_e0_ghz": omega_e0_ghz,
         },
@@ -203,6 +209,8 @@ def ramsey_protocol(
     A nonzero serrodyne frequency advances the second pulse phase linearly in
     tau, shifting the fringe frequency to delta + f_serr.
     """
+    if omega_mhz <= 0:
+        raise UsageError(f"pi/2 pulses need omega_mhz > 0, got {omega_mhz}")
     tau = np.asarray(tau_grid_ns, dtype=float)
     return Protocol(
         kind="ramsey",
@@ -240,8 +248,12 @@ def hahn_echo_protocol(
     ``modulation_phases`` initial phases, which dephases the echo at even
     orders only (spectral weight at half the modulation frequency).
     """
+    if omega_mhz <= 0:
+        raise UsageError(f"echo pulses need omega_mhz > 0, got {omega_mhz}")
     if modulation_mode not in ("refocus", "free"):
         raise UsageError("modulation_mode must be 'refocus' or 'free'")
+    if modulation_amp_mhz != 0 and modulation_phases < 1:
+        raise UsageError("a detuning modulation needs modulation_phases >= 1")
     grid = np.asarray(total_delay_grid_ns, dtype=float)
     return Protocol(
         kind="hahn_echo",
@@ -480,8 +492,8 @@ def _apply_counts(result: ScanResult, counts_per_shot: float, rng) -> ScanResult
 
 
 def _avg_population_batched(build_model, sigma, nodes, grid, skip, rho0, level=0):
-    """Gaussian-ensemble average of a population trace, integrating all
-    quadrature nodes in one batched RK45 run (static models only)."""
+    """Gaussian-ensemble average of a population trace, propagating all
+    quadrature nodes in one :func:`evolve_batch` call (static models only)."""
     if sigma == 0.0:
         traj = evolve(build_model(0.0), rho0, grid)
         return traj.population(level)[skip:]
@@ -510,6 +522,8 @@ def _simulate_rabi(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, th
 
 def _simulate_t1(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
     delay = protocol.axis("delay_ns")
+    if delay.size == 0:
+        return ScanResult(protocol.axes, np.empty(0))
     grid = delay if delay[0] == 0.0 else np.concatenate([[0.0], delay])
     skip = 0 if delay[0] == 0.0 else 1
     model = build_two_level(0.0, 0.0, phys.gamma1_mhz, phys.gamma2_mhz)
@@ -577,6 +591,8 @@ def _ramsey_node_populations(q, phys, tau, offset_mhz, ideal_pulses, detune_puls
 
 def _simulate_ramsey(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
     tau = protocol.axis("tau_ns")
+    if tau.size == 0:
+        return ScanResult(protocol.axes, np.empty(0))
     q = protocol.params
 
     def one(offset_mhz: float) -> np.ndarray:
@@ -655,6 +671,8 @@ def _echo_node_populations(q, phys, big_t_grid, offset_mhz, mod_phase, ideal_pul
 
 def _simulate_echo(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
     grid = protocol.axis("total_delay_ns")
+    if grid.size == 0:
+        return ScanResult(protocol.axes, np.empty(0))
     q = protocol.params
     phase_count = int(q["modulation_phases"]) if q["modulation_amp_mhz"] else 1
     phases = 2.0 * math.pi * np.arange(phase_count) / max(phase_count, 1)

@@ -7,6 +7,7 @@ from fss.core import (
     Drive,
     LindbladModel,
     evolve,
+    evolve_batch,
     expectation,
     lindblad_rhs,
     steady_state,
@@ -75,6 +76,12 @@ class TestDensityMatrix:
         with pytest.raises(NumericalFailure):
             DensityMatrix(np.array([[1.1, 0], [0, -0.1]]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(NumericalFailure):
+            DensityMatrix(np.full((2, 2), np.nan))
+        with pytest.raises(NumericalFailure):
+            DensityMatrix(np.array([[np.inf, 0], [0, 0.0]]))
+
     def test_clamps_tiny_negative(self):
         rho = DensityMatrix(np.array([[1.0 + 5e-9, 0], [0, -5e-9]]))
         assert min(np.linalg.eigvalsh(rho.matrix)) >= 0.0
@@ -85,6 +92,27 @@ class TestDensityMatrix:
             rho.dim = 3
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+class TestModelInputs:
+    def test_channel_rejects_non_finite_rate(self):
+        for rate in (np.nan, np.inf):
+            with pytest.raises(UsageError):
+                CollapseChannel(rate, SZ)
+
+    def test_channel_rejects_non_finite_operator(self):
+        with pytest.raises(UsageError):
+            CollapseChannel(1.0, np.array([[0, np.nan], [0, 0]]))
+
+    def test_model_rejects_non_finite_hamiltonian(self):
+        with pytest.raises(UsageError):
+            LindbladModel(dim=2, h0=np.full((2, 2), np.nan))
+        with pytest.raises(UsageError):
+            LindbladModel(dim=2, h0=np.diag([np.inf, 0.0]))
+
+    def test_drive_rejects_non_finite_operator(self):
+        with pytest.raises(UsageError):
+            Drive(lambda t: 1.0, np.array([[0, np.inf], [0, 0]]))
 
 
 class TestLindbladRhs:
@@ -236,6 +264,92 @@ class TestEvolve:
         model = LindbladModel(dim=2, h0=np.zeros((2, 2)))
         with pytest.raises(UsageError):
             evolve(model, DensityMatrix.pure(2, 0), np.array([0.0, 2.0, 1.0]))
+
+    def test_times_must_be_finite(self):
+        model = LindbladModel(dim=2, h0=np.zeros((2, 2)))
+        with pytest.raises(UsageError):
+            evolve(model, DensityMatrix.pure(2, 0), np.array([0.0, np.nan]))
+
+
+class TestExactPropagation:
+    @staticmethod
+    def _two_level(delta_mhz):
+        h = (mhz_to_angular(90.0) / 2) * SX + (mhz_to_angular(delta_mhz) / 2) * SZ
+        return LindbladModel(
+            dim=2, h0=h,
+            channels=(CollapseChannel(2.0, np.array([[0, 1], [0, 0]], dtype=complex)),
+                      CollapseChannel(1.5, SZ)),
+        )
+
+    @pytest.mark.parametrize("t", [
+        np.array([0.0, 0.3, 1.1, 1.15, 4.0, 9.7]),
+        np.array([2.5, 3.0, 6.0, 6.25, 12.0]),
+    ])
+    def test_batch_matches_evolve(self, t):
+        models = [self._two_level(d) for d in (-40.0, 0.0, 13.0, 75.0)]
+        rho0s = [DensityMatrix.pure(2, 1), DensityMatrix.from_populations([0.2, 0.8]),
+                 DensityMatrix.maximally_mixed(2), DensityMatrix.pure(2, 0)]
+        batch = evolve_batch(models, rho0s, t)
+        for model, rho0, traj in zip(models, rho0s, batch):
+            single = evolve(model, rho0, t)
+            assert np.array_equal(traj.times, t)
+            for a, b in zip(traj.states, single.states):
+                assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
+
+    def test_single_point_grid_returns_initial_state(self):
+        rho0 = DensityMatrix.from_populations([0.3, 0.7])
+        traj = evolve(self._two_level(10.0), rho0, [4.0])
+        assert traj.states == (rho0,)
+        (batch,) = evolve_batch([self._two_level(10.0)], [rho0], [4.0])
+        assert batch.states == (rho0,)
+
+    def test_batch_rejects_mixed_dimensions(self):
+        three = LindbladModel(dim=3, h0=np.zeros((3, 3)))
+        with pytest.raises(UsageError):
+            evolve_batch([self._two_level(0.0), three],
+                         [DensityMatrix.pure(2, 1), DensityMatrix.pure(3, 0)], [0.0, 1.0])
+
+    def test_static_pumping_against_direct_expm(self):
+        # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points
+        from scipy.linalg import expm
+
+        from fss.models import (
+            FaradayParams, TwoToneDrive, build_faraday_four_level, saturation_tone_mhz,
+        )
+
+        params = FaradayParams(omega_e_ghz=2.6, omega_h_ghz=79.0, delta_ghz=0.0,
+                               cyclicity=409.0, gamma1_mhz=589.463)
+        drive = TwoToneDrive(saturation_tone_mhz(params.gamma1_mhz, 6.0), 0.0)
+        model = build_faraday_four_level(params, drive, "sigma-")
+        assert not model.time_dependent
+        rho0 = DensityMatrix.pure(4, 0)
+        t = np.linspace(0.0, 1200.0, 201)
+        traj = evolve(model, rho0, t)
+        L = _oracle_liouvillian(model.h0, [(c.rate_angular, c.operator) for c in model.channels])
+        vec0 = rho0.matrix.reshape(-1)
+        for tk, state in zip(t, traj.states):
+            oracle = (expm(L * tk) @ vec0).reshape(4, 4)
+            assert np.max(np.abs(state.matrix - oracle)) <= 1e-9
+
+    def test_only_driven_models_reach_the_ode_solver(self, monkeypatch):
+        import fss.core
+
+        calls = []
+        real = fss.core.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fss.core, "solve_ivp", counting)
+        static = self._two_level(5.0)
+        evolve(static, DensityMatrix.pure(2, 1), np.linspace(0, 10, 11))
+        evolve_batch([static, static], [DensityMatrix.pure(2, 1)] * 2, np.linspace(0, 10, 11))
+        assert calls == []
+        driven = LindbladModel(dim=2, h0=np.zeros((2, 2)),
+                               drives=(Drive(lambda t: 0.3, SX / 2),))
+        evolve(driven, DensityMatrix.pure(2, 1), np.linspace(0, 10, 11))
+        assert len(calls) == 1
 
 
 class TestExpectation:

@@ -47,6 +47,10 @@ class TestRabiProtocol:
         res = simulate_protocol(prot, TwoLevelPhysics())
         assert res.signal.size == 0
 
+    def test_non_finite_drive_fails_fast(self):
+        with pytest.raises(UsageError):
+            simulate_protocol(rabi_protocol(float("nan"), 0, [0, 1]), TwoLevelPhysics())
+
 
 class TestEsrScan:
     def test_peak_at_bare_splitting_without_stark(self):
@@ -76,6 +80,20 @@ class TestEsrScan:
             peaks.append(grid[k])
         slope = np.polyfit(np.array(omegas) * 1e-3, peaks, 1)[0]
         assert slope == pytest.approx(ratio, rel=0.02)
+
+
+    def test_zero_tau_rejected(self):
+        with pytest.raises(UsageError):
+            esr_scan_protocol(110.0, 0.0, [2.6], 0.0, 2.60)
+        with pytest.raises(UsageError):
+            esr_scan_protocol(110.0, -1.0, [2.6], 0.0, 2.60)
+        with pytest.raises(UsageError):
+            esr_scan_protocol(0.0, None, [2.6], 0.0, 2.60)
+
+    def test_explicit_tau_kept(self):
+        assert esr_scan_protocol(110.0, 3.0, [2.6], 0.0, 2.60).params["tau_ns"] == 3.0
+        assert esr_scan_protocol(110.0, None, [2.6], 0.0, 2.60).params["tau_ns"] == \
+            pytest.approx(1e3 / 220.0)
 
 
 class TestRamsey:
@@ -141,6 +159,16 @@ class TestRamsey:
         assert np.max(np.abs(res.signal - envelope * np.cos(2e-3 * np.pi * 50.0 * tau))) < 0.01
 
 
+    def test_empty_grid_gives_empty_trace(self):
+        res = simulate_protocol(ramsey_protocol(125.0, 20.0, []), TwoLevelPhysics())
+        assert res.signal.size == 0
+
+    def test_non_positive_omega_rejected(self):
+        for omega in (0.0, -50.0):
+            with pytest.raises(UsageError):
+                ramsey_protocol(omega, 20.0, [0.0, 10.0])
+
+
 class TestHahnEcho:
     def test_static_ensemble_cancelled(self):
         prot = hahn_echo_protocol(125.0, np.linspace(0, 1000, 11))
@@ -163,6 +191,22 @@ class TestHahnEcho:
         r = fit(MODEL_LIBRARY["echo_envelope"], grid, res.signal,
                 {"amplitude": 1.0, "t2he_ns": 900.0})
         assert r["t2he_ns"] == pytest.approx(1140.0, abs=20.0)
+
+
+    def test_empty_grid_gives_empty_trace(self):
+        res = simulate_protocol(hahn_echo_protocol(125.0, []), TwoLevelPhysics())
+        assert res.signal.size == 0
+
+    def test_non_positive_omega_rejected(self):
+        with pytest.raises(UsageError):
+            hahn_echo_protocol(0.0, [0.0, 100.0])
+
+    def test_modulation_needs_a_phase(self):
+        with pytest.raises(UsageError):
+            hahn_echo_protocol(125.0, [0.0, 100.0], modulation_amp_mhz=0.5,
+                               modulation_freq_mhz=2.0, modulation_phases=0)
+        # without a modulation the phase count is unused
+        hahn_echo_protocol(125.0, [0.0, 100.0], modulation_phases=0)
 
 
 class TestSpinPumping:
@@ -222,6 +266,10 @@ class TestT1:
         prot = t1_protocol(np.linspace(0, 1e5, 11))
         res = simulate_protocol(prot, TwoLevelPhysics(gamma1_mhz=0.0))
         assert np.max(np.abs(res.signal)) <= 1e-9
+
+    def test_empty_grid_gives_empty_trace(self):
+        res = simulate_protocol(t1_protocol([]), TwoLevelPhysics(gamma1_mhz=1.0))
+        assert res.signal.size == 0
 
 
 class TestSimulateProtocolContract:
