@@ -312,26 +312,21 @@ def fit_rabi_master_equation(
     factor of the noiseless readout model at the optimum.
     """
     from . import models
-    from .ensemble import ensemble_average
-    from .core import DensityMatrix, evolve
-    from .sequences import _avg_population_batched
+    from .ensemble import EnsembleSpec
+    from .sequences import TwoLevelPhysics, rabi_protocol, simulate_protocol
 
     tau = np.asarray(tau_ns, dtype=float)
     y = np.asarray(counts, dtype=float)
-    sigma = gaussian_sigma(t2star_ns)
-    grid = tau if tau[0] == 0.0 else np.concatenate([[0.0], tau])
-    skip = 0 if tau[0] == 0.0 else 1
-    rho0 = DensityMatrix.pure(2, 1)
+    ensemble = EnsembleSpec(t2star_ns=t2star_ns, nodes=nodes)
 
-    def shape(omega_mhz: float, gamma2_mhz: float) -> np.ndarray:
+    def population(omega_mhz: float, gamma2_mhz: float, times) -> np.ndarray:
         # |.| keeps the simplex walk inside the physical domain
-        def make(offset):
-            return models.build_two_level(abs(omega_mhz), delta_mhz + offset,
-                                          gamma1_mhz, abs(gamma2_mhz))
-        return _avg_population_batched(make, sigma, nodes, grid, skip, rho0)
+        physics = TwoLevelPhysics(gamma1_mhz=gamma1_mhz, gamma2_mhz=abs(gamma2_mhz))
+        protocol = rabi_protocol(abs(omega_mhz), delta_mhz, times)
+        return simulate_protocol(protocol, physics, ensemble).signal
 
     def projected(p):
-        s = shape(p[0], p[1])
+        s = population(p[0], p[1], tau)
         basis = np.stack([s, np.ones_like(s)], axis=1)
         coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
         return s, coef
@@ -351,7 +346,7 @@ def fit_rabi_master_equation(
     p_full = np.array([omega_fit, gamma2_fit, coef[0], coef[1]])
 
     def residuals_full(p):
-        return shape(p[0], p[1]) * p[2] + p[3] - y
+        return population(p[0], p[1], tau) * p[2] + p[3] - y
 
     r = residuals_full(p_full)
     jac = _numeric_jacobian(residuals_full, p_full)
@@ -370,15 +365,7 @@ def fit_rabi_master_equation(
         unidentifiable=tuple(names[i] for i in unident),
     )
     # evaluate the noiseless readout model exactly at the pi time
-    t_pi = 1e3 / (2 * omega_fit)
-
-    def pi_population(offset):
-        model = models.build_two_level(omega_fit, delta_mhz + offset,
-                                       gamma1_mhz, gamma2_fit)
-        traj = evolve(model, DensityMatrix.pure(2, 1), np.array([0.0, t_pi]))
-        return traj.population(0)[-1]
-
-    f_pi = float(ensemble_average(pi_population, sigma, nodes))
+    f_pi = float(population(omega_fit, gamma2_fit, [1e3 / (2 * omega_fit)])[0])
     return result, models.pi_contrast_and_q(f_pi)
 
 
@@ -401,6 +388,17 @@ class FftSpectrum:
     freq_mhz: np.ndarray
     amplitude: np.ndarray
     peaks: tuple[tuple[float, float], ...]  # (frequency MHz, amplitude)
+
+
+def refine_peak(xs, ys, k: int) -> float:
+    """Position of the maximum near sample ``k`` of a uniform grid: the vertex
+    of the parabola through samples k-1, k and k+1, or ``xs[k]`` itself at an
+    edge of the grid or where those samples do not curve downward."""
+    if 0 < k < len(ys) - 1:
+        denom = ys[k - 1] - 2 * ys[k] + ys[k + 1]
+        if denom < 0:
+            return float(xs[k] + 0.5 * (xs[1] - xs[0]) * (ys[k - 1] - ys[k + 1]) / denom)
+    return float(xs[k])
 
 
 def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectrum:
@@ -427,14 +425,7 @@ def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectr
     if prominence is None:
         prominence = 4.0 * float(np.median(amp))
     idx, _ = find_peaks(amp, prominence=prominence)
-    peaks = []
-    for k in idx:
-        f = freq[k]
-        if 0 < k < amp.size - 1:
-            denom = amp[k - 1] - 2 * amp[k] + amp[k + 1]
-            if denom < 0:
-                f = f + 0.5 * (freq[1] - freq[0]) * (amp[k - 1] - amp[k + 1]) / denom
-        peaks.append((float(f), float(amp[k])))
+    peaks = [(refine_peak(freq, amp, k), float(amp[k])) for k in idx]
     peaks.sort(key=lambda p: -p[1])
     return FftSpectrum(freq_mhz=freq, amplitude=amp, peaks=tuple(peaks))
 

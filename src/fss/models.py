@@ -33,6 +33,7 @@ from .core import (
     steady_state,
 )
 from .errors import DomainError, UsageError
+from .fitting import refine_peak
 from .units import (
     BOHR_MAGNETON,
     PLANCK_H,
@@ -407,27 +408,19 @@ def calibrate_faraday_drive(
         sig = np.array([expectation(s, flip) for s in traj.states])
         return np.array([np.mean(sig[np.searchsorted(tt, s)]) for s in samples])
 
-    def peak_of(xs: np.ndarray, ys: np.ndarray) -> float:
-        k = int(np.argmax(ys))
-        if 0 < k < len(xs) - 1:
-            denom = ys[k - 1] - 2 * ys[k] + ys[k + 1]
-            if denom < 0:
-                return float(xs[k] + 0.5 * (xs[1] - xs[0]) * (ys[k - 1] - ys[k + 1]) / denom)
-        return float(xs[k])
-
     # one numeric resonance location fixes kappa in rf = omega_e + kappa w^2
     span = 0.5 * omega_target_mhz * 1e-3
     for _ in range(2):
         rfs = np.linspace(rf - span, rf + span, 5)
         scores = np.array([transfer_curve(x, w_env, np.array([t_pi]))[0] for x in rfs])
-        rf = peak_of(rfs, scores)
+        rf = refine_peak(rfs, scores, int(np.argmax(scores)))
         span /= 3.0
     kappa = (rf - p.omega_e_ghz) / w_env**2
 
     for _ in range(2):
         tg = np.linspace(0.72 * t_pi, 1.34 * t_pi, 17)
         curve = transfer_curve(rf, w_env, tg)
-        t_max = peak_of(tg, curve)
+        t_max = refine_peak(tg, curve, int(np.argmax(curve)))
         w_env *= math.sqrt(t_max / t_pi)
         rf = p.omega_e_ghz + kappa * w_env**2
     return make(w_env, rf), rf

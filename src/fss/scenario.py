@@ -14,6 +14,7 @@ turning each product into a two-axis (long format) scan.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,7 +178,6 @@ _OUTPUT_KEYS = {
     "counts_per_shot": ("float", _BARE),
     "seed": ("int", _BARE),
     "ideal_pulses": ("bool", _BARE),
-    "detune_pulses": ("bool", _BARE),
     "emit_fft": ("bool", _BARE),
 }
 
@@ -231,6 +231,8 @@ def _parse_value(key, raw, kind, family, lineno):
             vals = [float(tok) for tok in joined]
         except ValueError:
             raise ConfigError(f"key {key!r}: non-numeric list entry", lineno) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"key {key!r}: list entries must be finite", lineno)
         factor = 1.0 if unit is None else family[unit]
         return [v * factor for v in vals]
 
@@ -254,9 +256,13 @@ def _parse_value(key, raw, kind, family, lineno):
         value = float(num)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse number {num!r}", lineno) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {num!r}", lineno)
     if kind == "int":
         if value != int(value):
             raise ConfigError(f"key {key!r} must be an integer", lineno)
+        if key.endswith("points") and value < 0:
+            raise ConfigError(f"key {key!r} must be >= 0, got {num}", lineno)
         return int(value)
     return value * factor
 
@@ -469,7 +475,6 @@ def run_product(sc: Scenario, product_name: str, params: dict, threads: int = 1,
     ensemble = build_ensemble(sc)
     kwargs = dict(
         ideal_pulses=out.get("ideal_pulses", False),
-        detune_pulses=out.get("detune_pulses", True),
         counts_per_shot=out.get("counts_per_shot", 0.0),
         seed=seed,
         threads=threads,
@@ -611,11 +616,7 @@ def summary_to_csv(sc: Scenario, res: ScanResult) -> str:
     for i, x0 in enumerate(a0):
         row = res.signal[i]
         k = int(np.argmax(row))
-        peak = a1[k]
-        if 0 < k < row.size - 1:
-            denom = row[k - 1] - 2 * row[k] + row[k + 1]
-            if denom < 0:
-                peak = a1[k] + 0.5 * (a1[1] - a1[0]) * (row[k - 1] - row[k + 1]) / denom
+        peak = fitting.refine_peak(a1, row, k)
         lines.append(f"{format_float(x0)},{format_float(peak)},{format_float(row[k])}")
     return "\n".join(lines) + "\n"
 

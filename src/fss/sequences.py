@@ -4,8 +4,12 @@ their simulation against the two-level or four-level physics models.
 A Protocol is pure data (kind + parameters + scan axes) so it can round-trip
 through the scenario config format.  ``simulate_protocol`` binds a protocol
 to a physics description and an inhomogeneous ensemble and returns one signal
-value per scan point, with scan points safe to evaluate under a parallel map
-(results are always assembled in scan order).
+value per scan point, always assembled in scan order.
+
+The two-level families (Rabi, ESR scan, Ramsey, Hahn echo, T1) run their
+pulse sequences: the shots that ``Protocol.shots`` returns are exactly what
+one executor propagates, batched over scan points, shots and ensemble nodes,
+and the per-kind code only forms the signal from the shots' readouts.
 
 Nuclear-spin cooling stages are not simulated dynamically; a CoolingSpec
 carries the cooling parameters as metadata and contributes only its resulting
@@ -14,6 +18,7 @@ T2* to the detuning ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,7 +38,7 @@ from .ensemble import (
 )
 from .errors import UsageError
 from .models import FaradayParams, TwoToneDrive, build_two_level
-from .raman import JonesVector, jones_through_waveplates, stokes
+from .raman import s3_map
 from .units import ghz_to_angular, mhz_to_angular
 
 # Serrodyne phase convention: the ramp advances the second pi/2 pulse phase so
@@ -57,15 +62,30 @@ PROTOCOL_KINDS = (
 
 @dataclass(frozen=True)
 class PulseSegment:
-    kind: str  # initialize | drive | wait | readout
+    """One step of a shot on the two-level spin (levels "down", "up").
+
+    ``initialize`` prepares ``target`` up to the physics' initialization
+    infidelity; ``drive`` and ``wait`` evolve for ``duration_ns`` at Rabi
+    frequency ``omega_mhz``, detuning ``delta_mhz`` and drive phase
+    ``phase``; ``rotation`` is an instantaneous ideal pulse of ``angle``
+    about the axis at ``phase``; ``readout`` is the population of ``target``.
+    A wait may carry a sinusoidal detuning modulation of amplitude
+    ``mod_amp_mhz`` and frequency ``mod_freq_mhz``, whose phase at the start
+    of the wait is ``phase``.
+    """
+
+    kind: str  # initialize | drive | wait | rotation | readout
     omega_mhz: float = 0.0
     delta_mhz: float = 0.0
     phase: float = 0.0
     duration_ns: float = 0.0
     target: str | None = None
+    angle: float = 0.0
+    mod_amp_mhz: float = 0.0
+    mod_freq_mhz: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("initialize", "drive", "wait", "readout"):
+        if self.kind not in ("initialize", "drive", "wait", "rotation", "readout"):
             raise UsageError(f"unknown segment kind {self.kind!r}")
         if self.duration_ns < 0:
             raise UsageError("segment duration must be >= 0")
@@ -121,9 +141,9 @@ class Protocol:
                 return vals
         raise UsageError(f"protocol has no axis {name!r}")
 
-    def shots(self, **point) -> list[PulseSequence]:
-        """Pulse sequences run at one scan point (documentation/inspection)."""
-        return _shots_for(self, point)
+    def shots(self, ideal_pulses: bool = False, **point) -> list[PulseSequence]:
+        """The pulse sequences that ``simulate_protocol`` runs at one scan point."""
+        return _shots_for(self, point, ideal_pulses)
 
 
 @dataclass(frozen=True)
@@ -334,64 +354,68 @@ def polarization_map_protocol(hwp_grid_deg, qwp_grid_deg) -> Protocol:
     )
 
 
-def _shots_for(p: Protocol, point: dict) -> list[PulseSequence]:
+def _shots_for(p: Protocol, point: dict, ideal_pulses: bool = False) -> list[PulseSequence]:
+    """Shots of the two-level families at one scan point.  ``ideal_pulses``
+    replaces the finite Ramsey and echo pulses with instantaneous rotations
+    of the same angle and phase."""
+    if p.kind not in ("rabi", "esr_scan", "ramsey", "hahn_echo", "t1"):
+        raise UsageError(f"protocol kind {p.kind!r} has no sequence representation")
     q = p.params
+    ((name, values),) = p.axes
+    x = float(point.get(name, values[0]))
+    init = PulseSegment("initialize", target="up")
+    readout = PulseSegment("readout", target="down")
     if p.kind == "rabi":
-        tau = float(point.get("tau_ns", p.axes[0][1][0]))
-        return [PulseSequence((
-            PulseSegment("initialize", target="up"),
-            PulseSegment("drive", q["omega_mhz"], q["delta_mhz"], 0.0, tau),
-            PulseSegment("readout", target="down"),
-        ))]
+        drive = PulseSegment("drive", q["omega_mhz"], q["delta_mhz"], 0.0, x)
+        return [PulseSequence((init, drive, readout))]
     if p.kind == "esr_scan":
-        w = float(point.get("omega_ghz", p.axes[0][1][0]))
-        delta = (w - (q["omega_e0_ghz"] + q["stark_ratio"] * q["omega_mhz"] * 1e-3)) * 1e3
-        return [PulseSequence((
-            PulseSegment("initialize", target="up"),
-            PulseSegment("drive", q["omega_mhz"], delta, 0.0, q["tau_ns"]),
-            PulseSegment("readout", target="down"),
-        ))]
-    if p.kind == "ramsey":
-        tau = float(point.get("tau_ns", p.axes[0][1][0]))
-        t_half = 1e3 / (4.0 * q["omega_mhz"])
-        serr = _SERR_SIGN * (2.0 * math.pi * q["f_serr_mhz"] * 1e-3 * tau
-                            + (_SERR_REFERENCE if q["f_serr_mhz"] else 0.0))
-        shots = []
-        for extra in (0.0, math.pi) if q["balanced"] else (0.0,):
-            shots.append(PulseSequence((
-                PulseSegment("initialize", target="up"),
-                PulseSegment("drive", q["omega_mhz"], q["delta_mhz"], 0.0, t_half),
-                PulseSegment("wait", 0.0, q["delta_mhz"], 0.0, tau),
-                PulseSegment("drive", q["omega_mhz"], q["delta_mhz"], serr + extra, t_half),
-                PulseSegment("readout", target="down"),
-            )))
-        return shots
-    if p.kind == "hahn_echo":
-        big_t = float(point.get("total_delay_ns", p.axes[0][1][0]))
-        t_half = 1e3 / (4.0 * q["omega_mhz"])
-        shots = []
-        for extra in (0.0, math.pi):
-            shots.append(PulseSequence((
-                PulseSegment("initialize", target="up"),
-                PulseSegment("drive", q["omega_mhz"], 0.0, 0.0, t_half),
-                PulseSegment("wait", 0.0, 0.0, 0.0, big_t / 2),
-                PulseSegment("drive", q["omega_mhz"], 0.0, math.pi / 2, 2 * t_half),
-                PulseSegment("wait", 0.0, 0.0, 0.0, big_t / 2),
-                PulseSegment("drive", q["omega_mhz"], 0.0, extra, t_half),
-                PulseSegment("readout", target="down"),
-            )))
-        return shots
+        delta = (x - (q["omega_e0_ghz"] + q["stark_ratio"] * q["omega_mhz"] * 1e-3)) * 1e3
+        drive = PulseSegment("drive", q["omega_mhz"], delta, 0.0, q["tau_ns"])
+        return [PulseSequence((init, drive, readout))]
     if p.kind == "t1":
-        delay = float(point.get("delay_ns", p.axes[0][1][0]))
-        return [PulseSequence((
-            PulseSegment("initialize", target="up"),
-            PulseSegment("wait", 0.0, 0.0, 0.0, delay),
-            PulseSegment("readout", target="down"),
-        ))]
-    raise UsageError(f"protocol kind {p.kind!r} has no sequence representation")
+        return [PulseSequence((init, PulseSegment("wait", duration_ns=x), readout))]
+
+    t_half = 1e3 / (4.0 * q["omega_mhz"])
+
+    def pulse(quarters: int, phase: float, delta: float = 0.0) -> PulseSegment:
+        """A pi/2 (quarters=1) or pi (quarters=2) pulse."""
+        if ideal_pulses:
+            return PulseSegment("rotation", phase=phase, angle=quarters * math.pi / 2)
+        return PulseSegment("drive", q["omega_mhz"], delta, phase, quarters * t_half)
+
+    if p.kind == "ramsey":
+        delta = q["delta_mhz"]
+        serr = _SERR_SIGN * (2.0 * math.pi * q["f_serr_mhz"] * 1e-3 * x
+                             + (_SERR_REFERENCE if q["f_serr_mhz"] else 0.0))
+        wait = PulseSegment("wait", 0.0, delta, 0.0, x)
+        return [PulseSequence((init, pulse(1, 0.0, delta), wait, pulse(1, serr + extra, delta), readout))
+                for extra in ((0.0, math.pi) if q["balanced"] else (0.0,))]
+
+    # Hahn echo: "refocus" starts the modulation at the pi pulse, "free" runs
+    # it from the first wait; either way the pulses take no modulation time
+    amp, freq = q["modulation_amp_mhz"], q["modulation_freq_mhz"]
+    n_phases = int(q["modulation_phases"]) if amp else 1
+    locked = q["modulation_mode"] == "refocus"
+
+    def wait(phase: float, modulated: bool) -> PulseSegment:
+        if not (modulated and amp):
+            return PulseSegment("wait", duration_ns=x / 2)
+        return PulseSegment("wait", phase=phase, duration_ns=x / 2, mod_amp_mhz=amp, mod_freq_mhz=freq)
+
+    shots = []
+    for ph in 2.0 * math.pi * np.arange(n_phases) / n_phases:
+        first = wait(ph, not locked)
+        second = wait(ph if locked else ph + mhz_to_angular(freq) * x / 2, True)
+        shots += [PulseSequence((init, pulse(1, 0.0), first, pulse(2, math.pi / 2), second,
+                                 pulse(1, extra), readout))
+                  for extra in (0.0, math.pi)]
+    return shots
 
 
 # --- simulation -----------------------------------------------------------------
+
+_LEVELS = ("down", "up")  # basis order of build_two_level
+
 
 def _parallel_map(fn, items: Sequence, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
@@ -405,14 +429,6 @@ def _rotation_unitary(theta: float, phase: float) -> np.ndarray:
     return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
 
 
-def _apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)
-
-
-def _init_state(eps: float) -> DensityMatrix:
-    return DensityMatrix.from_populations([eps, 1.0 - eps])
-
-
 def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[float, int]:
     if ensemble is not None:
         return combined_sigma(ensemble), ensemble.nodes
@@ -421,12 +437,125 @@ def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[f
     return 0.0, 21
 
 
+def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) -> LindbladModel:
+    """Two-level model of a drive or wait segment at one ensemble offset."""
+    model = build_two_level(seg.omega_mhz, seg.delta_mhz + offset_mhz,
+                            phys.gamma1_mhz, phys.gamma2_mhz, phase=seg.phase)
+    if not seg.mod_amp_mhz:
+        return model
+    w_mod, f_ang = mhz_to_angular(seg.mod_amp_mhz), mhz_to_angular(seg.mod_freq_mhz)
+
+    def env(t: float) -> complex:
+        return 0.5 * w_mod * math.cos(f_ang * t + seg.phase)
+
+    return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, frequency_scale=f_ang),))
+
+
+def _run_shots(protocol: Protocol, phys: TwoLevelPhysics, sigma: float, nodes: int,
+               ideal_pulses: bool) -> np.ndarray:
+    """Ensemble-averaged readout of every shot at every scan point, as a
+    (points, shots) array.
+
+    The shots are advanced one segment index at a time.  Shots that share a
+    prefix share its states, held as one (nodes, 2, 2) stack; every segment's
+    detuning gets the node offset.
+    """
+    ((name, values),) = protocol.axes
+    seqs = [shot.segments for v in values
+            for shot in _shots_for(protocol, {name: v}, ideal_pulses)]
+    offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
+    model = functools.lru_cache(maxsize=None)(lambda seg, off: _segment_model(seg, off, phys))
+    readout = np.empty((offsets.size, len(seqs)))
+    rho0s: dict[int, tuple] = {}
+    frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
+    depth = 0
+    while frontier:
+        items = []
+        for states, members in frontier:
+            split: dict[PulseSegment, list[int]] = {}
+            for m in members:
+                split.setdefault(seqs[m][depth], []).append(m)
+            items += [(states, seg, shared) for seg, shared in split.items()]
+        frontier = []
+        for (_, seg, shared), out in zip(items, _advance(items, offsets, phys, model, rho0s)):
+            if seg.kind == "readout":
+                readout[:, shared] = out[:, None]
+            else:
+                frontier.append((out, shared))
+        depth += 1
+    pops = readout[0] if weights is None else weighted_average(weights, readout)
+    return pops.reshape(values.size, -1)
+
+
+def _advance(items, offsets: np.ndarray, phys: TwoLevelPhysics, model,
+             rho0s: dict[int, tuple]) -> list[np.ndarray]:
+    """Apply each item's segment to its (nodes, 2, 2) states.
+
+    Rotations are one batched product.  Drives and waits go through
+    evolve_batch: the segments that differ from one another only in duration
+    on one shared prefix are stepped over their sorted durations in one call,
+    and all other segments of one duration are one call over shots x nodes.
+    A readout yields the (nodes,) populations of its target.  ``rho0s`` maps
+    the id of a states array to that array and its DensityMatrix objects.
+    """
+    out: list = [None] * len(items)
+    rotations, evolving = [], {}
+    for i, (states, seg, _) in enumerate(items):
+        if seg.kind == "initialize":
+            pops = np.full(2, phys.epsilon_init)
+            pops[_LEVELS.index(seg.target)] = 1.0 - phys.epsilon_init
+            rho = DensityMatrix.from_populations(pops)
+            out[i] = np.repeat(rho.matrix[None], offsets.size, 0)
+            rho0s[id(out[i])] = (out[i], [rho] * offsets.size)
+        elif seg.kind == "readout":
+            level = _LEVELS.index(seg.target)
+            out[i] = states[:, level, level].real
+        elif seg.kind == "rotation":
+            rotations.append(i)
+        elif seg.duration_ns == 0.0:
+            out[i] = states
+        else:
+            evolving.setdefault((id(states), replace(seg, duration_ns=0.0)), []).append(i)
+
+    if rotations:
+        us = np.stack([_rotation_unitary(items[i][1].angle, items[i][1].phase) for i in rotations])
+        rhos = np.stack([items[i][0] for i in rotations])
+        for i, block in zip(rotations, np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj())):
+            out[i] = np.stack([DensityMatrix(m).matrix for m in block])
+
+    def density_matrices(states: np.ndarray) -> list[DensityMatrix]:
+        # evolve_batch takes DensityMatrix objects: build them once per parent
+        if id(states) not in rho0s:
+            rho0s[id(states)] = (states, [DensityMatrix(m) for m in states])
+        return rho0s[id(states)][1]
+
+    batches: dict[tuple, list[tuple]] = {}
+    for (_, seg), idx in evolving.items():
+        durations = [items[i][1].duration_ns for i in idx]
+        if len(idx) == 1:
+            batches.setdefault((durations[0], bool(seg.mod_amp_mhz)), []).append((seg, idx[0]))
+            continue
+        grid = np.array([0.0] + sorted(durations))
+        trajs = evolve_batch([model(seg, d) for d in offsets],
+                             density_matrices(items[idx[0]][0]), grid)
+        block = np.stack([[s.matrix for s in tr.states] for tr in trajs])
+        for i, k in zip(idx, np.searchsorted(grid, durations)):
+            out[i] = block[:, k]
+    for (duration, _), batch in batches.items():
+        trajs = evolve_batch([model(seg, d) for seg, _ in batch for d in offsets],
+                             [r for _, i in batch for r in density_matrices(items[i][0])],
+                             np.array([0.0, duration]))
+        finals = np.stack([tr.final_state.matrix for tr in trajs])
+        for k, (_, i) in enumerate(batch):
+            out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
+    return out
+
+
 def simulate_protocol(
     protocol: Protocol,
     physics,
     ensemble: EnsembleSpec | None = None,
     ideal_pulses: bool = False,
-    detune_pulses: bool = True,
     counts_per_shot: float = 0.0,
     seed: int | None = None,
     threads: int = 1,
@@ -437,14 +566,15 @@ def simulate_protocol(
     ``physics`` is a TwoLevelPhysics (Rabi/Ramsey/echo/ESR/T1 families) or a
     FaradayParams (spin pumping, four-level Rabi).  Deterministic for fixed
     inputs; when ``counts_per_shot`` > 0 a seeded generator draws Poisson
-    counts per shot (``seed`` is then required).
+    counts per shot (``seed`` is then required).  ``threads`` parallelizes
+    the points of an intensity-noise Q scan.
     """
     if counts_per_shot > 0 and seed is None:
         raise UsageError("shot-noise sampling requires a seed")
     rng = np.random.default_rng(seed) if counts_per_shot > 0 else None
 
     if protocol.kind == "polarization_map":
-        return _simulate_polarization_map(protocol)
+        return ScanResult(protocol.axes, s3_map(protocol.axis("hwp_deg"), protocol.axis("qwp_deg")))
     if protocol.kind == "spin_pumping":
         if not isinstance(physics, FaradayParams):
             raise UsageError("spin pumping requires FaradayParams physics")
@@ -461,26 +591,29 @@ def simulate_protocol(
     if not isinstance(physics, TwoLevelPhysics):
         raise UsageError("physics must be TwoLevelPhysics or FaradayParams")
 
+    if protocol.axes[0][1].size == 0:
+        return ScanResult(protocol.axes, np.empty(0))
     sigma, nodes = _resolve_sigma(protocol, ensemble)
-    dispatch = {
-        "rabi": _simulate_rabi,
-        "esr_scan": _simulate_esr,
-        "ramsey": _simulate_ramsey,
-        "hahn_echo": _simulate_echo,
-        "t1": _simulate_t1,
-    }
-    try:
-        fn = dispatch[protocol.kind]
-    except KeyError:
-        raise UsageError(f"cannot simulate protocol kind {protocol.kind!r}") from None
-    result = fn(protocol, physics, sigma, nodes, ideal_pulses, detune_pulses, threads)
+    pops = _run_shots(protocol, physics, sigma, nodes, ideal_pulses)
+    q = protocol.params
+    if protocol.kind == "ramsey" and not q["balanced"]:
+        result = ScanResult(protocol.axes, pops[:, 0], extras={"n_phi": pops[:, 0]})
+    elif protocol.kind in ("ramsey", "hahn_echo"):
+        # shots come in (phi, phi + pi) pairs, one pair per modulation phase
+        n0, n1 = pops[:, 0::2].mean(axis=1), pops[:, 1::2].mean(axis=1)
+        contrast = (n0 - n1) / (n0 + n1)
+        if q.get("t2he_ns"):
+            contrast = contrast * np.exp(-((protocol.axes[0][1] / q["t2he_ns"]) ** 2))
+        result = ScanResult(protocol.axes, contrast, extras={"n_phi": n0, "n_phi_pi": n1})
+    else:
+        result = ScanResult(protocol.axes, pops[:, 0])
     if rng is not None:
         result = _apply_counts(result, counts_per_shot, rng)
     return result
 
 
 def _apply_counts(result: ScanResult, counts_per_shot: float, rng) -> ScanResult:
-    if "n_phi" in result.extras:
+    if "n_phi_pi" in result.extras:
         n0 = rng.poisson(np.clip(result.extras["n_phi"], 0, None) * counts_per_shot)
         n1 = rng.poisson(np.clip(result.extras["n_phi_pi"], 0, None) * counts_per_shot)
         tot = np.where(n0 + n1 > 0, n0 + n1, 1)
@@ -489,206 +622,6 @@ def _apply_counts(result: ScanResult, counts_per_shot: float, rng) -> ScanResult
                        extras={**result.extras, "counts_phi": n0, "counts_phi_pi": n1})
     counts = rng.poisson(np.clip(result.signal, 0, None) * counts_per_shot)
     return replace(result, signal=counts.astype(float), extras={**result.extras})
-
-
-def _avg_population_batched(build_model, sigma, nodes, grid, skip, rho0, level=0):
-    """Gaussian-ensemble average of a population trace, propagating all
-    quadrature nodes in one :func:`evolve_batch` call (static models only)."""
-    if sigma == 0.0:
-        traj = evolve(build_model(0.0), rho0, grid)
-        return traj.population(level)[skip:]
-    offsets, weights = quadrature_nodes(sigma, nodes)
-    models = [build_model(d) for d in offsets]
-    trajs = evolve_batch(models, [rho0] * len(models), grid)
-    return weighted_average(weights, [t.population(level)[skip:] for t in trajs])
-
-
-def _simulate_rabi(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
-    tau = protocol.axis("tau_ns")
-    if tau.size == 0:
-        return ScanResult(protocol.axes, np.empty(0))
-    grid = tau if tau[0] == 0.0 else np.concatenate([[0.0], tau])
-    skip = 0 if tau[0] == 0.0 else 1
-    q = protocol.params
-
-    def make(offset_mhz: float):
-        return build_two_level(q["omega_mhz"], q["delta_mhz"] + offset_mhz,
-                               phys.gamma1_mhz, phys.gamma2_mhz)
-
-    signal = _avg_population_batched(make, sigma, nodes, grid, skip,
-                                     _init_state(phys.epsilon_init))
-    return ScanResult(protocol.axes, signal)
-
-
-def _simulate_t1(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
-    delay = protocol.axis("delay_ns")
-    if delay.size == 0:
-        return ScanResult(protocol.axes, np.empty(0))
-    grid = delay if delay[0] == 0.0 else np.concatenate([[0.0], delay])
-    skip = 0 if delay[0] == 0.0 else 1
-    model = build_two_level(0.0, 0.0, phys.gamma1_mhz, phys.gamma2_mhz)
-    traj = evolve(model, _init_state(phys.epsilon_init), grid)
-    return ScanResult(protocol.axes, traj.population(0)[skip:])
-
-
-def _simulate_esr(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
-    omegas = protocol.axis("omega_ghz")
-    q = protocol.params
-    center = q["omega_e0_ghz"] + q["stark_ratio"] * q["omega_mhz"] * 1e-3
-
-    rho0 = _init_state(phys.epsilon_init)
-    grid = np.array([0.0, q["tau_ns"]])
-
-    def point(w_ghz: float) -> float:
-        delta = (w_ghz - center) * 1e3
-
-        def make(offset_mhz: float):
-            return build_two_level(q["omega_mhz"], delta + offset_mhz,
-                                   phys.gamma1_mhz, phys.gamma2_mhz)
-
-        return float(_avg_population_batched(make, sigma, nodes, grid, 1, rho0)[-1])
-
-    signal = np.array(_parallel_map(point, list(omegas), threads))
-    return ScanResult(protocol.axes, signal)
-
-
-def _ramsey_node_populations(q, phys, tau, offset_mhz, ideal_pulses, detune_pulses):
-    """Readout populations (n_phi, n_phi_pi) vs tau for one detuning offset."""
-    omega = q["omega_mhz"]
-    delta = q["delta_mhz"]
-    t_half = 1e3 / (4.0 * omega)
-    pulse_delta = (delta if detune_pulses else 0.0) + offset_mhz
-    wait_grid = tau if tau[0] == 0.0 else np.concatenate([[0.0], tau])
-    skip = 0 if tau[0] == 0.0 else 1
-
-    wait_model = build_two_level(0.0, delta + offset_mhz, phys.gamma1_mhz, phys.gamma2_mhz)
-    if ideal_pulses:
-        u90 = _rotation_unitary(math.pi / 2, 0.0)
-        state = _apply_unitary(_init_state(phys.epsilon_init), u90)
-    else:
-        pulse1 = build_two_level(omega, pulse_delta, phys.gamma1_mhz, phys.gamma2_mhz)
-        state = evolve(pulse1, _init_state(phys.epsilon_init), np.array([0.0, t_half])).final_state
-    free = evolve(wait_model, state, wait_grid)
-
-    f_serr = q["f_serr_mhz"]
-    reference = _SERR_REFERENCE if f_serr else 0.0
-    n0 = np.empty(tau.size)
-    n1 = np.empty(tau.size)
-    for i, t in enumerate(tau):
-        rho = free.states[i + skip]
-        phi2 = _SERR_SIGN * (2.0 * math.pi * f_serr * 1e-3 * t + reference)
-        if ideal_pulses:
-            n0[i] = _apply_unitary(rho, _rotation_unitary(math.pi / 2, phi2)).population(0)
-            n1[i] = _apply_unitary(rho, _rotation_unitary(math.pi / 2, phi2 + math.pi)).population(0)
-        else:
-            for j, extra in enumerate((0.0, math.pi)):
-                pulse2 = build_two_level(omega, pulse_delta, phys.gamma1_mhz,
-                                         phys.gamma2_mhz, phase=phi2 + extra)
-                out = evolve(pulse2, rho, np.array([0.0, t_half])).final_state
-                (n0 if j == 0 else n1)[i] = out.population(0)
-    return np.stack([n0, n1])
-
-
-def _simulate_ramsey(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
-    tau = protocol.axis("tau_ns")
-    if tau.size == 0:
-        return ScanResult(protocol.axes, np.empty(0))
-    q = protocol.params
-
-    def one(offset_mhz: float) -> np.ndarray:
-        return _ramsey_node_populations(q, phys, tau, offset_mhz, ideal_pulses, detune_pulses)
-
-    pops = ensemble_average(one, sigma, nodes)
-    n0, n1 = pops[0], pops[1]
-    if q["balanced"]:
-        signal = (n0 - n1) / (n0 + n1)
-        return ScanResult(protocol.axes, signal, extras={"n_phi": n0, "n_phi_pi": n1})
-    return ScanResult(protocol.axes, n0, extras={"n_phi": n0})
-
-
-def _echo_node_populations(q, phys, big_t_grid, offset_mhz, mod_phase, ideal_pulses, detune_pulses):
-    omega = q["omega_mhz"]
-    t_half = 1e3 / (4.0 * omega)
-    amp = q["modulation_amp_mhz"]
-    freq = q["modulation_freq_mhz"]
-    locked = q.get("modulation_mode", "refocus") == "refocus"
-    base = build_two_level(0.0, offset_mhz, phys.gamma1_mhz, phys.gamma2_mhz)
-
-    def modulated(t_ref: float) -> LindbladModel:
-        if amp == 0.0:
-            return base
-        w_mod = mhz_to_angular(amp)
-        f_ang = mhz_to_angular(freq)
-
-        def env(t: float) -> complex:
-            return 0.5 * w_mod * math.cos(f_ang * (t - t_ref) + mod_phase)
-
-        return LindbladModel(
-            dim=2, h0=base.h0, channels=base.channels,
-            drives=(Drive(env, models.SIGMA_Z / 2, frequency_scale=f_ang),),
-            labels=base.labels,
-        )
-
-    # phase-locked mode: modulation starts at the refocusing pulse only
-    first_model = base if locked else modulated(0.0)
-    grid = np.asarray(big_t_grid, dtype=float)
-    halves = grid / 2.0
-    half_grid = halves if halves[0] == 0.0 else np.concatenate([[0.0], halves])
-    skip = 0 if halves[0] == 0.0 else 1
-
-    if ideal_pulses:
-        state0 = _apply_unitary(_init_state(phys.epsilon_init), _rotation_unitary(math.pi / 2, 0.0))
-    else:
-        pulse = build_two_level(omega, offset_mhz if detune_pulses else 0.0,
-                                phys.gamma1_mhz, phys.gamma2_mhz)
-        state0 = evolve(pulse, _init_state(phys.epsilon_init), np.array([0.0, t_half])).final_state
-    first_half = evolve(first_model, state0, half_grid)
-
-    n0 = np.empty(grid.size)
-    n1 = np.empty(grid.size)
-    u_pi = _rotation_unitary(math.pi, math.pi / 2)
-    for i, big_t in enumerate(grid):
-        rho = first_half.states[i + skip]
-        if ideal_pulses:
-            rho = _apply_unitary(rho, u_pi)
-        else:
-            pulse_pi = build_two_level(omega, offset_mhz if detune_pulses else 0.0,
-                                       phys.gamma1_mhz, phys.gamma2_mhz, phase=math.pi / 2)
-            rho = evolve(pulse_pi, rho, np.array([0.0, 2 * t_half])).final_state
-        if big_t > 0:
-            second_model = modulated(big_t / 2) if locked else first_model
-            rho = evolve(second_model, rho, np.array([big_t / 2, big_t])).final_state
-        for j, extra in enumerate((0.0, math.pi)):
-            if ideal_pulses:
-                out = _apply_unitary(rho, _rotation_unitary(math.pi / 2, extra))
-            else:
-                pulse2 = build_two_level(omega, offset_mhz if detune_pulses else 0.0,
-                                         phys.gamma1_mhz, phys.gamma2_mhz, phase=extra)
-                out = evolve(pulse2, rho, np.array([0.0, t_half])).final_state
-            (n0 if j == 0 else n1)[i] = out.population(0)
-    return np.stack([n0, n1])
-
-
-def _simulate_echo(protocol, phys, sigma, nodes, ideal_pulses, detune_pulses, threads):
-    grid = protocol.axis("total_delay_ns")
-    if grid.size == 0:
-        return ScanResult(protocol.axes, np.empty(0))
-    q = protocol.params
-    phase_count = int(q["modulation_phases"]) if q["modulation_amp_mhz"] else 1
-    phases = 2.0 * math.pi * np.arange(phase_count) / max(phase_count, 1)
-
-    def one(offset_mhz: float) -> np.ndarray:
-        acc = np.zeros((2, grid.size))
-        for ph in phases:
-            acc += _echo_node_populations(q, phys, grid, offset_mhz, ph, ideal_pulses, detune_pulses)
-        return acc / len(phases)
-
-    pops = ensemble_average(one, sigma, nodes)
-    n0, n1 = pops[0], pops[1]
-    contrast = (n0 - n1) / (n0 + n1)
-    if q["t2he_ns"]:
-        contrast = contrast * np.exp(-((grid / q["t2he_ns"]) ** 2))
-    return ScanResult(protocol.axes, contrast, extras={"n_phi": n0, "n_phi_pi": n1})
 
 
 def _simulate_spin_pumping(protocol, params: FaradayParams, handedness: str) -> ScanResult:
@@ -763,15 +696,15 @@ def two_level_pi_contrast(
     """Pi contrast of the driven two-level model under a static detuning ensemble."""
     if sigma_mhz is None:
         sigma_mhz = gaussian_sigma(t2star_ns) if t2star_ns else 0.0
-    t_pi = 1e3 / (2 * omega_mhz)
-
-    def make(offset_mhz: float):
-        return build_two_level(omega_mhz, offset_mhz, gamma1_mhz, gamma2_mhz)
-
-    f_pi = float(_avg_population_batched(make, sigma_mhz, nodes,
-                                         np.array([0.0, t_pi]), 1,
-                                         DensityMatrix.pure(2, 1))[-1])
+    phys = TwoLevelPhysics(gamma1_mhz, gamma2_mhz)
+    f_pi = _pi_population(omega_mhz, 0.0, 1e3 / (2 * omega_mhz), phys, sigma_mhz, nodes)
     return models.pi_contrast_and_q(f_pi)
+
+
+def _pi_population(omega_mhz, delta_mhz, t_pi, phys, sigma_mhz, nodes) -> float:
+    """Ensemble-averaged readout of one Rabi shot of duration ``t_pi``."""
+    shot = rabi_protocol(omega_mhz, delta_mhz, [t_pi])
+    return float(_run_shots(shot, phys, sigma_mhz, nodes, False)[0, 0])
 
 
 def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble, threads) -> ScanResult:
@@ -804,31 +737,12 @@ def _f_pi_with_rabi_jitter(omega_mhz, gamma1_mhz, gamma2_mhz, spec: EnsembleSpec
     """Sensitivity variant: intensity fluctuations co-vary with the Rabi amplitude."""
     t_pi = 1e3 / (2 * omega_mhz)
     eps_nodes, eps_w = quadrature_nodes(spec.di_over_i, 9)
-    oh_sigma = gaussian_sigma(spec.t2star_ns)
-
+    phys = TwoLevelPhysics(gamma1_mhz, gamma2_mhz)
     total = 0.0
     for eps, we in zip(eps_nodes, eps_w):
-        omega_i = omega_mhz * (1.0 + eps)
-        delta_laser = spec.stark_ratio * omega_mhz * eps
-
-        def one(offset_mhz: float) -> float:
-            model = build_two_level(omega_i, delta_laser + offset_mhz, gamma1_mhz, gamma2_mhz)
-            traj = evolve(model, DensityMatrix.pure(2, 1), np.array([0.0, t_pi]))
-            return traj.population(0)[-1]
-
-        total += we * float(ensemble_average(one, oh_sigma, spec.nodes))
+        total += we * _pi_population(omega_mhz * (1.0 + eps), spec.stark_ratio * omega_mhz * eps,
+                                     t_pi, phys, gaussian_sigma(spec.t2star_ns), spec.nodes)
     return total
-
-
-def _simulate_polarization_map(protocol) -> ScanResult:
-    hwp = protocol.axis("hwp_deg")
-    qwp = protocol.axis("qwp_deg")
-    state = JonesVector.horizontal()
-    out = np.empty((hwp.size, qwp.size))
-    for i, hw in enumerate(hwp):
-        for j, qw in enumerate(qwp):
-            out[i, j] = stokes(jones_through_waveplates(state, hw, qw)).s3
-    return ScanResult(protocol.axes, out)
 
 
 # --- spin-pumping analysis --------------------------------------------------------

@@ -51,6 +51,31 @@ class TestValidate:
     def test_unknown_scenario(self, capsys):
         assert run(["validate", "nonexistent"]) == 2
 
+    @staticmethod
+    def _rejected_at(text, key, tmp_path):
+        from fss.errors import ConfigError
+
+        line = next(n for n, row in enumerate(text.splitlines(), 1) if row.startswith(key))
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+        path = tmp_path / "bad.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert run(["validate", path]) == 2
+
+    def test_non_finite_scalar_rejected(self, tmp_path):
+        bad = SMALL_SCENARIO.replace("gamma1 = 0.5 MHz", "gamma1 = nan MHz")
+        self._rejected_at(bad, "gamma1", tmp_path)
+
+    def test_non_finite_list_entry_rejected(self, tmp_path):
+        bad = ("[scenario]\nname = q\n[physics]\nkind = two_level\n[protocol q]\n"
+               "kind = rabi_q\nomega_values = 60, inf MHz\ndi_values = 0, 0.01\n")
+        self._rejected_at(bad, "omega_values", tmp_path)
+
+    def test_negative_point_count_rejected(self, tmp_path):
+        bad = SMALL_SCENARIO.replace("tau_points = 21", "tau_points = -3")
+        self._rejected_at(bad, "tau_points", tmp_path)
+
     def test_shot_noise_requires_seed(self, tmp_path):
         bad = SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\n"
         path = tmp_path / "noise.scenario"

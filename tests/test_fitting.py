@@ -17,6 +17,7 @@ from fss.fitting import (
     linewidth_from_t2star,
     lorentzian_multi,
     read_data_csv,
+    refine_peak,
     t2star_from_linewidth,
 )
 
@@ -232,6 +233,21 @@ class TestSpectra:
     def test_too_short_rejected(self):
         with pytest.raises(UsageError):
             fft_spectrum(np.arange(16), np.zeros(16))
+
+    def test_refine_peak_vertex(self):
+        xs = np.linspace(0.0, 3.0, 4)
+        assert refine_peak(xs, 1.0 - (xs - 1.3) ** 2, 1) == pytest.approx(1.3)
+
+    def test_refine_peak_at_edge(self):
+        xs = np.linspace(0.0, 3.0, 4)
+        ys = np.array([5.0, 3.0, 2.0, 1.0])
+        assert refine_peak(xs, ys, 0) == 0.0
+        assert refine_peak(xs, ys[::-1], 3) == 3.0
+
+    def test_refine_peak_without_downward_curvature(self):
+        xs = np.linspace(0.0, 3.0, 4)
+        assert refine_peak(xs, np.array([1.0, 2.0, 3.0, 0.0]), 1) == 1.0  # denom = 0
+        assert refine_peak(xs, np.array([3.0, 1.0, 3.0, 0.0]), 1) == 1.0  # denom > 0
 
 
 class TestTabulated:

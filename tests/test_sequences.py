@@ -1,6 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fss import sequences
 from fss.ensemble import EnsembleSpec
 from fss.errors import UsageError
 from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
@@ -8,6 +12,7 @@ from fss.models import FaradayParams
 from fss.sequences import (
     CoolingSpec,
     PulseSegment,
+    PulseSequence,
     TwoLevelPhysics,
     esr_scan_protocol,
     hahn_echo_protocol,
@@ -307,3 +312,57 @@ class TestSimulateProtocolContract:
             PulseSegment("drive", duration_ns=-1.0)
         with pytest.raises(UsageError):
             PulseSegment("sleep")
+
+
+class TestShotExecutor:
+    def test_simulation_runs_the_shots(self, monkeypatch):
+        # lengthen the wait of the tau = 10 ns shots to 20 ns: that point must
+        # then read like tau = 20 ns, because the shots are what runs
+        prot = ramsey_protocol(125.0, 30.0, [0.0, 10.0, 20.0])
+        ens = EnsembleSpec(t2star_ns=34.0, nodes=9)
+        base = simulate_protocol(prot, TwoLevelPhysics(), ens, **IDEAL).signal
+        original = sequences._shots_for
+
+        def lengthened(p, point, ideal_pulses=False):
+            shots = original(p, point, ideal_pulses)
+            if point["tau_ns"] != 10.0:
+                return shots
+            return [PulseSequence(tuple(replace(seg, duration_ns=20.0) if seg.kind == "wait" else seg
+                                        for seg in shot.segments)) for shot in shots]
+
+        monkeypatch.setattr(sequences, "_shots_for", lengthened)
+        moved = simulate_protocol(prot, TwoLevelPhysics(), ens, **IDEAL).signal
+        assert abs(base[1] - base[2]) > 0.1
+        assert moved[1] == pytest.approx(base[2], abs=1e-12)
+        assert moved[[0, 2]] == pytest.approx(base[[0, 2]], abs=1e-12)
+
+    def test_ideal_pulses_are_rotations_in_the_shots(self):
+        prot = hahn_echo_protocol(125.0, [0.0, 100.0])
+        shot = prot.shots(ideal_pulses=True, total_delay_ns=100.0)[0]
+        assert [seg.kind for seg in shot.segments] == [
+            "initialize", "rotation", "wait", "rotation", "wait", "rotation", "readout"]
+        assert [seg.angle for seg in shot.segments if seg.kind == "rotation"] == [
+            math.pi / 2, math.pi, math.pi / 2]
+        (rabi,) = rabi_protocol(100.0, 0.0, [1.0]).shots(ideal_pulses=True, tau_ns=1.0)
+        assert [seg.kind for seg in rabi.segments] == ["initialize", "drive", "readout"]
+
+    def test_finite_pulse_echo_cancels_static_ensemble(self):
+        prot = hahn_echo_protocol(125.0, np.linspace(0, 1000, 11))
+        res = simulate_protocol(prot, TwoLevelPhysics(), EnsembleSpec(t2star_ns=34.0, nodes=9),
+                                ideal_pulses=False)
+        assert np.all(np.abs(res.signal) <= 1.0 + 1e-9)
+        assert np.all(res.signal >= 0.99)
+
+    def test_rabi_q_threads_bitwise_equal(self):
+        prot = rabi_q_protocol([60.0, 225.0], [0.0, 0.02])
+        a = simulate_protocol(prot, TwoLevelPhysics(), threads=1)
+        b = simulate_protocol(prot, TwoLevelPhysics(), threads=2)
+        assert np.array_equal(a.signal, b.signal)
+        assert np.array_equal(a.extras["f_pi"], b.extras["f_pi"])
+
+    def test_unbalanced_ramsey_shot_noise(self):
+        prot = ramsey_protocol(125, 20, [0, 10], balanced=False)
+        res = simulate_protocol(prot, TwoLevelPhysics(), ideal_pulses=True,
+                                counts_per_shot=100, seed=1)
+        assert res.signal.shape == (2,)
+        assert np.all(res.signal >= 0)
