@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from importlib import resources
@@ -24,18 +23,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 EXIT_NOCONVERGE = 5
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("FSS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FSS_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _resolve_scenario_path(name: str) -> Path:
@@ -74,7 +61,7 @@ def _run_and_emit(args, require_two_axes: bool) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.time()
-    results = scn.run_scenario(sc, threads=_threads(args), seed=seed)
+    results = scn.run_scenario(sc, seed=seed)
     written = []
     for res in results:
         if require_two_axes and len(res.axes) != 2:
@@ -232,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: FSS_THREADS or logical cores)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_sim = sub.add_parser("simulate", help="run a scenario and emit CSV data products")

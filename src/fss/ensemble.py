@@ -14,6 +14,7 @@ quadrature with the Overhauser spread.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -70,8 +71,16 @@ def combined_sigma(spec: EnsembleSpec) -> float:
 
 def quadrature_nodes(sigma_mhz: float, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite detuning offsets (MHz) and weights for a Gaussian of width sigma."""
-    x, w = hermgauss(nodes)
+    x, w = _hermgauss(nodes)
     return math.sqrt(2.0) * sigma_mhz * x, w / math.sqrt(math.pi)
+
+
+@functools.lru_cache(maxsize=32)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite abscissae and weights, once per node count."""
+    x, w = hermgauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def weighted_average(weights, traces) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +304,7 @@ def parse_scenario(text: str) -> Scenario:
     scan = None
     output: dict = {}
     protocols: list = []
+    protocol_lines: list[int] = []
 
     for section, label, lineno, entries in sections:
         if section == "scenario":
@@ -321,6 +322,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ConfigError(f"protocol kind must be one of {sorted(_PROTOCOL_KEYS)}", lineno)
             parsed = _check_section(entries, _PROTOCOL_KEYS[kind], "protocol")
             protocols.append((label or kind, parsed))
+            protocol_lines.append(lineno)
         elif section == "scan":
             param = entries.get("parameter", (None, lineno))[0]
             if param not in _SCAN_PARAM_UNITS:
@@ -339,6 +341,16 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("no [protocol] section")
     if output.get("counts_per_shot", 0) > 0 and "seed" not in output:
         raise ConfigError("shot noise enabled: [output] seed is required")
+    # build every protocol now, so that a value its constructor rejects
+    # fails here with the [protocol] line instead of at run time
+    for (_, params), lineno in zip(protocols, protocol_lines):
+        try:
+            if params["kind"] != "cpt_spectrum":
+                _protocols(params, scan)
+        except UsageError as exc:
+            raise ConfigError(str(exc), lineno) from None
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc.args[0]!r} in [protocol]", lineno) from None
     return Scenario(
         name=name,
         physics=physics or {"kind": "none"},
@@ -455,7 +467,7 @@ def build_protocol(kind: str, p: dict) -> Protocol:
     raise UsageError(f"cannot build protocol kind {kind!r}")
 
 
-def run_product(sc: Scenario, product_name: str, params: dict, threads: int = 1,
+def run_product(sc: Scenario, product_name: str, params: dict,
                 seed: int | None = None) -> ScanResult:
     """Simulate one protocol product, applying the scenario-level scan if any."""
     kind = params["kind"]
@@ -477,36 +489,30 @@ def run_product(sc: Scenario, product_name: str, params: dict, threads: int = 1,
         ideal_pulses=out.get("ideal_pulses", False),
         counts_per_shot=out.get("counts_per_shot", 0.0),
         seed=seed,
-        threads=threads,
     )
     if sc.physics.get("kind") == "faraday":
         kwargs["handedness"] = sc.physics.get("handedness", "sigma-")
 
-    if sc.scan is None or kind in ("rabi_q", "polarization_map"):
-        protocol = build_protocol(kind, params)
-        return _named(simulate_protocol(protocol, physics, ensemble, **kwargs), product_name)
-
-    scan_param = sc.scan["parameter"]
-    values = sc.scan["values"]
-    rows = []
-    inner_axis = None
-    for v in values:
-        protocol = build_protocol(kind, {**params, scan_param: v})
-        res = simulate_protocol(protocol, physics, ensemble, **kwargs)
-        inner_axis = res.axes[0]
-        rows.append(res.signal)
-    signal = np.stack(rows)
-    axes = ((scan_param, np.asarray(values, dtype=float)), inner_axis)
+    scanned, protocols = _protocols(params, sc.scan)
+    results = [simulate_protocol(p, physics, ensemble, **kwargs) for p in protocols]
+    if not scanned:
+        return replace(results[0], name=product_name)
+    signal = np.stack([res.signal for res in results])
+    axes = ((sc.scan["parameter"], np.asarray(sc.scan["values"], dtype=float)), results[-1].axes[0])
     return ScanResult(axes, signal, name=product_name)
 
 
-def _named(res: ScanResult, name: str) -> ScanResult:
-    res.name = name
-    return res
+def _protocols(params: dict, scan: dict | None) -> tuple[bool, list[Protocol]]:
+    """Whether the scenario scan applies to a product, and its protocols:
+    one per scan value, or one (the Q scan and polarization map ignore it)."""
+    kind = params["kind"]
+    if scan is None or kind in ("rabi_q", "polarization_map"):
+        return False, [build_protocol(kind, params)]
+    return True, [build_protocol(kind, {**params, scan["parameter"]: v}) for v in scan["values"]]
 
 
-def run_scenario(sc: Scenario, threads: int = 1, seed: int | None = None) -> list[ScanResult]:
-    return [run_product(sc, pname, params, threads=threads, seed=seed)
+def run_scenario(sc: Scenario, seed: int | None = None) -> list[ScanResult]:
+    return [run_product(sc, pname, params, seed=seed)
             for pname, params in sc.protocols]
 
 

@@ -6,10 +6,11 @@ through the scenario config format.  ``simulate_protocol`` binds a protocol
 to a physics description and an inhomogeneous ensemble and returns one signal
 value per scan point, always assembled in scan order.
 
-The two-level families (Rabi, ESR scan, Ramsey, Hahn echo, T1) run their
-pulse sequences: the shots that ``Protocol.shots`` returns are exactly what
-one executor propagates, batched over scan points, shots and ensemble nodes,
-and the per-kind code only forms the signal from the shots' readouts.
+The pulse-sequence families (Rabi on either model, ESR scan, Ramsey, Hahn
+echo, T1) run their pulse sequences: the shots that ``Protocol.shots``
+returns are exactly what one executor propagates, batched over scan points,
+shots and ensemble nodes, through a small binding to the physics model; the
+per-kind code only forms the signal from the shots' readouts.
 
 Nuclear-spin cooling stages are not simulated dynamically; a CoolingSpec
 carries the cooling parameters as metadata and contributes only its resulting
@@ -20,18 +21,16 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, evolve, evolve_batch, expectation
+from .core import DensityMatrix, Drive, LindbladModel, evolve, evolve_batch
 from .ensemble import (
     EnsembleSpec,
     combined_sigma,
-    ensemble_average,
     gaussian_sigma,
     quadrature_nodes,
     weighted_average,
@@ -62,13 +61,14 @@ PROTOCOL_KINDS = (
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One step of a shot on the two-level spin (levels "down", "up").
+    """One step of a shot on the spin (levels "down", "up").
 
     ``initialize`` prepares ``target`` up to the physics' initialization
     infidelity; ``drive`` and ``wait`` evolve for ``duration_ns`` at Rabi
     frequency ``omega_mhz``, detuning ``delta_mhz`` and drive phase
     ``phase``; ``rotation`` is an instantaneous ideal pulse of ``angle``
-    about the axis at ``phase``; ``readout`` is the population of ``target``.
+    about the axis at ``phase``; ``readout`` is the population of ``target``
+    (on the four-level model, with the trion weight that relaxes into it).
     A wait may carry a sinusoidal detuning modulation of amplitude
     ``mod_amp_mhz`` and frequency ``mod_freq_mhz``, whose phase at the start
     of the wait is ``phase``.
@@ -417,13 +417,6 @@ def _shots_for(p: Protocol, point: dict, ideal_pulses: bool = False) -> list[Pul
 _LEVELS = ("down", "up")  # basis order of build_two_level
 
 
-def _parallel_map(fn, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _rotation_unitary(theta: float, phase: float) -> np.ndarray:
     axis = math.cos(phase) * models.SIGMA_X + math.sin(phase) * models.SIGMA_Y
     return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
@@ -451,20 +444,59 @@ def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) 
     return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, frequency_scale=f_ang),))
 
 
-def _run_shots(protocol: Protocol, phys: TwoLevelPhysics, sigma: float, nodes: int,
+@dataclass(frozen=True)
+class _Binding:
+    """What the executor needs of one physics model: per target, the state
+    ``initialize`` prepares and the weights ``readout`` puts on populations;
+    a segment's model at a node offset (MHz); RK45 tolerances; for four-level
+    physics, the calibrated (drive, resonant Delta_RF) per Rabi frequency."""
+
+    initial: dict[str, DensityMatrix]
+    readout: dict[str, np.ndarray]
+    model: Callable[[PulseSegment, float], LindbladModel]
+    solver: dict = field(default_factory=dict)
+    calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
+
+
+def _bind(physics, handedness: str = "sigma-") -> _Binding:
+    """The executor binding of a TwoLevelPhysics or a FaradayParams."""
+    if isinstance(physics, TwoLevelPhysics):
+        eps = physics.epsilon_init
+        return _Binding(initial={"down": DensityMatrix.from_populations([1.0 - eps, eps]),
+                                 "up": DensityMatrix.from_populations([eps, 1.0 - eps])},
+                        readout={t: np.eye(2)[k] for k, t in enumerate(_LEVELS)},
+                        model=functools.partial(_segment_model, phys=physics))
+    if not isinstance(physics, FaradayParams):
+        raise UsageError("physics must be TwoLevelPhysics or FaradayParams")
+    calibrated = functools.cache(
+        lambda omega_mhz: models.calibrate_faraday_drive(physics, omega_mhz, handedness))
+
+    def model(seg: PulseSegment, offset_mhz: float) -> LindbladModel:
+        drive, _ = calibrated(seg.omega_mhz)
+        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + seg.delta_mhz * 1e-3)
+        return models.build_faraday_four_level(physics, drive, handedness,
+                                               splitting_offset_mhz=offset_mhz)
+
+    # the flipped spin counts the trion weight that relaxes back to |down>
+    flip = models.faraday_flip_projector(physics).diagonal().real
+    return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, model=model,
+                    solver={"rtol": 1e-9, "atol": 1e-12}, calibrated=calibrated)
+
+
+def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
                ideal_pulses: bool) -> np.ndarray:
     """Ensemble-averaged readout of every shot at every scan point, as a
     (points, shots) array.
 
     The shots are advanced one segment index at a time.  Shots that share a
-    prefix share its states, held as one (nodes, 2, 2) stack; every segment's
+    prefix share its states, held as one (nodes, d, d) stack; every segment's
     detuning gets the node offset.
     """
     ((name, values),) = protocol.axes
     seqs = [shot.segments for v in values
             for shot in _shots_for(protocol, {name: v}, ideal_pulses)]
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
-    model = functools.lru_cache(maxsize=None)(lambda seg, off: _segment_model(seg, off, phys))
+    model = functools.lru_cache(maxsize=None)(binding.model)
     readout = np.empty((offsets.size, len(seqs)))
     rho0s: dict[int, tuple] = {}
     frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
@@ -477,7 +509,7 @@ def _run_shots(protocol: Protocol, phys: TwoLevelPhysics, sigma: float, nodes: i
                 split.setdefault(seqs[m][depth], []).append(m)
             items += [(states, seg, shared) for seg, shared in split.items()]
         frontier = []
-        for (_, seg, shared), out in zip(items, _advance(items, offsets, phys, model, rho0s)):
+        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, model, rho0s)):
             if seg.kind == "readout":
                 readout[:, shared] = out[:, None]
             else:
@@ -487,29 +519,26 @@ def _run_shots(protocol: Protocol, phys: TwoLevelPhysics, sigma: float, nodes: i
     return pops.reshape(values.size, -1)
 
 
-def _advance(items, offsets: np.ndarray, phys: TwoLevelPhysics, model,
+def _advance(items, offsets: np.ndarray, binding: _Binding, model,
              rho0s: dict[int, tuple]) -> list[np.ndarray]:
-    """Apply each item's segment to its (nodes, 2, 2) states.
+    """Apply each item's segment to its (nodes, d, d) states.
 
     Rotations are one batched product.  Drives and waits go through
     evolve_batch: the segments that differ from one another only in duration
     on one shared prefix are stepped over their sorted durations in one call,
     and all other segments of one duration are one call over shots x nodes.
-    A readout yields the (nodes,) populations of its target.  ``rho0s`` maps
-    the id of a states array to that array and its DensityMatrix objects.
+    A readout yields its target's (nodes,) weighted populations.  ``rho0s``
+    maps the id of a states array to that array and its DensityMatrix objects.
     """
     out: list = [None] * len(items)
     rotations, evolving = [], {}
     for i, (states, seg, _) in enumerate(items):
         if seg.kind == "initialize":
-            pops = np.full(2, phys.epsilon_init)
-            pops[_LEVELS.index(seg.target)] = 1.0 - phys.epsilon_init
-            rho = DensityMatrix.from_populations(pops)
+            rho = binding.initial[seg.target]
             out[i] = np.repeat(rho.matrix[None], offsets.size, 0)
             rho0s[id(out[i])] = (out[i], [rho] * offsets.size)
         elif seg.kind == "readout":
-            level = _LEVELS.index(seg.target)
-            out[i] = states[:, level, level].real
+            out[i] = (np.diagonal(states, axis1=1, axis2=2).real * binding.readout[seg.target]).sum(1)
         elif seg.kind == "rotation":
             rotations.append(i)
         elif seg.duration_ns == 0.0:
@@ -537,14 +566,14 @@ def _advance(items, offsets: np.ndarray, phys: TwoLevelPhysics, model,
             continue
         grid = np.array([0.0] + sorted(durations))
         trajs = evolve_batch([model(seg, d) for d in offsets],
-                             density_matrices(items[idx[0]][0]), grid)
+                             density_matrices(items[idx[0]][0]), grid, **binding.solver)
         block = np.stack([[s.matrix for s in tr.states] for tr in trajs])
         for i, k in zip(idx, np.searchsorted(grid, durations)):
             out[i] = block[:, k]
     for (duration, _), batch in batches.items():
         trajs = evolve_batch([model(seg, d) for seg, _ in batch for d in offsets],
                              [r for _, i in batch for r in density_matrices(items[i][0])],
-                             np.array([0.0, duration]))
+                             np.array([0.0, duration]), **binding.solver)
         finals = np.stack([tr.final_state.matrix for tr in trajs])
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
@@ -558,16 +587,16 @@ def simulate_protocol(
     ideal_pulses: bool = False,
     counts_per_shot: float = 0.0,
     seed: int | None = None,
-    threads: int = 1,
     handedness: str = "sigma-",
 ) -> ScanResult:
     """Simulate a protocol, returning the signal per scan point.
 
     ``physics`` is a TwoLevelPhysics (Rabi/Ramsey/echo/ESR/T1 families) or a
-    FaradayParams (spin pumping, four-level Rabi).  Deterministic for fixed
-    inputs; when ``counts_per_shot`` > 0 a seeded generator draws Poisson
-    counts per shot (``seed`` is then required).  ``threads`` parallelizes
-    the points of an intensity-noise Q scan.
+    FaradayParams (spin pumping, four-level Rabi).  Four-level Rabi runs the
+    shots like the two-level families, on a drive calibrated once (its
+    resonant Delta_RF is in ``extras``) and at most 9 ensemble nodes.
+    Deterministic for fixed inputs; when ``counts_per_shot`` > 0 a seeded
+    generator draws Poisson counts per shot (``seed`` is then required).
     """
     if counts_per_shot > 0 and seed is None:
         raise UsageError("shot-noise sampling requires a seed")
@@ -582,19 +611,16 @@ def simulate_protocol(
     if protocol.kind == "rabi_q":
         if not isinstance(physics, TwoLevelPhysics):
             raise UsageError("the intensity-noise Q scan runs on the two-level model")
-        return _simulate_rabi_q(protocol, physics, ensemble, threads)
+        return _simulate_rabi_q(protocol, physics, ensemble)
 
-    if isinstance(physics, FaradayParams):
-        if protocol.kind != "rabi":
-            raise UsageError(f"four-level physics supports rabi/spin_pumping, not {protocol.kind}")
-        return _simulate_rabi_faraday(protocol, physics, ensemble, handedness)
-    if not isinstance(physics, TwoLevelPhysics):
-        raise UsageError("physics must be TwoLevelPhysics or FaradayParams")
-
+    four_level = isinstance(physics, FaradayParams)
+    if four_level and protocol.kind != "rabi":
+        raise UsageError(f"four-level physics supports rabi/spin_pumping, not {protocol.kind}")
+    binding = _bind(physics, handedness)
     if protocol.axes[0][1].size == 0:
         return ScanResult(protocol.axes, np.empty(0))
     sigma, nodes = _resolve_sigma(protocol, ensemble)
-    pops = _run_shots(protocol, physics, sigma, nodes, ideal_pulses)
+    pops = _run_shots(protocol, binding, sigma, min(nodes, 9) if four_level else nodes, ideal_pulses)
     q = protocol.params
     if protocol.kind == "ramsey" and not q["balanced"]:
         result = ScanResult(protocol.axes, pops[:, 0], extras={"n_phi": pops[:, 0]})
@@ -607,6 +633,8 @@ def simulate_protocol(
         result = ScanResult(protocol.axes, contrast, extras={"n_phi": n0, "n_phi_pi": n1})
     else:
         result = ScanResult(protocol.axes, pops[:, 0])
+    if four_level:
+        result.extras["delta_rf_ghz"] = np.array([binding.calibrated(q["omega_mhz"])[1]])
     if rng is not None:
         result = _apply_counts(result, counts_per_shot, rng)
     return result
@@ -626,6 +654,8 @@ def _apply_counts(result: ScanResult, counts_per_shot: float, rng) -> ScanResult
 
 def _simulate_spin_pumping(protocol, params: FaradayParams, handedness: str) -> ScanResult:
     tgrid = protocol.axis("t_ns")
+    if tgrid.size == 0:
+        return ScanResult(protocol.axes, np.empty(0))
     s = protocol.params["s"]
     tone = models.saturation_tone_mhz(params.gamma1_mhz, s)
     drive = TwoToneDrive(omega1_mhz=tone, omega2_mhz=0.0)
@@ -638,27 +668,6 @@ def _simulate_spin_pumping(protocol, params: FaradayParams, handedness: str) -> 
     return ScanResult(protocol.axes, emission)
 
 
-def _simulate_rabi_faraday(protocol, params: FaradayParams, ensemble, handedness) -> ScanResult:
-    tau = protocol.axis("tau_ns")
-    q = protocol.params
-    drive, rf = models.calibrate_faraday_drive(params, q["omega_mhz"], handedness)
-    if q["delta_mhz"]:
-        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + q["delta_mhz"] * 1e-3)
-    sigma, nodes = _resolve_sigma(protocol, ensemble)
-    flip = models.faraday_flip_projector(params)
-    grid = tau if tau[0] == 0.0 else np.concatenate([[0.0], tau])
-    skip = 0 if tau[0] == 0.0 else 1
-
-    def one(offset_mhz: float) -> np.ndarray:
-        model = models.build_faraday_four_level(params, drive, handedness,
-                                                splitting_offset_mhz=offset_mhz)
-        traj = evolve(model, DensityMatrix.pure(4, 1), grid, rtol=1e-9, atol=1e-12)
-        return np.array([expectation(st, flip) for st in traj.states])[skip:]
-
-    signal = ensemble_average(one, sigma, min(nodes, 9))
-    return ScanResult(protocol.axes, signal, extras={"delta_rf_ghz": np.array([rf])})
-
-
 def faraday_pi_contrast(
     params: FaradayParams,
     omega_mhz: float,
@@ -667,22 +676,16 @@ def faraday_pi_contrast(
     handedness: str = "sigma-",
 ) -> models.PiContrast:
     """Beat-averaged pi contrast of the calibrated four-level model under a
-    static detuning ensemble; the readout counts trion weight by branching."""
-    drive, _ = models.calibrate_faraday_drive(params, omega_mhz, handedness)
-    flip = models.faraday_flip_projector(params)
-    t_pi = 1e3 / (2 * omega_mhz)
+    static detuning ensemble: the mean readout of Rabi shots at 16 durations
+    across one Delta_RF beat around the pi time (those clipped to 0 dropped)."""
+    binding = _bind(params, handedness)
+    drive, _ = binding.calibrated(omega_mhz)
     beat = 2 * math.pi / abs(ghz_to_angular(drive.delta_rf_ghz))
     offsets = (np.arange(16) / 16.0 - 0.5) * beat
-    tgrid = np.unique(np.concatenate([[0.0], np.clip(t_pi + offsets, 0.0, None)]))
-
-    def one(offset_mhz: float) -> float:
-        model = models.build_faraday_four_level(params, drive, handedness,
-                                                splitting_offset_mhz=offset_mhz)
-        traj = evolve(model, DensityMatrix.pure(4, 1), tgrid, rtol=1e-9, atol=1e-12)
-        return float(np.mean([expectation(s, flip) for s in traj.states[1:]]))
-
-    f_pi = float(ensemble_average(one, gaussian_sigma(t2star_ns), nodes))
-    return models.pi_contrast_and_q(f_pi)
+    tau = np.unique(np.clip(1e3 / (2 * omega_mhz) + offsets, 0.0, None))
+    pops = _run_shots(rabi_protocol(omega_mhz, 0.0, tau[tau > 0]), binding,
+                      gaussian_sigma(t2star_ns), nodes, False)
+    return models.pi_contrast_and_q(float(np.mean(pops)))
 
 
 def two_level_pi_contrast(
@@ -696,53 +699,48 @@ def two_level_pi_contrast(
     """Pi contrast of the driven two-level model under a static detuning ensemble."""
     if sigma_mhz is None:
         sigma_mhz = gaussian_sigma(t2star_ns) if t2star_ns else 0.0
-    phys = TwoLevelPhysics(gamma1_mhz, gamma2_mhz)
-    f_pi = _pi_population(omega_mhz, 0.0, 1e3 / (2 * omega_mhz), phys, sigma_mhz, nodes)
+    binding = _bind(TwoLevelPhysics(gamma1_mhz, gamma2_mhz))
+    f_pi = _pi_population(omega_mhz, 0.0, 1e3 / (2 * omega_mhz), binding, sigma_mhz, nodes)
     return models.pi_contrast_and_q(f_pi)
 
 
-def _pi_population(omega_mhz, delta_mhz, t_pi, phys, sigma_mhz, nodes) -> float:
+def _pi_population(omega_mhz, delta_mhz, t_pi, binding: _Binding, sigma_mhz, nodes) -> float:
     """Ensemble-averaged readout of one Rabi shot of duration ``t_pi``."""
     shot = rabi_protocol(omega_mhz, delta_mhz, [t_pi])
-    return float(_run_shots(shot, phys, sigma_mhz, nodes, False)[0, 0])
+    return float(_run_shots(shot, binding, sigma_mhz, nodes, False)[0, 0])
 
 
-def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble, threads) -> ScanResult:
+def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
     omegas = protocol.axis("omega_mhz")
     noises = protocol.axis("di_over_i")
     q = protocol.params
     base_nodes = ensemble.nodes if ensemble is not None else 21
     jitter = ensemble.correlated_rabi_jitter if ensemble is not None else False
-    points = [(float(w), float(di)) for w in omegas for di in noises]
 
-    def point(args) -> tuple[float, float]:
-        w, di = args
+    def point(w: float, di: float) -> float:
         gamma1 = q["gamma1_per_omega"] * w
         spec = EnsembleSpec(t2star_ns=q["t2star_ns"], stark_ratio=q["stark_ratio"],
                             omega_mhz=w, di_over_i=di, nodes=base_nodes)
         if jitter and di > 0:
-            f_pi = _f_pi_with_rabi_jitter(w, gamma1, q["gamma2_mhz"], spec)
-        else:
-            f_pi = two_level_pi_contrast(w, gamma1, q["gamma2_mhz"],
-                                         sigma_mhz=combined_sigma(spec), nodes=base_nodes).f_pi
-        return f_pi, models.pi_contrast_and_q(f_pi).q
+            return _f_pi_with_rabi_jitter(w, gamma1, q["gamma2_mhz"], spec)
+        return two_level_pi_contrast(w, gamma1, q["gamma2_mhz"],
+                                     sigma_mhz=combined_sigma(spec), nodes=base_nodes).f_pi
 
-    out = _parallel_map(point, points, threads)
-    f_pi = np.array([o[0] for o in out]).reshape(len(omegas), len(noises))
-    qual = np.array([o[1] for o in out]).reshape(len(omegas), len(noises))
-    return ScanResult(protocol.axes, qual, extras={"f_pi": f_pi})
+    f_pi = np.array([point(float(w), float(di)) for w in omegas for di in noises])
+    qual = np.array([models.pi_contrast_and_q(f).q for f in f_pi])
+    shape = (omegas.size, noises.size)
+    return ScanResult(protocol.axes, qual.reshape(shape), extras={"f_pi": f_pi.reshape(shape)})
 
 
 def _f_pi_with_rabi_jitter(omega_mhz, gamma1_mhz, gamma2_mhz, spec: EnsembleSpec) -> float:
     """Sensitivity variant: intensity fluctuations co-vary with the Rabi amplitude."""
     t_pi = 1e3 / (2 * omega_mhz)
     eps_nodes, eps_w = quadrature_nodes(spec.di_over_i, 9)
-    phys = TwoLevelPhysics(gamma1_mhz, gamma2_mhz)
-    total = 0.0
-    for eps, we in zip(eps_nodes, eps_w):
-        total += we * _pi_population(omega_mhz * (1.0 + eps), spec.stark_ratio * omega_mhz * eps,
-                                     t_pi, phys, gaussian_sigma(spec.t2star_ns), spec.nodes)
-    return total
+    binding = _bind(TwoLevelPhysics(gamma1_mhz, gamma2_mhz))
+    sigma = gaussian_sigma(spec.t2star_ns)
+    pops = [_pi_population(omega_mhz * (1.0 + eps), spec.stark_ratio * omega_mhz * eps,
+                           t_pi, binding, sigma, spec.nodes) for eps in eps_nodes]
+    return float(weighted_average(eps_w, pops))
 
 
 # --- spin-pumping analysis --------------------------------------------------------

@@ -293,7 +293,7 @@ class TestCriterion7FitCalibration:
 class TestCriterion8Determinism:
     def test_bundled_scenario_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
-            rc = cli_main(["simulate", "fig2b", "--out", str(tmp_path / sub), "--threads", "2"])
+            rc = cli_main(["simulate", "fig2b", "--out", str(tmp_path / sub)])
             assert rc == 0
         a = (tmp_path / "a" / "fig2b_spectrum.csv").read_bytes()
         b = (tmp_path / "b" / "fig2b_spectrum.csv").read_bytes()

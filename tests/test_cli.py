@@ -24,6 +24,42 @@ tau_stop = 20 ns
 tau_points = 21
 """
 
+ESR_SCENARIO = """\
+[scenario]
+name = esr
+
+[physics]
+kind = two_level
+
+[protocol probe]
+kind = esr_scan
+omega = 110 MHz
+tau = 8 ns
+stark_ratio = 0
+omega_e0 = 2.6 GHz
+omega_start = 2.5 GHz
+omega_stop = 2.7 GHz
+omega_points = 5
+"""
+
+PUMPING_SCENARIO = """\
+[scenario]
+name = pump
+
+[physics]
+kind = faraday
+omega_e = 30 GHz
+omega_h = 59 GHz
+cyclicity = 289
+gamma1 = 227.364 MHz
+
+[protocol pumping]
+kind = spin_pumping
+s = 15
+duration = 2500 ns
+points = 0
+"""
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -76,6 +112,27 @@ class TestValidate:
         bad = SMALL_SCENARIO.replace("tau_points = 21", "tau_points = -3")
         self._rejected_at(bad, "tau_points", tmp_path)
 
+    def test_esr_zero_probe_time_rejected(self, tmp_path):
+        bad = ESR_SCENARIO.replace("tau = 8 ns", "tau = 0 ns")
+        parse_scenario(ESR_SCENARIO)
+        self._rejected_at(bad, "[protocol", tmp_path)
+
+    @pytest.mark.parametrize("kind,grid", [("ramsey", "tau"), ("hahn_echo", "t")])
+    def test_zero_pulse_rabi_frequency_rejected(self, kind, grid, tmp_path):
+        text = (f"[scenario]\nname = z\n[physics]\nkind = two_level\n[protocol p]\n"
+                f"kind = {kind}\nomega = 0 MHz\n{grid}_start = 0 ns\n{grid}_stop = 80 ns\n"
+                f"{grid}_points = 5\n")
+        self._rejected_at(text, "[protocol", tmp_path)
+        parse_scenario(text.replace("omega = 0 MHz", "omega = 125 MHz"))
+
+    def test_scan_value_rejected_by_protocol(self, tmp_path):
+        text = (SMALL_SCENARIO.replace("kind = rabi", "kind = ramsey")
+                + "\n[scan]\nparameter = omega\nvalues = 100, 0 MHz\n")
+        self._rejected_at(text, "[protocol", tmp_path)
+
+    def test_missing_protocol_key_rejected(self, tmp_path):
+        self._rejected_at(SMALL_SCENARIO.replace("omega = 100 MHz\n", ""), "[protocol", tmp_path)
+
     def test_shot_noise_requires_seed(self, tmp_path):
         bad = SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\n"
         path = tmp_path / "noise.scenario"
@@ -88,7 +145,7 @@ class TestSimulate:
         path = tmp_path / "smoke.scenario"
         path.write_text(SMALL_SCENARIO, encoding="utf-8")
         out = tmp_path / "out"
-        assert run(["simulate", path, "--out", out, "--threads", "1"]) == 0
+        assert run(["simulate", path, "--out", out]) == 0
         csv = out / "smoke_trace.csv"
         assert csv.exists()
         lines = csv.read_text().splitlines()
@@ -115,6 +172,16 @@ class TestSimulate:
         rows = [l for l in (out / "smoke_trace.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert rows == ["tau_ns,signal"]
+
+    def test_empty_spin_pumping_header_only(self, tmp_path):
+        path = tmp_path / "pump.scenario"
+        path.write_text(PUMPING_SCENARIO, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["validate", path]) == 0
+        assert run(["simulate", path, "--out", out]) == 0
+        rows = [l for l in (out / "pump_pumping.csv").read_text().splitlines()
+                if not l.startswith("#")]
+        assert rows == ["t_ns,signal"]
 
     def test_seeded_shot_noise_determinism(self, tmp_path):
         noisy = SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 200\nseed = 7\n"
@@ -259,14 +326,6 @@ class TestExitCodes:
                   "-p", "delta_mhz=40", "-p", "phase=0.5", "-p", "t2star_ns=10",
                   "--max-eval", "3"])
         assert rc == 5
-
-    def test_threads_env_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FSS_THREADS", "2")
-        path = tmp_path / "smoke.scenario"
-        path.write_text(SMALL_SCENARIO, encoding="utf-8")
-        assert run(["simulate", path, "--out", tmp_path / "o"]) == 0
-        monkeypatch.setenv("FSS_THREADS", "banana")
-        assert run(["simulate", path, "--out", tmp_path / "o2"]) == 2
 
     def test_config_flag_alternative(self, tmp_path):
         path = tmp_path / "smoke.scenario"

@@ -103,6 +103,17 @@ class TestEnsembleAverage:
         assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestQuadratureNodes:
+    def test_callers_get_fresh_arrays(self):
+        x, w = quadrature_nodes(1.0, 9)
+        ref_x, ref_w = x.copy(), w.copy()
+        x[:] = 0.0
+        w[:] = 0.0
+        again_x, again_w = quadrature_nodes(1.0, 9)
+        assert np.array_equal(again_x, ref_x) and np.array_equal(again_w, ref_w)
+        assert again_x.flags.writeable and again_w.flags.writeable
+
+
 class TestSpecValidation:
     def test_even_nodes_rejected(self):
         with pytest.raises(UsageError):

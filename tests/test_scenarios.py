@@ -18,7 +18,7 @@ def _run(name, out_dir):
     verb = "scan2d" if sc.scan is not None or any(
         p[1]["kind"] in ("rabi_q", "polarization_map") for p in sc.protocols
     ) else "simulate"
-    rc = main([verb, name, "--out", str(out_dir), "--threads", "2"])
+    rc = main([verb, name, "--out", str(out_dir)])
     assert rc == 0
     csvs = list(out_dir.glob("*.csv"))
     assert csvs, f"{name} produced no data"

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fss import sequences
-from fss.ensemble import EnsembleSpec
+from fss import models, sequences
+from fss.core import DensityMatrix, evolve, expectation
+from fss.ensemble import EnsembleSpec, gaussian_sigma, quadrature_nodes, weighted_average
 from fss.errors import UsageError
 from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
 from fss.models import FaradayParams
@@ -27,6 +28,27 @@ from fss.sequences import (
 from fss.units import rate_mhz_from_lifetime
 
 IDEAL = dict(ideal_pulses=True)
+
+# four-level model with small splittings and detuning, so that RK45 takes
+# few steps for either handedness
+SMALL_FOUR_LEVEL = FaradayParams(omega_e_ghz=2.6, omega_h_ghz=6.0, delta_ghz=4.0, cyclicity=409.0,
+                                 gamma1_mhz=589.463, bigGamma1_mhz=0.2, bigGamma2_mhz=1.0)
+
+
+@pytest.fixture
+def quick_calibration(monkeypatch):
+    """Replace the refined four-level drive calibration by its perturbative
+    estimate (the refinement costs seconds) and record each call's Rabi
+    frequency."""
+    calls = []
+    original = models.calibrate_faraday_drive
+
+    def estimate(p, omega_mhz, handedness="sigma-"):
+        calls.append(omega_mhz)
+        return original(p, omega_mhz, handedness, refine=False)
+
+    monkeypatch.setattr(models, "calibrate_faraday_drive", estimate)
+    return calls
 
 
 class TestRabiProtocol:
@@ -51,6 +73,11 @@ class TestRabiProtocol:
         prot = rabi_protocol(100.0, 0.0, [])
         res = simulate_protocol(prot, TwoLevelPhysics())
         assert res.signal.size == 0
+
+    def test_empty_grid_four_level(self, quick_calibration):
+        res = simulate_protocol(rabi_protocol(100.0, 0.0, []), SMALL_FOUR_LEVEL)
+        assert res.signal.shape == (0,)
+        assert quick_calibration == []
 
     def test_non_finite_drive_fails_fast(self):
         with pytest.raises(UsageError):
@@ -245,6 +272,11 @@ class TestSpinPumping:
         for s, rate in rates.items():
             assert rate / r_inf == pytest.approx(s / (1.0 + s), rel=0.05)
 
+    def test_empty_grid_gives_empty_trace(self):
+        res = simulate_protocol(spin_pumping_protocol(6.0, 500.0, points=0), SMALL_FOUR_LEVEL)
+        assert res.signal.shape == (0,)
+        assert res.axis("t_ns").shape == (0,)
+
     def test_slower_pumping_at_higher_cyclicity(self):
         gamma1 = rate_mhz_from_lifetime(0.270)
         decays = []
@@ -291,13 +323,14 @@ class TestSimulateProtocolContract:
         c = simulate_protocol(prot, TwoLevelPhysics(), counts_per_shot=500.0, seed=43)
         assert not np.array_equal(a.signal, c.signal)
 
-    def test_parallel_map_matches_serial(self):
-        grid = np.linspace(2.5, 2.7, 13)
-        prot = esr_scan_protocol(110.0, None, grid, 0.0, 2.60)
-        ens = EnsembleSpec(t2star_ns=34.0, nodes=9)
-        a = simulate_protocol(prot, TwoLevelPhysics(), ens, threads=1)
-        b = simulate_protocol(prot, TwoLevelPhysics(), ens, threads=4)
-        assert np.array_equal(a.signal, b.signal)
+    def test_correlated_rabi_jitter(self):
+        prot = rabi_q_protocol([225.0], [0.02])
+        jit = simulate_protocol(prot, TwoLevelPhysics(),
+                                EnsembleSpec(t2star_ns=34.0, nodes=9, correlated_rabi_jitter=True))
+        plain = simulate_protocol(prot, TwoLevelPhysics(), EnsembleSpec(t2star_ns=34.0, nodes=9))
+        f_jit, f_plain = jit.extras["f_pi"][0, 0], plain.extras["f_pi"][0, 0]
+        assert np.isfinite(f_jit) and 0.5 <= f_jit <= 1.0
+        assert abs(f_jit - f_plain) > 1e-6
 
     def test_rabi_q_monotone_in_noise(self):
         prot = rabi_q_protocol([225.0], [0.0, 0.01, 0.02, 0.04])
@@ -353,12 +386,55 @@ class TestShotExecutor:
         assert np.all(np.abs(res.signal) <= 1.0 + 1e-9)
         assert np.all(res.signal >= 0.99)
 
-    def test_rabi_q_threads_bitwise_equal(self):
-        prot = rabi_q_protocol([60.0, 225.0], [0.0, 0.02])
-        a = simulate_protocol(prot, TwoLevelPhysics(), threads=1)
-        b = simulate_protocol(prot, TwoLevelPhysics(), threads=2)
-        assert np.array_equal(a.signal, b.signal)
-        assert np.array_equal(a.extras["f_pi"], b.extras["f_pi"])
+    def test_four_level_rabi_runs_the_shots(self, monkeypatch, quick_calibration):
+        # lengthen the drive of the tau = 2 ns shot to 6 ns: that point must
+        # then read like tau = 6 ns, because the shots are what runs
+        prot = rabi_protocol(60.0, 0.0, [2.0, 4.0, 6.0])
+        base = simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
+        original = sequences._shots_for
+
+        def lengthened(p, point, ideal_pulses=False):
+            shots = original(p, point, ideal_pulses)
+            if point["tau_ns"] != 2.0:
+                return shots
+            return [PulseSequence(tuple(replace(seg, duration_ns=6.0) if seg.kind == "drive" else seg
+                                        for seg in shot.segments)) for shot in shots]
+
+        monkeypatch.setattr(sequences, "_shots_for", lengthened)
+        moved = simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
+        assert abs(base[0] - base[2]) > 0.01
+        assert moved[0] == pytest.approx(base[2], abs=1e-12)
+        assert moved[1:] == pytest.approx(base[1:], abs=1e-12)
+        assert quick_calibration == [60.0, 60.0]  # once per simulation
+
+    @pytest.mark.parametrize("handedness", ["sigma-", "sigma+"])
+    def test_four_level_rabi_matches_per_node_oracle(self, quick_calibration, handedness):
+        omega, delta, tau = 60.0, 5.0, np.array([0.5, 1.2, 2.0])
+        ens = EnsembleSpec(t2star_ns=20.0, nodes=11)  # four-level Rabi caps it at 9
+        res = simulate_protocol(rabi_protocol(omega, delta, tau), SMALL_FOUR_LEVEL, ens, handedness=handedness)
+
+        drive, rf = models.calibrate_faraday_drive(SMALL_FOUR_LEVEL, omega, handedness)
+        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + delta * 1e-3)
+        flip = models.faraday_flip_projector(SMALL_FOUR_LEVEL)
+        offsets, weights = quadrature_nodes(gaussian_sigma(20.0), 9)
+        traces = []
+        for off in offsets:
+            model = models.build_faraday_four_level(SMALL_FOUR_LEVEL, drive, handedness, splitting_offset_mhz=off)
+            traj = evolve(model, DensityMatrix.pure(4, 1), np.concatenate([[0.0], tau]),
+                          rtol=1e-9, atol=1e-12)
+            traces.append([expectation(st, flip) for st in traj.states[1:]])
+        oracle = weighted_average(weights, traces)
+        assert res.signal == pytest.approx(oracle, abs=1e-12, rel=0)
+        assert res.extras["delta_rf_ghz"] == pytest.approx([rf], abs=0, rel=0)
+
+    def test_faraday_pi_contrast_is_a_rabi_scan(self, quick_calibration):
+        pc = sequences.faraday_pi_contrast(SMALL_FOUR_LEVEL, 300.0, t2star_ns=34.0, nodes=9)
+        drive, _ = models.calibrate_faraday_drive(SMALL_FOUR_LEVEL, 300.0)
+        beat = 1.0 / abs(drive.delta_rf_ghz)
+        tau = np.unique(np.clip(1e3 / 600.0 + (np.arange(16) / 16.0 - 0.5) * beat, 0.0, None))
+        res = simulate_protocol(rabi_protocol(300.0, 0.0, tau), SMALL_FOUR_LEVEL,
+                                EnsembleSpec(t2star_ns=34.0, nodes=9))
+        assert pc.f_pi == pytest.approx(np.mean(res.signal), abs=1e-12)
 
     def test_unbalanced_ramsey_shot_noise(self):
         prot = ramsey_protocol(125, 20, [0, 10], balanced=False)
