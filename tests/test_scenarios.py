@@ -1,28 +1,26 @@
 """End-to-end runs of every bundled scenario (the slowest module; each
-scenario must complete with exit code 0 and produce its data products)."""
+scenario must complete with exit code 0 and produce its data products, and
+every product must match its golden trace within the tolerance that
+``make_golden.py`` states for it)."""
 
 import numpy as np
 import pytest
 
-from fss.cli import bundled_scenarios, main
+from fss.cli import bundled_scenarios
 from fss.fitting import MODEL_LIBRARY, fit, fft_spectrum
-from fss.scenario import build_protocol, load_scenario, parse_scenario, protocol_to_config
-from fss.cli import _resolve_scenario_path
+from make_golden import GOLDEN_DIR, compare, run_bundled
 
 FAST = ["fig1e", "fig2b", "fig3de", "fig4b", "fig5cd", "fig6", "fig7map", "fig8"]
 SLOW = ["fig1d", "fig2c", "fig3a", "fig2ef", "fig4abc"]
 
 
 def _run(name, out_dir):
-    sc = load_scenario(_resolve_scenario_path(name))
-    verb = "scan2d" if sc.scan is not None or any(
-        p[1]["kind"] in ("rabi_q", "polarization_map") for p in sc.protocols
-    ) else "simulate"
-    rc = main([verb, name, "--out", str(out_dir)])
-    assert rc == 0
-    csvs = list(out_dir.glob("*.csv"))
-    assert csvs, f"{name} produced no data"
-    return {p.name: p for p in csvs}
+    files = run_bundled(name, out_dir)
+    assert files, f"{name} produced no data"
+    assert set(files) == {p.name for p in GOLDEN_DIR.glob(f"{name}_*.csv")}
+    for path in files.values():
+        compare(path)
+    return files
 
 
 @pytest.mark.parametrize("name", FAST)
@@ -90,29 +88,3 @@ def _read(path):
             if l and not l.startswith("#")][1:]
     return np.array([[float(v) for v in row] for row in rows])
 
-
-class TestProtocolSerialization:
-    @pytest.mark.parametrize("kind,builder_args", [
-        ("rabi", dict(kind="rabi", omega=226.8, delta=0.0,
-                      tau_start=0.0, tau_stop=88.0, tau_points=23)),
-        ("ramsey", dict(kind="ramsey", omega=125.0, delta=100.0, f_serr=0.0,
-                        tau_start=0.0, tau_stop=80.0, tau_points=17)),
-        ("hahn_echo", dict(kind="hahn_echo", omega=125.0,
-                           t_start=0.0, t_stop=640.0, t_points=9)),
-        ("spin_pumping", dict(kind="spin_pumping", s=6.0, duration=900.0, points=11)),
-    ])
-    def test_round_trip(self, kind, builder_args):
-        prot = build_protocol(kind, builder_args)
-        text = (
-            "[scenario]\nname = roundtrip\n\n[physics]\nkind = two_level\n"
-            "gamma1 = 0 MHz\ngamma2 = 0 MHz\n\n" + protocol_to_config(prot, "p")
-        )
-        sc = parse_scenario(text)
-        rebuilt = build_protocol(kind, sc.protocols[0][1])
-        assert rebuilt.kind == prot.kind
-        for (n1, v1), (n2, v2) in zip(prot.axes, rebuilt.axes):
-            assert n1 == n2
-            assert np.allclose(v1, v2)
-        for key in ("omega_mhz", "delta_mhz", "s"):
-            if key in prot.params:
-                assert rebuilt.params[key] == pytest.approx(prot.params[key])
