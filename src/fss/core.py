@@ -7,22 +7,29 @@ The master equation solved here is
 with hbar = 1, H in angular rad/ns and channel rates g_i in rad/ns.  Public
 rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
-A model without drives has a constant vectorized Liouvillian L, and its
-evolution is exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring,
-Al-Mohy & Higham 2009) per distinct step of the time grid, applied step by
-step and batched over models.  Only models with drives, such as the two-tone
-envelopes of the four-level model, are integrated numerically, with scipy's
-adaptive RK45 at rtol 2e-9 / atol 1e-11.  States returned to the caller pass
-a positivity guard: eigenvalues in [floor, 0) are clamped to zero with the
-trace renormalized, anything more negative is a numerical failure.  The floor
-is -1e-8 (exact states stay within about -1e-14 of zero), widened to -1e-7 for
-RK45 states.
+There is one propagation function, ``_propagate``: it advances a batch of
+models from a (B, d, d) stack of initial states and returns the states on a
+shared grid as one (T, B, d, d) array.  ``evolve``, ``evolve_batch`` and the
+pulse-sequence executor of :mod:`fss.sequences` all go through it.  A model
+without drives has a constant vectorized Liouvillian L, and its evolution is
+exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy &
+Higham 2009) per distinct step of the grid, applied step by step and batched
+over models.  Only models with drives, such as the two-tone envelopes of the
+four-level model, are integrated numerically, with scipy's adaptive RK45 at
+rtol 2e-9 / atol 1e-11.
+
+Every state the package produces passes one positivity guard, ``_guard``,
+exactly once, as part of a stack: eigenvalues in [floor, 0) are clamped to
+zero with the trace renormalized, anything more negative is a numerical
+failure.  The floor is -1e-8 (exact states stay within about -1e-14 of zero),
+widened to -1e-7 for RK45 states.  ``DensityMatrix`` is that guard applied
+to one matrix; propagated states are wrapped without a second check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,8 +50,11 @@ EIGENVALUE_FLOOR = -1e-8
 _RTOL = 2e-9
 _ATOL = 1e-11
 
-# RK45 drift on multi-hundred-ns pure-state evolutions can push the zero
-# eigenvalue a few 1e-8 negative; clamp up to this before failing.
+# RK45 drift can push the zero eigenvalue of a pure state below the -1e-8
+# floor: the most negative pre-clamp eigenvalue of an RK45 state was -1.09e-8
+# over the tier-1 suite (1,849 states) and -2.67e-9 over the 13 bundled
+# scenarios and the pulse-driven benchmark at seed 0 (numpy 2.4.6, scipy
+# 1.17.1).  Clamp up to this before failing.
 _EVOLUTION_EIG_FLOOR = -1e-7
 
 
@@ -66,49 +76,76 @@ def _require_finite(m, what: str):
 
 
 def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL):
-    dev = np.max(np.abs(m - m.conj().T))
+    dev = np.max(np.abs(m - _dagger(m)), initial=0.0)
     if dev > tol:
         raise UsageError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _guard(rhos, times=None, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+    """The one validation of states: a stack (..., d, d) in one pass.
+
+    Returns the stack Hermitian-symmetrized, with eigenvalues in [floor, 0)
+    clamped to zero and the trace renormalized.  Non-finite entries, a trace
+    off by more than TRACE_TOL and an eigenvalue below ``floor`` raise
+    NumericalFailure carrying the time of the first state that fails
+    (``times`` broadcasts against the stack's leading shape); a non-Hermitian
+    state raises UsageError.
+    """
+    m = np.asarray(rhos, dtype=complex)
+
+    def check(bad: np.ndarray, message: str, values: np.ndarray | None = None):
+        if np.any(bad):
+            k = np.flatnonzero(bad)[0]
+            t = None if times is None else float(np.broadcast_to(times, bad.shape).flat[k])
+            raise NumericalFailure(message.format(None if values is None else values.flat[k]), t)
+
+    check(~np.isfinite(m).all(axis=(-2, -1)), "density matrix has non-finite entries")
+    _require_hermitian(m, "density matrix")
+    m = 0.5 * (m + _dagger(m))
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
+    evals, evecs = np.linalg.eigh(m)
+    low = evals[..., 0]  # eigh sorts ascending
+    check(low < floor, "density matrix has negative eigenvalue {:.3e}", low)
+    neg = low < 0.0
+    if np.any(neg):
+        vecs = evecs[neg]
+        clamped = (vecs * np.clip(evals[neg], 0.0, None)[..., None, :]) @ _dagger(vecs)
+        m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]
+    return m
 
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of a 2-4 level system.
 
-    Small negative eigenvalues (down to ``floor``) are clamped to zero with
-    the trace renormalized; anything below the floor is a numerical failure.
-    RK45 states get a wider floor than direct construction uses, since
-    integration drift accumulates over long evolutions; returned states are
-    exactly positive either way.
+    Small negative eigenvalues (down to EIGENVALUE_FLOOR) are clamped to zero
+    with the trace renormalized; anything below the floor is a numerical
+    failure (see :func:`_guard`, which every state of the package passes once).
     """
 
     __slots__ = ("matrix", "dim")
 
-    def __init__(self, matrix, *, time_ns: float | None = None, floor: float = EIGENVALUE_FLOOR):
-        m = np.array(matrix, dtype=complex)
+    def __init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
         dim = _require_square(m, "density matrix")
         if not 2 <= dim <= 4:
             raise UsageError(f"supported level counts are 2-4, got {dim}")
-        if not np.all(np.isfinite(m)):
-            raise NumericalFailure("density matrix has non-finite entries", time_ns)
-        _require_hermitian(m, "density matrix")
-        m = 0.5 * (m + m.conj().T)
-        tr = m.trace().real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NumericalFailure(
-                f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}", time_ns
-            )
-        evals, evecs = np.linalg.eigh(m)
-        if evals.min() < floor:
-            raise NumericalFailure(
-                f"density matrix has negative eigenvalue {evals.min():.3e}", time_ns
-            )
-        if evals.min() < 0.0:
-            evals = np.clip(evals, 0.0, None)
-            m = (evecs * evals) @ evecs.conj().T
-            m /= m.trace().real
+        m = _guard(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", dim)
+
+    @classmethod
+    def _guarded(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a read-only matrix that :func:`_guard` has already checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "dim", matrix.shape[0])
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -229,12 +266,6 @@ class LindbladModel:
     def time_dependent(self) -> bool:
         return bool(self.drives)
 
-    def level_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UsageError(f"unknown level label {label!r}; have {self.labels}") from None
-
     def slowest_rate_angular(self) -> float:
         rates = [ch.rate_angular for ch in self.channels if ch.rate_angular > 0]
         if not rates:
@@ -244,17 +275,13 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus the state (and optional expectation values) at each point."""
+    """Time grid plus the state at each point."""
 
     times: np.ndarray
     states: tuple[DensityMatrix, ...]
-    values: dict[str, np.ndarray] = field(default_factory=dict)
 
     def population(self, index: int) -> np.ndarray:
         return np.array([s.population(index) for s in self.states])
-
-    def expectations(self, observable: np.ndarray) -> np.ndarray:
-        return np.array([expectation(s, observable) for s in self.states])
 
     @property
     def final_state(self) -> DensityMatrix:
@@ -316,68 +343,54 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return L
 
 
-def _checked_grid(times, models, rho0s) -> np.ndarray:
+def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | None = None,
+               rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+    """States of several independent models on one shared grid, as a
+    (T, B, d, d) array whose first row is the B initial states ``rhos``.
+
+    The initial states are taken as already guarded; every later state passes
+    :func:`_guard` once.  Models without drives are propagated exactly: their
+    Liouvillians are stacked, one expm(L dt) is built per distinct grid step,
+    and each step advances the whole stack with einsum, which keeps these tiny
+    products off threaded BLAS.  Each model with drives is integrated by RK45.
+    """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise UsageError("times must be a non-empty 1-d grid")
     if not np.all(np.isfinite(t)):
         raise UsageError("times must be finite")
-    if t.size > 1 and np.any(np.diff(t) <= 0):
+    if np.any(np.diff(t) <= 0):
         raise UsageError("times must be strictly increasing")
-    if len(models) != len(rho0s):
+    if len(models) != len(rhos):
         raise UsageError("need one initial state per model")
-    if any(r.dim != m.dim for m, r in zip(models, rho0s)):
+    if any(np.shape(r) != (m.dim, m.dim) for m, r in zip(models, rhos)):
         raise UsageError("initial state dimension does not match model")
-    return t
-
-
-def _propagate_static(models, rho0s, t: np.ndarray) -> list[tuple[DensityMatrix, ...]]:
-    """Exact states of time-independent models on a shared grid.
-
-    The Liouvillians are stacked as (B, n, n) and one expm(L dt) is built per
-    distinct grid step; each step then advances the whole batch with einsum,
-    which keeps these tiny products off threaded BLAS.
-    """
     if len({m.dim for m in models}) > 1:
         raise UsageError("batched models must share a dimension")
-    dim = models[0].dim
-    gens = np.stack([liouvillian(m) for m in models])
-    steps, which = np.unique(np.diff(t), return_inverse=True)
-    props = [expm(gens * dt) for dt in steps]
-    vecs = np.empty((t.size, len(models), dim * dim), dtype=complex)
-    vecs[0] = np.stack([r.matrix.reshape(-1) for r in rho0s])
-    for k, j in enumerate(which, start=1):
-        vecs[k] = np.einsum("bij,bj->bi", props[j], vecs[k - 1])
-    mats = vecs.reshape(t.size, len(models), dim, dim)
-    return [
-        (rho0,) + tuple(DensityMatrix(mats[k, b], time_ns=float(t[k])) for k in range(1, t.size))
-        for b, rho0 in enumerate(rho0s)
-    ]
+    dim = models[0].dim if models else 0
+    out = np.empty((t.size, len(models), dim, dim), dtype=complex)
+    out[0] = rhos
+    driven = np.array([m.time_dependent for m in models], dtype=bool)
+
+    if not driven.all():
+        gens = np.stack([liouvillian(m) for m, d in zip(models, driven) if not d])
+        steps, which = np.unique(np.diff(t), return_inverse=True)
+        props = [expm(gens * dt) for dt in steps]
+        vecs = np.empty((t.size, len(gens), dim * dim), dtype=complex)
+        vecs[0] = out[0, ~driven].reshape(len(gens), -1)
+        for k, j in enumerate(which, start=1):
+            vecs[k] = np.einsum("bij,bj->bi", props[j], vecs[k - 1])
+        out[1:, ~driven] = _guard(vecs[1:].reshape(t.size - 1, len(gens), dim, dim), t[1:, None])
+
+    for b in np.flatnonzero(driven):
+        out[1:, b] = _integrate(models[b], out[0, b], t, max_step, rtol, atol)
+    if driven.any():
+        out[1:, driven] = _guard(out[1:, driven], t[1:, None], floor=_EVOLUTION_EIG_FLOOR)
+    return out
 
 
-def evolve(
-    model: LindbladModel,
-    rho0: DensityMatrix,
-    times: Sequence[float],
-    observables: dict[str, np.ndarray] | None = None,
-    max_step: float | None = None,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
-) -> Trajectory:
-    """Evolve the master equation, returning the state on the given grid.
-
-    ``times`` must be strictly increasing with times[0] the initial time.
-    A model without drives is propagated exactly; ``max_step``, ``rtol`` and
-    ``atol`` apply only to models with drives, which RK45 integrates.
-    Deterministic for fixed inputs.
-    """
-    t = _checked_grid(times, [model], [rho0])
-    if not model.time_dependent:
-        states = _propagate_static([model], [rho0], t)[0]
-        return Trajectory(times=t, states=states, values=_traj_values(states, observables))
-    if t.size == 1:
-        return Trajectory(times=t, states=(rho0,), values=_traj_values([rho0], observables))
-
+def _integrate(model: LindbladModel, rho0: np.ndarray, t: np.ndarray, max_step, rtol, atol) -> np.ndarray:
+    """Unguarded RK45 states of a model with drives at t[1:], as (T - 1, d, d)."""
     L0 = liouvillian(model)
     drive_terms = [
         (dr.envelope, _commutator_superop(dr.operator), _commutator_superop(dr.operator.conj().T))
@@ -398,7 +411,7 @@ def evolve(
     sol = solve_ivp(
         rhs,
         (t[0], t[-1]),
-        rho0.matrix.reshape(-1),
+        rho0.reshape(-1),
         method="RK45",
         t_eval=t,
         rtol=rtol,
@@ -408,21 +421,36 @@ def evolve(
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(t[0])
         raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
-
-    states = []
-    for k in range(sol.y.shape[1]):
-        m = sol.y[:, k].reshape(model.dim, model.dim)
-        states.append(DensityMatrix(m, time_ns=float(sol.t[k]), floor=_EVOLUTION_EIG_FLOOR))
-    return Trajectory(times=t, states=tuple(states), values=_traj_values(states, observables))
+    # a one-point grid leaves sol.y empty
+    return np.reshape(sol.y, (model.dim ** 2, -1))[:, 1:].T.reshape(-1, model.dim, model.dim)
 
 
-def _traj_values(states, observables):
-    if not observables:
-        return {}
-    return {
-        name: np.array([expectation(s, op) for s in states])
-        for name, op in observables.items()
-    }
+def _trajectories(states: np.ndarray, rho0s, t: np.ndarray) -> list[Trajectory]:
+    """Wrap the guarded (T, B, d, d) states of :func:`_propagate`, keeping the
+    caller's initial DensityMatrix objects as each trajectory's first state."""
+    states.setflags(write=False)
+    return [Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states[1:, b])))
+            for b, rho0 in enumerate(rho0s)]
+
+
+def evolve(
+    model: LindbladModel,
+    rho0: DensityMatrix,
+    times: Sequence[float],
+    max_step: float | None = None,
+    rtol: float = _RTOL,
+    atol: float = _ATOL,
+) -> Trajectory:
+    """Evolve the master equation, returning the state on the given grid.
+
+    ``times`` must be strictly increasing with times[0] the initial time, and
+    ``states[0]`` is ``rho0`` itself.  A model without drives is propagated
+    exactly; ``max_step``, ``rtol`` and ``atol`` apply only to models with
+    drives, which RK45 integrates.  Every later state passes the positivity
+    guard once.  Deterministic for fixed inputs.
+    """
+    t = np.asarray(times, dtype=float)
+    return _trajectories(_propagate([model], [rho0.matrix], t, max_step, rtol, atol), [rho0], t)[0]
 
 
 def evolve_batch(
@@ -432,21 +460,15 @@ def evolve_batch(
     rtol: float = _RTOL,
     atol: float = _ATOL,
 ) -> list[Trajectory]:
-    """Evolve several independent models on one shared time grid.
+    """Evolve several independent models of one dimension on one shared grid.
 
     Equivalent to calling :func:`evolve` per model.  Time-independent models
-    of one dimension are propagated together, with each distinct step's
-    propagator built once for the whole batch; used by the scan loops where
-    many small static systems share a grid.  If any model has drives, every
-    model gets its own :func:`evolve` call, and ``rtol``/``atol`` apply to the
-    RK45 integration of those with drives.
+    are propagated together, with each distinct step's propagator built once
+    for the whole batch; each model with drives is integrated by RK45, to
+    which ``rtol`` and ``atol`` apply.
     """
-    t = _checked_grid(times, models, rho0s)
-    if any(m.time_dependent for m in models):
-        return [evolve(m, r, t, rtol=rtol, atol=atol) for m, r in zip(models, rho0s)]
-    if not models:
-        return []
-    return [Trajectory(times=t, states=s) for s in _propagate_static(models, rho0s, t)]
+    t = np.asarray(times, dtype=float)
+    return _trajectories(_propagate(models, [r.matrix for r in rho0s], t, None, rtol, atol), rho0s, t)
 
 
 def expectation(rho, observable: np.ndarray) -> float:

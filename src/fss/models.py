@@ -218,11 +218,6 @@ class TwoToneDrive:
     omega2_mhz: float
     delta_rf_ghz: float = 0.0
     phase: float = 0.0
-    duration_ns: float = 0.0
-
-    def __post_init__(self):
-        if self.duration_ns < 0:
-            raise UsageError("duration must be >= 0")
 
     @property
     def mean_square_angular(self) -> float:

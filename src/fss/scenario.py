@@ -13,6 +13,7 @@ turning each product into a two-axis (long format) scan.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -305,6 +306,7 @@ def parse_scenario(text: str) -> Scenario:
     output: dict = {}
     protocols: list = []
     protocol_lines: list[int] = []
+    lines: dict[str, int] = {}
 
     for section, label, lineno, entries in sections:
         if section == "scenario":
@@ -314,8 +316,10 @@ def parse_scenario(text: str) -> Scenario:
             if kind not in _PHYSICS_KEYS:
                 raise ConfigError(f"physics kind must be one of {sorted(_PHYSICS_KEYS)}", lineno)
             physics = _check_section(entries, _PHYSICS_KEYS[kind], "physics")
+            lines["physics"] = lineno
         elif section == "ensemble":
             ensemble = _check_section(entries, _ENSEMBLE_KEYS, "ensemble")
+            lines["ensemble"] = lineno
         elif section == "protocol":
             kind = entries.get("kind", (None, lineno))[0]
             if kind not in _PROTOCOL_KEYS:
@@ -341,17 +345,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("no [protocol] section")
     if output.get("counts_per_shot", 0) > 0 and "seed" not in output:
         raise ConfigError("shot noise enabled: [output] seed is required")
-    # build every protocol now, so that a value its constructor rejects
-    # fails here with the [protocol] line instead of at run time
-    for (_, params), lineno in zip(protocols, protocol_lines):
-        try:
-            if params["kind"] != "cpt_spectrum":
-                _protocols(params, scan)
-        except UsageError as exc:
-            raise ConfigError(str(exc), lineno) from None
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc.args[0]!r} in [protocol]", lineno) from None
-    return Scenario(
+    sc = Scenario(
         name=name,
         physics=physics or {"kind": "none"},
         protocols=protocols,
@@ -360,6 +354,22 @@ def parse_scenario(text: str) -> Scenario:
         output=output,
         source_text=text,
     )
+    # build the physics, the ensemble and every protocol now, so that a value
+    # their constructors reject fails here with its section's line instead
+    # of at run time
+    builds = [(functools.partial(build_physics, sc), "physics", lines.get("physics")),
+              (functools.partial(build_ensemble, sc), "ensemble", lines.get("ensemble"))]
+    builds += [(functools.partial(_protocols, params, scan), "protocol", lineno)
+               for (_, params), lineno in zip(protocols, protocol_lines)
+               if params["kind"] != "cpt_spectrum"]
+    for build, section, lineno in builds:
+        try:
+            build()
+        except UsageError as exc:
+            raise ConfigError(str(exc), lineno) from None
+        except KeyError as exc:
+            raise ConfigError(f"missing key {exc.args[0]!r} in [{section}]", lineno) from None
+    return sc
 
 
 def _check_section(entries: dict, schema: dict, section: str) -> dict:
@@ -388,6 +398,8 @@ def build_physics(sc: Scenario):
             epsilon_init=p.get("epsilon_init", 0.0),
         )
     if kind == "faraday":
+        if p.get("handedness", "sigma-") not in models.HANDEDNESS:
+            raise UsageError(f"handedness must be one of {models.HANDEDNESS}")
         return FaradayParams(
             omega_e_ghz=p["omega_e"],
             omega_h_ghz=p["omega_h"],
@@ -514,69 +526,6 @@ def _protocols(params: dict, scan: dict | None) -> tuple[bool, list[Protocol]]:
 def run_scenario(sc: Scenario, seed: int | None = None) -> list[ScanResult]:
     return [run_product(sc, pname, params, seed=seed)
             for pname, params in sc.protocols]
-
-
-# unit token emitted per key when serializing protocols back to config text
-_EMIT_UNITS = {"float": {id(_FREQ_MHZ): "MHz", id(_FREQ_GHZ): "GHz",
-                         id(_TIME_NS): "ns", id(_RATE_PERNS): "1/ns", id(_ANGLE_DEG): "deg"}}
-
-
-def protocol_to_config(p: Protocol, label: str = "") -> str:
-    """Serialize a Protocol back into a [protocol] section (inverse of
-    build_protocol for grid-style kinds)."""
-    kind = p.kind
-    schema = _PROTOCOL_KEYS.get(kind)
-    if schema is None:
-        raise UsageError(f"protocol kind {kind!r} has no config schema")
-    lines = [f"[protocol {label}]".replace(" ]", "]"), f"kind = {kind}"]
-
-    def emit(key, value):
-        vkind, family = schema[key]
-        if vkind == "bool":
-            lines.append(f"{key} = {'true' if value else 'false'}")
-        elif family is _BARE or vkind == "int":
-            lines.append(f"{key} = {value:g}" if isinstance(value, float) else f"{key} = {value}")
-        else:
-            unit = _EMIT_UNITS["float"][id(family)]
-            lines.append(f"{key} = {value:g} {unit}")
-
-    names = {
-        "rabi": {"omega": "omega_mhz", "delta": "delta_mhz"},
-        "ramsey": {"omega": "omega_mhz", "delta": "delta_mhz", "f_serr": "f_serr_mhz",
-                   "balanced": "balanced"},
-        "esr_scan": {"omega": "omega_mhz", "tau": "tau_ns", "stark_ratio": "stark_ratio",
-                     "omega_e0": "omega_e0_ghz"},
-        "hahn_echo": {"omega": "omega_mhz", "t2he": "t2he_ns", "mod_amp": "modulation_amp_mhz",
-                      "mod_freq": "modulation_freq_mhz", "mod_phases": "modulation_phases",
-                      "mod_mode": "modulation_mode"},
-        "spin_pumping": {"s": "s"},
-        "t1": {},
-    }.get(kind, {})
-    for cfg_key, param_key in names.items():
-        val = p.params.get(param_key)
-        if val is None:
-            continue
-        vkind, _ = schema[cfg_key]
-        if vkind == "str":
-            lines.append(f"{cfg_key} = {val}")
-        else:
-            emit(cfg_key, val)
-    # scan axis as start/stop/points
-    axis_prefix = {"rabi": "tau", "ramsey": "tau", "esr_scan": "omega",
-                   "hahn_echo": "t", "t1": "delay"}.get(kind)
-    if axis_prefix is not None:
-        vals = p.axes[0][1]
-        if vals.size:
-            emit(f"{axis_prefix}_start", float(vals[0]))
-            emit(f"{axis_prefix}_stop", float(vals[-1]))
-        lines.append(f"{axis_prefix}_points = {vals.size}")
-    elif kind == "spin_pumping":
-        vals = p.axes[0][1]
-        emit("duration", float(vals[-1]) if vals.size else 0.0)
-        lines.append(f"points = {vals.size}")
-    if p.cooling is not None:
-        emit("cooling_t2star", p.cooling.resulting_t2star_ns)
-    return "\n".join(lines) + "\n"
 
 
 # --- CSV emission -----------------------------------------------------------------

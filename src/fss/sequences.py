@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, evolve, evolve_batch
+from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, evolve
 from .ensemble import (
     EnsembleSpec,
     combined_sigma,
@@ -498,7 +498,6 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
     model = functools.lru_cache(maxsize=None)(binding.model)
     readout = np.empty((offsets.size, len(seqs)))
-    rho0s: dict[int, tuple] = {}
     frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
     depth = 0
     while frontier:
@@ -509,7 +508,7 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
                 split.setdefault(seqs[m][depth], []).append(m)
             items += [(states, seg, shared) for seg, shared in split.items()]
         frontier = []
-        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, model, rho0s)):
+        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, model)):
             if seg.kind == "readout":
                 readout[:, shared] = out[:, None]
             else:
@@ -519,24 +518,21 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     return pops.reshape(values.size, -1)
 
 
-def _advance(items, offsets: np.ndarray, binding: _Binding, model,
-             rho0s: dict[int, tuple]) -> list[np.ndarray]:
+def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.ndarray]:
     """Apply each item's segment to its (nodes, d, d) states.
 
-    Rotations are one batched product.  Drives and waits go through
-    evolve_batch: the segments that differ from one another only in duration
-    on one shared prefix are stepped over their sorted durations in one call,
-    and all other segments of one duration are one call over shots x nodes.
-    A readout yields its target's (nodes,) weighted populations.  ``rho0s``
-    maps the id of a states array to that array and its DensityMatrix objects.
+    Rotations are one batched product, guarded as one stack.  Drives and
+    waits go through _propagate: the segments that differ from one another
+    only in duration on one shared prefix are stepped over their sorted
+    durations in one call, and all other segments of one duration are one
+    call over shots x nodes.  A readout yields its target's (nodes,) weighted
+    populations.
     """
     out: list = [None] * len(items)
     rotations, evolving = [], {}
     for i, (states, seg, _) in enumerate(items):
         if seg.kind == "initialize":
-            rho = binding.initial[seg.target]
-            out[i] = np.repeat(rho.matrix[None], offsets.size, 0)
-            rho0s[id(out[i])] = (out[i], [rho] * offsets.size)
+            out[i] = np.repeat(binding.initial[seg.target].matrix[None], offsets.size, 0)
         elif seg.kind == "readout":
             out[i] = (np.diagonal(states, axis1=1, axis2=2).real * binding.readout[seg.target]).sum(1)
         elif seg.kind == "rotation":
@@ -549,14 +545,8 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model,
     if rotations:
         us = np.stack([_rotation_unitary(items[i][1].angle, items[i][1].phase) for i in rotations])
         rhos = np.stack([items[i][0] for i in rotations])
-        for i, block in zip(rotations, np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj())):
-            out[i] = np.stack([DensityMatrix(m).matrix for m in block])
-
-    def density_matrices(states: np.ndarray) -> list[DensityMatrix]:
-        # evolve_batch takes DensityMatrix objects: build them once per parent
-        if id(states) not in rho0s:
-            rho0s[id(states)] = (states, [DensityMatrix(m) for m in states])
-        return rho0s[id(states)][1]
+        for i, block in zip(rotations, _guard(np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj()))):
+            out[i] = block
 
     batches: dict[tuple, list[tuple]] = {}
     for (_, seg), idx in evolving.items():
@@ -565,16 +555,13 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model,
             batches.setdefault((durations[0], bool(seg.mod_amp_mhz)), []).append((seg, idx[0]))
             continue
         grid = np.array([0.0] + sorted(durations))
-        trajs = evolve_batch([model(seg, d) for d in offsets],
-                             density_matrices(items[idx[0]][0]), grid, **binding.solver)
-        block = np.stack([[s.matrix for s in tr.states] for tr in trajs])
+        block = _propagate([model(seg, d) for d in offsets], items[idx[0]][0], grid, **binding.solver)
         for i, k in zip(idx, np.searchsorted(grid, durations)):
-            out[i] = block[:, k]
+            out[i] = block[k]
     for (duration, _), batch in batches.items():
-        trajs = evolve_batch([model(seg, d) for seg, _ in batch for d in offsets],
-                             [r for _, i in batch for r in density_matrices(items[i][0])],
-                             np.array([0.0, duration]), **binding.solver)
-        finals = np.stack([tr.final_state.matrix for tr in trajs])
+        finals = _propagate([model(seg, d) for seg, _ in batch for d in offsets],
+                            np.concatenate([items[i][0] for _, i in batch]),
+                            np.array([0.0, duration]), **binding.solver)[-1]
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     return out

@@ -133,6 +133,19 @@ class TestValidate:
     def test_missing_protocol_key_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO.replace("omega = 100 MHz\n", ""), "[protocol", tmp_path)
 
+    @pytest.mark.parametrize("old,new", [
+        ("omega_e = 30 GHz\n", ""),
+        ("cyclicity = 289", "cyclicity = 0.5"),
+        ("gamma1 = 227.364 MHz", "gamma1 = 227.364 MHz\nhandedness = sideways"),
+    ])
+    def test_physics_rejected_by_its_constructor(self, old, new, tmp_path):
+        self._rejected_at(PUMPING_SCENARIO.replace(old, new), "[physics]", tmp_path)
+
+    def test_ensemble_rejected_by_its_constructor(self, tmp_path):
+        text = SMALL_SCENARIO + "\n[ensemble]\nt2star = 34 ns\nnodes = 8\n"
+        self._rejected_at(text, "[ensemble]", tmp_path)
+        parse_scenario(text.replace("nodes = 8", "nodes = 9"))
+
     def test_shot_noise_requires_seed(self, tmp_path):
         bad = SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\n"
         path = tmp_path / "noise.scenario"

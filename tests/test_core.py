@@ -10,6 +10,7 @@ from fss.core import (
     evolve_batch,
     expectation,
     lindblad_rhs,
+    _guard,
     steady_state,
 )
 from fss.errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
@@ -92,6 +93,61 @@ class TestDensityMatrix:
             rho.dim = 3
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+class TestGuard:
+    TIMES = np.array([0.0, 1.5, 3.0, 4.5, 6.0])
+
+    @staticmethod
+    def _stack():
+        return np.stack([np.diag([0.2 + 0.1 * k, 0.8 - 0.1 * k]) for k in range(5)]).astype(complex)
+
+    def test_first_state_below_floor_names_its_time(self):
+        rhos = self._stack()
+        rhos[3] = np.diag([1.2, -0.2])
+        rhos[4] = np.diag([1.3, -0.3])
+        with pytest.raises(NumericalFailure) as err:
+            _guard(rhos, self.TIMES)
+        assert err.value.time_ns == 4.5
+        assert "-2.000e-01" in str(err.value)
+
+    def test_time_of_failing_state_in_a_time_by_batch_stack(self):
+        rhos = np.stack([self._stack()] * 3, axis=1)  # (T, B, d, d)
+        rhos[2, 1] = np.diag([1.2, -0.2])
+        with pytest.raises(NumericalFailure) as err:
+            _guard(rhos, self.TIMES[:, None])
+        assert err.value.time_ns == 3.0
+
+    def test_state_inside_floor_clamped_to_unit_trace_psd(self):
+        rhos = self._stack()
+        u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+        rhos[2] = u @ np.diag([1.0 + 4e-9, -4e-9]) @ u.conj().T
+        out = _guard(rhos, self.TIMES)
+        assert np.min(np.linalg.eigvalsh(out[2])) >= -1e-15
+        assert np.trace(out[2]).real == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(out[2] - u @ np.diag([1.0, 0.0]) @ u.conj().T).max() <= 1e-8
+        others = [0, 1, 3, 4]
+        assert np.array_equal(out[others], rhos[others])
+
+    def test_error_classes(self):
+        rhos = self._stack()
+        rhos[1, 0, 0] = np.nan
+        with pytest.raises(NumericalFailure) as err:
+            _guard(rhos, self.TIMES)
+        assert err.value.time_ns == 1.5
+        rhos = self._stack()
+        rhos[3, 0, 1] = 0.1
+        with pytest.raises(UsageError):
+            _guard(rhos, self.TIMES)
+        rhos = self._stack()
+        rhos[4] *= 1.1
+        with pytest.raises(NumericalFailure) as err:
+            _guard(rhos, self.TIMES)
+        assert err.value.time_ns == 6.0
+
+    def test_density_matrix_is_the_guard_on_one_matrix(self):
+        m = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
+        assert np.array_equal(DensityMatrix(m).matrix, _guard(m))
 
 
 class TestModelInputs:

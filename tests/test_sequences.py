@@ -369,6 +369,31 @@ class TestShotExecutor:
         assert moved[1] == pytest.approx(base[2], abs=1e-12)
         assert moved[[0, 2]] == pytest.approx(base[[0, 2]], abs=1e-12)
 
+    @pytest.mark.parametrize("ideal", [True, False])
+    def test_each_produced_state_is_guarded_once(self, monkeypatch, ideal):
+        import fss.core
+
+        guarded = []
+        real = fss.core._guard
+
+        def counting(rhos, *args, **kwargs):
+            guarded.append(int(np.prod(np.shape(rhos)[:-2])))
+            return real(rhos, *args, **kwargs)
+
+        monkeypatch.setattr(fss.core, "_guard", counting)
+        monkeypatch.setattr(sequences, "_guard", counting)
+        prot = ramsey_protocol(125.0, 30.0, [0.0, 10.0, 20.0, 35.0])
+        simulate_protocol(prot, TwoLevelPhysics(epsilon_init=0.01),
+                          EnsembleSpec(t2star_ns=34.0, nodes=9), ideal_pulses=ideal)
+        # a state per node for every distinct shot prefix that ends in a
+        # rotation or in a drive or wait of nonzero duration, plus the two
+        # initial states the binding prepares
+        prefixes = {shot.segments[:k + 1]
+                    for x in prot.axis("tau_ns") for shot in prot.shots(ideal, tau_ns=x)
+                    for k, seg in enumerate(shot.segments)
+                    if seg.kind == "rotation" or (seg.kind in ("drive", "wait") and seg.duration_ns > 0)}
+        assert sum(guarded) == 9 * len(prefixes) + 2
+
     def test_ideal_pulses_are_rotations_in_the_shots(self):
         prot = hahn_echo_protocol(125.0, [0.0, 100.0])
         shot = prot.shots(ideal_pulses=True, total_delay_ns=100.0)[0]
