@@ -9,21 +9,30 @@ rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
 There is one propagation function, ``_propagate``: it advances a batch of
 models from a (B, d, d) stack of initial states and returns the states on a
-shared grid as one (T, B, d, d) array.  ``evolve``, ``evolve_batch`` and the
-pulse-sequence executor of :mod:`fss.sequences` all go through it.  A model
+shared grid as one (T, B, d, d) array; ``evolve`` goes through it.  A model
 without drives has a constant vectorized Liouvillian L, and its evolution is
 exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy &
 Higham 2009) per distinct step of the grid, applied step by step and batched
-over models.  Only models with drives, such as the two-tone envelopes of the
-four-level model, are integrated numerically, with scipy's adaptive RK45 at
-rtol 2e-9 / atol 1e-11.
+over models.
+
+A model with drives goes through one table of propagators, ``_propagators``,
+which ``_propagate`` and the pulse-sequence executor of :mod:`fss.sequences`
+apply to every initial state that shares the model.  The 8th-order
+Dormand-Prince method (scipy's DOP853, rtol 2e-9 / atol 1e-11) integrates
+the propagator ODE dP/dt = L(t) P, P(t0) = I, over one period T of the
+drives, with outputs at the residues (t - t0) mod T of the requested times;
+a time t0 + kT + tau is then P(tau) P(T)^k (Floquet stepping; Shirley, Phys.
+Rev. 138, B979, 1965).  An aperiodic model (``Drive.period_ns`` None, or
+drives of different periods) is the same computation with T infinite: k = 0
+and the table spans the grid.
 
 Every state the package produces passes one positivity guard, ``_guard``,
 exactly once, as part of a stack: eigenvalues in [floor, 0) are clamped to
 zero with the trace renormalized, anything more negative is a numerical
-failure.  The floor is -1e-8 (exact states stay within about -1e-14 of zero),
-widened to -1e-7 for RK45 states.  ``DensityMatrix`` is that guard applied
-to one matrix; propagated states are wrapped without a second check.
+failure.  The floor is -1e-8; exact states stay within about -1e-14 of zero
+and states of models with drives within about -1e-9.  ``DensityMatrix`` is
+that guard applied to one matrix; propagated states are wrapped without a
+second check.
 """
 
 from __future__ import annotations
@@ -43,19 +52,13 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
 
-# RK45 tolerances for models with drives.  Slightly tighter than the nominal
-# rtol 1e-8 / atol 1e-10: error at the nominal setting random-walks right up
-# to the -1e-8 positivity floor on long pure-state evolutions and spuriously
-# trips the guard.
+# Solver tolerances for the propagator tables of models with drives.  At the
+# nominal rtol 1e-8 the most negative pre-clamp eigenvalue of a driven state
+# over the tier-1 suite is -4.8e-9, half the positivity floor; at 2e-9 it is
+# -5.4e-10 (2,406 states), and -2.5e-10 over the 13 bundled scenarios and the
+# pulse-driven benchmark at seed 0 (numpy 2.4.6, scipy 1.17.1).
 _RTOL = 2e-9
 _ATOL = 1e-11
-
-# RK45 drift can push the zero eigenvalue of a pure state below the -1e-8
-# floor: the most negative pre-clamp eigenvalue of an RK45 state was -1.09e-8
-# over the tier-1 suite (1,849 states) and -2.67e-9 over the 13 bundled
-# scenarios and the pulse-driven benchmark at seed 0 (numpy 2.4.6, scipy
-# 1.17.1).  Clamp up to this before failing.
-_EVOLUTION_EIG_FLOOR = -1e-7
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -206,16 +209,20 @@ class CollapseChannel:
 class Drive:
     """Time-dependent Hamiltonian term f(t) * op + conj(f(t)) * op^+.
 
-    ``envelope`` returns the complex amplitude in rad/ns; ``frequency_scale``
-    is the fastest angular frequency in the envelope (rad/ns), used to bound
-    the integrator step so oscillating envelopes are never stepped over.
+    ``envelope`` returns the complex amplitude in rad/ns.  ``period_ns`` is
+    its period, f(t + period) = f(t), or None for an aperiodic envelope.  A
+    model whose drives share one period is propagated one period at a time;
+    the shortest period also bounds the integrator step to a tenth of it, so
+    oscillating envelopes are never stepped over.
     """
 
     envelope: Callable[[float], complex]
     operator: np.ndarray
-    frequency_scale: float = 0.0
+    period_ns: float | None = None
 
     def __post_init__(self):
+        if self.period_ns is not None and not (math.isfinite(self.period_ns) and self.period_ns > 0):
+            raise UsageError(f"drive period must be finite and > 0, got {self.period_ns}")
         op = np.asarray(self.operator, dtype=complex)
         _require_square(op, "drive operator")
         _require_finite(op, "drive operator")
@@ -265,6 +272,13 @@ class LindbladModel:
     @property
     def time_dependent(self) -> bool:
         return bool(self.drives)
+
+    @property
+    def period_ns(self) -> float | None:
+        """The common period of the drives; None if any drive is aperiodic or
+        their periods differ."""
+        periods = {dr.period_ns for dr in self.drives}
+        return periods.pop() if len(periods) == 1 else None
 
     def slowest_rate_angular(self) -> float:
         rates = [ch.rate_angular for ch in self.channels if ch.rate_angular > 0]
@@ -352,7 +366,8 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
     :func:`_guard` once.  Models without drives are propagated exactly: their
     Liouvillians are stacked, one expm(L dt) is built per distinct grid step,
     and each step advances the whole stack with einsum, which keeps these tiny
-    products off threaded BLAS.  Each model with drives is integrated by RK45.
+    products off threaded BLAS.  Each distinct model with drives builds one
+    table of :func:`_propagators`, applied to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -380,49 +395,82 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
         vecs[0] = out[0, ~driven].reshape(len(gens), -1)
         for k, j in enumerate(which, start=1):
             vecs[k] = np.einsum("bij,bj->bi", props[j], vecs[k - 1])
-        out[1:, ~driven] = _guard(vecs[1:].reshape(t.size - 1, len(gens), dim, dim), t[1:, None])
+        out[1:, ~driven] = vecs[1:].reshape(t.size - 1, len(gens), dim, dim)
 
+    shared: dict[int, list[int]] = {}
     for b in np.flatnonzero(driven):
-        out[1:, b] = _integrate(models[b], out[0, b], t, max_step, rtol, atol)
-    if driven.any():
-        out[1:, driven] = _guard(out[1:, driven], t[1:, None], floor=_EVOLUTION_EIG_FLOOR)
+        shared.setdefault(id(models[b]), []).append(b)
+    for idx in shared.values():
+        table = _propagators(models[idx[0]], t, max_step, rtol, atol)
+        vecs = np.einsum("tij,bj->tbi", table[1:], out[0, idx].reshape(len(idx), -1))
+        out[1:, idx] = vecs.reshape(t.size - 1, len(idx), dim, dim)
+    if models:
+        out[1:] = _guard(out[1:], t[1:, None])
     return out
 
 
-def _integrate(model: LindbladModel, rho0: np.ndarray, t: np.ndarray, max_step, rtol, atol) -> np.ndarray:
-    """Unguarded RK45 states of a model with drives at t[1:], as (T - 1, d, d)."""
-    L0 = liouvillian(model)
+def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = None,
+                 rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+    """Propagators P(t_k, t_0) of a model with drives on the increasing grid
+    ``t``, as a (T, d^2, d^2) array acting on row-major vectorized states.
+
+    DOP853 integrates dP/dt = L(t) P from P(t0) = I over one period T of the
+    model's drives, with outputs at the sorted residues tau = (t - t0) mod T
+    (and at T itself if the grid runs past it); a time t0 + kT + tau is then
+    P(tau) P(T)^k, with each distinct power taken once.  An aperiodic model
+    has T = inf, so k = 0 and the table runs to the last time.  ``max_step``
+    defaults to a tenth of the shortest drive period.
+
+    The integration runs in the frame that rotates with the diagonal of the
+    static Hamiltonian, P(t) = exp(D s) Q(s) with s = t - t0 and D the
+    (diagonal) commutator superoperator of that diagonal: Q then carries no
+    phase of levels the drives leave uncoupled, such as the far-detuned
+    trion of the four-level model, which would otherwise set the step size.
+    """
+    n2 = model.dim ** 2
+    e = model.h0.diagonal().real
+    rates = (-1j * (e[:, None] - e[None, :])).reshape(-1)
+    L0 = liouvillian(model) - np.diag(rates)
     drive_terms = [
         (dr.envelope, _commutator_superop(dr.operator), _commutator_superop(dr.operator.conj().T))
         for dr in model.drives
     ]
 
     def rhs(tt, y):
-        dy = L0 @ y
+        gen = L0.copy()
         for env, c_op, c_opd in drive_terms:
             f = env(tt)
-            dy += f * (c_op @ y) + np.conj(f) * (c_opd @ y)
-        return dy
+            gen += f * c_op + np.conj(f) * c_opd
+        phase = np.exp(rates * (tt - t[0]))
+        return ((gen * phase) / phase[:, None] @ y.reshape(n2, n2)).reshape(-1)
 
     if max_step is None:
-        freq = max(dr.frequency_scale for dr in model.drives)
-        max_step = (2 * np.pi / freq) / 10.0 if freq > 0 else np.inf
+        periods = [dr.period_ns for dr in model.drives if dr.period_ns is not None]
+        max_step = min(periods) / 10.0 if periods else np.inf
 
-    sol = solve_ivp(
-        rhs,
-        (t[0], t[-1]),
-        rho0.reshape(-1),
-        method="RK45",
-        t_eval=t,
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(t[0])
-        raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
-    # a one-point grid leaves sol.y empty
-    return np.reshape(sol.y, (model.dim ** 2, -1))[:, 1:].T.reshape(-1, model.dim, model.dim)
+    period = model.period_ns or np.inf
+    k, tau = np.divmod(t - t[0], period)
+    # the grid increases, so all k are 0 exactly when the last one is
+    taus, which = np.unique(np.append(tau, period if k[-1] else tau[-1]), return_inverse=True)
+    table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
+    if taus[-1] > 0:
+        sol = solve_ivp(
+            rhs,
+            (t[0], t[0] + taus[-1]),
+            np.eye(n2, dtype=complex).reshape(-1),
+            method="DOP853",
+            t_eval=t[0] + taus,
+            rtol=rtol,
+            atol=atol,
+            max_step=max_step,
+        )
+        if not sol.success:
+            t_fail = float(sol.t[-1]) if sol.t.size else float(t[0])
+            raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
+        table = np.exp(np.outer(taus, rates))[..., None] * sol.y.T.reshape(taus.size, n2, n2)
+    powers, k_of = np.unique(k.astype(int), return_inverse=True)
+    cycles = np.stack([np.linalg.matrix_power(table[-1], p) for p in powers])
+    return table[which[:-1]] @ cycles[k_of]
 
 
 def _trajectories(states: np.ndarray, rho0s, t: np.ndarray) -> list[Trajectory]:
@@ -446,29 +494,11 @@ def evolve(
     ``times`` must be strictly increasing with times[0] the initial time, and
     ``states[0]`` is ``rho0`` itself.  A model without drives is propagated
     exactly; ``max_step``, ``rtol`` and ``atol`` apply only to models with
-    drives, which RK45 integrates.  Every later state passes the positivity
-    guard once.  Deterministic for fixed inputs.
+    drives, whose one-period propagator DOP853 integrates.  Every later state
+    passes the positivity guard once.  Deterministic for fixed inputs.
     """
     t = np.asarray(times, dtype=float)
     return _trajectories(_propagate([model], [rho0.matrix], t, max_step, rtol, atol), [rho0], t)[0]
-
-
-def evolve_batch(
-    models: Sequence[LindbladModel],
-    rho0s: Sequence[DensityMatrix],
-    times: Sequence[float],
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
-) -> list[Trajectory]:
-    """Evolve several independent models of one dimension on one shared grid.
-
-    Equivalent to calling :func:`evolve` per model.  Time-independent models
-    are propagated together, with each distinct step's propagator built once
-    for the whole batch; each model with drives is integrated by RK45, to
-    which ``rtol`` and ``atol`` apply.
-    """
-    t = np.asarray(times, dtype=float)
-    return _trajectories(_propagate(models, [r.matrix for r in rho0s], t, None, rtol, atol), rho0s, t)
 
 
 def expectation(rho, observable: np.ndarray) -> float:

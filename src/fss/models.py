@@ -29,7 +29,6 @@ from .core import (
     LindbladModel,
     Trajectory,
     evolve,
-    expectation,
     steady_state,
 )
 from .errors import DomainError, UsageError
@@ -274,7 +273,7 @@ def build_faraday_four_level(
             drives.append(Drive(
                 envelope=lambda t, c=chirality: c * tone_sum(t),
                 operator=op,
-                frequency_scale=abs(wrf),
+                period_ns=2 * math.pi / abs(wrf),
             ))
 
     if handedness in ("sigma-", "both"):
@@ -389,7 +388,7 @@ def calibrate_faraday_drive(
     coherent = replace(p, gamma1_mhz=0.0, bigGamma1_mhz=0.0, bigGamma2_mhz=0.0)
     rho0 = DensityMatrix.pure(4, 1)
     t_pi = 1e3 / (2 * omega_target_mhz)
-    flip = faraday_flip_projector(p)
+    flip = faraday_flip_projector(p).diagonal().real
 
     def transfer_curve(rf_ghz: float, w_env_rad: float, t_grid: np.ndarray) -> np.ndarray:
         """Beat-averaged flipped-spin signal on t_grid (detector-smoothed)."""
@@ -400,7 +399,7 @@ def calibrate_faraday_drive(
         samples = [np.clip(t + offsets, 0.0, None) for t in np.atleast_1d(t_grid)]
         tt = np.unique(np.concatenate([[0.0]] + samples))
         traj = evolve(model, rho0, tt, rtol=1e-9, atol=1e-12)
-        sig = np.array([expectation(s, flip) for s in traj.states])
+        sig = np.array([s.matrix.diagonal().real for s in traj.states]) @ flip
         return np.array([np.mean(sig[np.searchsorted(tt, s)]) for s in samples])
 
     # one numeric resonance location fixes kappa in rf = omega_e + kappa w^2

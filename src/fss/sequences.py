@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, evolve
+from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, _propagators, evolve
 from .ensemble import (
     EnsembleSpec,
     combined_sigma,
@@ -441,15 +441,17 @@ def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) 
     def env(t: float) -> complex:
         return 0.5 * w_mod * math.cos(f_ang * t + seg.phase)
 
-    return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, frequency_scale=f_ang),))
+    period = 2 * math.pi / abs(f_ang) if f_ang else None
+    return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, period_ns=period),))
 
 
 @dataclass(frozen=True)
 class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
-    a segment's model at a node offset (MHz); RK45 tolerances; for four-level
-    physics, the calibrated (drive, resonant Delta_RF) per Rabi frequency."""
+    a segment's model at a node offset (MHz); ODE solver tolerances; for
+    four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
+    frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
@@ -522,11 +524,14 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.nd
     """Apply each item's segment to its (nodes, d, d) states.
 
     Rotations are one batched product, guarded as one stack.  Drives and
-    waits go through _propagate: the segments that differ from one another
-    only in duration on one shared prefix are stepped over their sorted
-    durations in one call, and all other segments of one duration are one
-    call over shots x nodes.  A readout yields its target's (nodes,) weighted
-    populations.
+    waits on models without drives go through _propagate: the segments that
+    differ from one another only in duration on one shared prefix are stepped
+    over their sorted durations in one call, and all other segments of one
+    duration are one call over shots x nodes.  Drives and waits on models
+    with drives share one table of propagators per model (segment without its
+    duration, node offset), built at the union of the items' durations and
+    applied to every item's states.  A readout yields its target's (nodes,)
+    weighted populations.
     """
     out: list = [None] * len(items)
     rotations, evolving = [], {}
@@ -548,22 +553,35 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.nd
         for i, block in zip(rotations, _guard(np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj()))):
             out[i] = block
 
-    batches: dict[tuple, list[tuple]] = {}
+    batches: dict[float, list[tuple]] = {}
+    driven: dict[PulseSegment, list[int]] = {}
     for (_, seg), idx in evolving.items():
         durations = [items[i][1].duration_ns for i in idx]
-        if len(idx) == 1:
-            batches.setdefault((durations[0], bool(seg.mod_amp_mhz)), []).append((seg, idx[0]))
-            continue
-        grid = np.array([0.0] + sorted(durations))
-        block = _propagate([model(seg, d) for d in offsets], items[idx[0]][0], grid, **binding.solver)
-        for i, k in zip(idx, np.searchsorted(grid, durations)):
-            out[i] = block[k]
-    for (duration, _), batch in batches.items():
+        if model(seg, offsets[0]).time_dependent:
+            driven.setdefault(seg, []).extend(idx)
+        elif len(idx) == 1:
+            batches.setdefault(durations[0], []).append((seg, idx[0]))
+        else:
+            grid = np.array([0.0] + sorted(durations))
+            block = _propagate([model(seg, d) for d in offsets], items[idx[0]][0], grid, **binding.solver)
+            for i, k in zip(idx, np.searchsorted(grid, durations)):
+                out[i] = block[k]
+    for duration, batch in batches.items():
         finals = _propagate([model(seg, d) for seg, _ in batch for d in offsets],
                             np.concatenate([items[i][0] for _, i in batch]),
                             np.array([0.0, duration]), **binding.solver)[-1]
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
+    for seg, idx in driven.items():
+        durations = np.array([items[i][1].duration_ns for i in idx])
+        grid, which = np.unique(np.append(0.0, durations), return_inverse=True)
+        # (nodes, durations + 1, d^2, d^2), one table per node's model
+        tables = np.stack([_propagators(model(seg, d), grid, **binding.solver) for d in offsets])
+        parents = np.stack([items[i][0] for i in idx])  # (items, nodes, d, d)
+        vecs = np.einsum("nipq,inq->inp", tables[:, which[1:]], parents.reshape(len(idx), offsets.size, -1))
+        states = _guard(vecs.reshape(parents.shape), durations[:, None])
+        for i, block in zip(idx, states):
+            out[i] = block
     return out
 
 

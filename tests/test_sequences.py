@@ -215,6 +215,31 @@ class TestHahnEcho:
         spec = fft_spectrum(prot.axis("total_delay_ns"), res.signal)
         assert spec.peaks[0][0] == pytest.approx(47.4, abs=0.5)
 
+    def test_refocused_modulated_waits_share_one_table(self, monkeypatch):
+        import fss.core
+
+        spans = []
+        real = fss.core.solve_ivp
+
+        def recording(fun, t_span, *args, **kwargs):
+            spans.append(t_span)
+            return real(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(fss.core, "solve_ivp", recording)
+        delays = np.linspace(0, 400, 9)
+        ens = EnsembleSpec(t2star_ns=34.0, nodes=9)
+
+        def echo(grid):
+            prot = hahn_echo_protocol(125.0, grid, modulation_amp_mhz=10.0, modulation_freq_mhz=47.4)
+            return simulate_protocol(prot, TwoLevelPhysics(gamma2_mhz=0.5), ens, **IDEAL).signal
+
+        together = echo(delays)
+        # the second waits differ only in parent state and length: one
+        # one-period table per node model serves all eight of them
+        assert spans == [pytest.approx((0.0, 1e3 / 47.4), abs=1e-9)] * 9
+        alone = np.concatenate([echo([x]) for x in delays])
+        assert together == pytest.approx(alone, abs=1e-12, rel=0)
+
     def test_phenomenological_envelope_refit(self):
         grid = np.linspace(0, 2000, 21)
         prot = hahn_echo_protocol(125.0, grid, t2he_ns=1140.0)
