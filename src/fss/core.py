@@ -9,15 +9,17 @@ rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
 There is one propagation function, ``_propagate``: it advances a batch of
 models from a (B, d, d) stack of initial states and returns the states on a
-shared grid as one (T, B, d, d) array; ``evolve`` goes through it.  A model
+shared grid as one (T, B, d, d) array, or each state only at its own end
+time on that grid; ``evolve`` and the pulse-sequence executor of
+:mod:`fss.sequences` go through it.  A model
 without drives has a constant vectorized Liouvillian L, and its evolution is
 exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy &
 Higham 2009) per distinct step of the grid, applied step by step and batched
 over models.
 
 A model with drives goes through one table of propagators, ``_propagators``,
-which ``_propagate`` and the pulse-sequence executor of :mod:`fss.sequences`
-apply to every initial state that shares the model.  The 8th-order
+which ``_propagate`` applies to every initial state that shares the model.
+The 8th-order
 Dormand-Prince method (scipy's DOP853, rtol 2e-9 / atol 1e-11) integrates
 the propagator ODE dP/dt = L(t) P, P(t0) = I, over one period T of the
 drives, with outputs at the residues (t - t0) mod T of the requested times;
@@ -27,12 +29,12 @@ drives of different periods) is the same computation with T infinite: k = 0
 and the table spans the grid.
 
 Every state the package produces passes one positivity guard, ``_guard``,
-exactly once, as part of a stack: eigenvalues in [floor, 0) are clamped to
-zero with the trace renormalized, anything more negative is a numerical
-failure.  The floor is -1e-8; exact states stay within about -1e-14 of zero
-and states of models with drives within about -1e-9.  ``DensityMatrix`` is
-that guard applied to one matrix; propagated states are wrapped without a
-second check.
+exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
+[-1e-8, 0) are clamped to zero with the trace renormalized, anything more
+negative is a numerical failure.  Exact states stay within about -1e-14 of
+zero and states of models with drives within about -1e-9.
+``DensityMatrix`` is that guard applied to one matrix; propagated states
+are wrapped without a second check.
 """
 
 from __future__ import annotations
@@ -88,12 +90,13 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _guard(rhos, times=None, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def _guard(rhos, times=None) -> np.ndarray:
     """The one validation of states: a stack (..., d, d) in one pass.
 
-    Returns the stack Hermitian-symmetrized, with eigenvalues in [floor, 0)
-    clamped to zero and the trace renormalized.  Non-finite entries, a trace
-    off by more than TRACE_TOL and an eigenvalue below ``floor`` raise
+    Returns the stack Hermitian-symmetrized, with eigenvalues in
+    [EIGENVALUE_FLOOR, 0) clamped to zero and the trace renormalized.
+    Non-finite entries, a trace off by more than TRACE_TOL and an eigenvalue
+    below EIGENVALUE_FLOOR raise
     NumericalFailure carrying the time of the first state that fails
     (``times`` broadcasts against the stack's leading shape); a non-Hermitian
     state raises UsageError.
@@ -113,7 +116,7 @@ def _guard(rhos, times=None, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
     check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
     evals, evecs = np.linalg.eigh(m)
     low = evals[..., 0]  # eigh sorts ascending
-    check(low < floor, "density matrix has negative eigenvalue {:.3e}", low)
+    check(low < EIGENVALUE_FLOOR, "density matrix has negative eigenvalue {:.3e}", low)
     neg = low < 0.0
     if np.any(neg):
         vecs = evecs[neg]
@@ -211,7 +214,8 @@ class Drive:
 
     ``envelope`` returns the complex amplitude in rad/ns.  ``period_ns`` is
     its period, f(t + period) = f(t), or None for an aperiodic envelope.  A
-    model whose drives share one period is propagated one period at a time;
+    model whose drives share one period is propagated one period at a time
+    (an envelope that does not repeat after it raises UsageError there);
     the shortest period also bounds the integrator step to a tenth of it, so
     oscillating envelopes are never stepped over.
     """
@@ -358,16 +362,19 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | None = None,
-               rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+               rtol: float = _RTOL, atol: float = _ATOL, ends=None) -> np.ndarray:
     """States of several independent models on one shared grid, as a
     (T, B, d, d) array whose first row is the B initial states ``rhos``.
+    Given ``ends``, one grid index per initial state, it returns instead the
+    (B, d, d) states each at its own end time t[ends[b]].
 
-    The initial states are taken as already guarded; every later state passes
-    :func:`_guard` once.  Models without drives are propagated exactly: their
-    Liouvillians are stacked, one expm(L dt) is built per distinct grid step,
-    and each step advances the whole stack with einsum, which keeps these tiny
-    products off threaded BLAS.  Each distinct model with drives builds one
-    table of :func:`_propagators`, applied to all of its initial states.
+    The initial states are taken as already guarded; every other returned
+    state passes :func:`_guard` once.  Models without drives are propagated
+    exactly: their Liouvillians are stacked, one expm(L dt) is built per
+    distinct grid step, and each step advances the whole stack with einsum,
+    which keeps these tiny products off threaded BLAS.  Each distinct model
+    with drives builds one table of :func:`_propagators`, applied to all of
+    its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -382,31 +389,44 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
         raise UsageError("initial state dimension does not match model")
     if len({m.dim for m in models}) > 1:
         raise UsageError("batched models must share a dimension")
-    dim = models[0].dim if models else 0
-    out = np.empty((t.size, len(models), dim, dim), dtype=complex)
-    out[0] = rhos
-    driven = np.array([m.time_dependent for m in models], dtype=bool)
+    if ends is not None:
+        ends = np.asarray(ends, dtype=int)
+        if ends.shape != (len(models),) or np.any((ends < 0) | (ends >= t.size)):
+            raise UsageError("need one end index on the grid per initial state")
+    n, dim = len(models), models[0].dim if models else 0
+    init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
+    # grid index of every returned state: (T, 1) for the whole grid, (1, B) for ends
+    rows = np.arange(t.size)[:, None] if ends is None else ends[None, :]
 
+    def at(cols):
+        return rows if ends is None else rows[:, cols]
+
+    vecs = np.empty((rows.shape[0], n, dim * dim), dtype=complex)
+    driven = np.array([m.time_dependent for m in models], dtype=bool)
     if not driven.all():
-        gens = np.stack([liouvillian(m) for m, d in zip(models, driven) if not d])
+        static = np.flatnonzero(~driven)
+        gens = np.stack([liouvillian(models[b]) for b in static])
         steps, which = np.unique(np.diff(t), return_inverse=True)
         props = [expm(gens * dt) for dt in steps]
-        vecs = np.empty((t.size, len(gens), dim * dim), dtype=complex)
-        vecs[0] = out[0, ~driven].reshape(len(gens), -1)
+        path = np.empty((t.size, static.size, dim * dim), dtype=complex)
+        path[0] = init[static]
         for k, j in enumerate(which, start=1):
-            vecs[k] = np.einsum("bij,bj->bi", props[j], vecs[k - 1])
-        out[1:, ~driven] = vecs[1:].reshape(t.size - 1, len(gens), dim, dim)
+            path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
+        vecs[:, static] = path[at(static), np.arange(static.size)]
 
     shared: dict[int, list[int]] = {}
     for b in np.flatnonzero(driven):
         shared.setdefault(id(models[b]), []).append(b)
     for idx in shared.values():
         table = _propagators(models[idx[0]], t, max_step, rtol, atol)
-        vecs = np.einsum("tij,bj->tbi", table[1:], out[0, idx].reshape(len(idx), -1))
-        out[1:, idx] = vecs.reshape(t.size - 1, len(idx), dim, dim)
-    if models:
-        out[1:] = _guard(out[1:], t[1:, None])
-    return out
+        vecs[:, idx] = np.einsum("...ij,...j->...i", table[at(idx)], init[idx])
+
+    out = vecs.reshape(rows.shape[0], n, dim, dim)
+    new = np.broadcast_to(rows > 0, out.shape[:2])
+    out[~new] = np.broadcast_to(init.reshape(n, dim, dim), out.shape)[~new]
+    if new.any():
+        out[new] = _guard(out[new], np.broadcast_to(t[rows], new.shape)[new])
+    return out if ends is None else out[0]
 
 
 def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = None,
@@ -417,9 +437,10 @@ def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = N
     DOP853 integrates dP/dt = L(t) P from P(t0) = I over one period T of the
     model's drives, with outputs at the sorted residues tau = (t - t0) mod T
     (and at T itself if the grid runs past it); a time t0 + kT + tau is then
-    P(tau) P(T)^k, with each distinct power taken once.  An aperiodic model
-    has T = inf, so k = 0 and the table runs to the last time.  ``max_step``
-    defaults to a tenth of the shortest drive period.
+    P(tau) P(T)^k, with each distinct power taken once; before folding, a
+    drive whose envelope does not repeat after T raises UsageError.  An
+    aperiodic model has T = inf, so k = 0 and the table runs to the last
+    time.  ``max_step`` defaults to a tenth of the shortest drive period.
 
     The integration runs in the frame that rotates with the diagonal of the
     static Hamiltonian, P(t) = exp(D s) Q(s) with s = t - t0 and D the
@@ -450,6 +471,8 @@ def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = N
 
     period = model.period_ns or np.inf
     k, tau = np.divmod(t - t[0], period)
+    if k[-1]:
+        _require_periodic(model, t[0], period)
     # the grid increases, so all k are 0 exactly when the last one is
     taus, which = np.unique(np.append(tau, period if k[-1] else tau[-1]), return_inverse=True)
     table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
@@ -471,6 +494,20 @@ def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = N
     powers, k_of = np.unique(k.astype(int), return_inverse=True)
     cycles = np.stack([np.linalg.matrix_power(table[-1], p) for p in powers])
     return table[which[:-1]] @ cycles[k_of]
+
+
+def _require_periodic(model: LindbladModel, t0: float, period: float):
+    """Folding takes f(t + T) = f(t) on trust; check it at a few points of
+    the first period.  Rounding of the drives' phases grows with t/T, hence
+    the tolerance's (1 + |t0|/T)."""
+    s = t0 + period * np.array([0.0, 0.23, 0.58, 0.91])
+    tol = 1e-12 * (1.0 + abs(t0) / period)
+    for dr in model.drives:
+        f = np.array([dr.envelope(x) for x in s])
+        dev = np.max(np.abs(np.array([dr.envelope(x + period) for x in s]) - f))
+        if dev > tol * np.max(np.abs(f)):
+            raise UsageError(f"drive envelope does not repeat with period_ns={period}: "
+                             f"|f(t + T) - f(t)| reaches {dev:.3e}")
 
 
 def _trajectories(states: np.ndarray, rho0s, t: np.ndarray) -> list[Trajectory]:

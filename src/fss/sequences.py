@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, _propagators, evolve
+from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, evolve
 from .ensemble import (
     EnsembleSpec,
     combined_sigma,
@@ -529,9 +529,9 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.nd
     over their sorted durations in one call, and all other segments of one
     duration are one call over shots x nodes.  Drives and waits on models
     with drives share one table of propagators per model (segment without its
-    duration, node offset), built at the union of the items' durations and
-    applied to every item's states.  A readout yields its target's (nodes,)
-    weighted populations.
+    duration, node offset): one _propagate call per such segment runs over
+    the union of the items' durations and ends each item's states at its
+    own duration.  A readout yields its target's (nodes,) weighted populations.
     """
     out: list = [None] * len(items)
     rotations, evolving = [], {}
@@ -573,15 +573,12 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.nd
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     for seg, idx in driven.items():
-        durations = np.array([items[i][1].duration_ns for i in idx])
-        grid, which = np.unique(np.append(0.0, durations), return_inverse=True)
-        # (nodes, durations + 1, d^2, d^2), one table per node's model
-        tables = np.stack([_propagators(model(seg, d), grid, **binding.solver) for d in offsets])
-        parents = np.stack([items[i][0] for i in idx])  # (items, nodes, d, d)
-        vecs = np.einsum("nipq,inq->inp", tables[:, which[1:]], parents.reshape(len(idx), offsets.size, -1))
-        states = _guard(vecs.reshape(parents.shape), durations[:, None])
-        for i, block in zip(idx, states):
-            out[i] = block
+        grid, ends = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
+        finals = _propagate([model(seg, d) for _ in idx for d in offsets],
+                            np.concatenate([items[i][0] for i in idx]), grid,
+                            ends=np.repeat(ends[1:], offsets.size), **binding.solver)
+        for k, i in enumerate(idx):
+            out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     return out
 
 

@@ -145,6 +145,51 @@ def test_batched_propagate_matches_models_one_at_a_time(seed, dim):
         assert np.max(np.abs(batch[:, b] - _propagate([model], [rho], t)[:, 0])) <= 1e-13
 
 
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
+@PROPERTY
+def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
+    rng = np.random.default_rng(seed)
+    driven = _random_model(seed, dim)
+    static = LindbladModel(dim=dim, h0=driven.h0, channels=driven.channels)
+    models = [driven, static, driven, static, driven]
+    rhos = [_random_state(rng, dim) for _ in models]
+    t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
+    ends = rng.integers(0, t.size, len(models))
+    ends[0] = 0  # an initial state comes back unchanged
+    picked = _propagate(models, rhos, t, ends=ends)
+    full = _propagate(models, rhos, t)
+    assert np.array_equal(picked[0], rhos[0])
+    assert np.max(np.abs(picked - full[ends, np.arange(len(models))])) <= 1e-13
+
+
+@pytest.mark.parametrize("ends", [[0], [0, 3], [0, -1]])
+def test_end_indices_must_name_one_grid_point_per_state(ends):
+    model = _random_model(5, 2)
+    rhos = [_random_state(np.random.default_rng(5), 2)] * 2
+    with pytest.raises(UsageError):
+        _propagate([model] * 2, rhos, [0.0, 1.0, 2.0], ends=ends)
+
+
+@pytest.mark.parametrize("stretch", [1.01, 1.0 + 1e-9])
+def test_a_drive_that_does_not_repeat_after_its_period_is_rejected(stretch):
+    model = _random_model(11, 3)
+    (dr,) = model.drives
+    wrong = LindbladModel(dim=3, h0=model.h0, channels=model.channels,
+                          drives=(Drive(dr.envelope, dr.operator, stretch * dr.period_ns),))
+    rho0 = DensityMatrix(_random_state(np.random.default_rng(11), 3))
+    with pytest.raises(UsageError, match="does not repeat"):
+        evolve(wrong, rho0, [0.0, 2.5 * wrong.period_ns])
+    # within one period nothing is folded, so nothing rests on the period
+    evolve(wrong, rho0, [0.0, 0.5 * wrong.period_ns])
+
+
+def test_a_periodic_drive_passes_the_period_check_late_in_time():
+    model = _random_model(13, 2)
+    rho0 = DensityMatrix(_random_state(np.random.default_rng(13), 2))
+    t0 = 1e4 * model.period_ns
+    evolve(model, rho0, [t0, t0 + 3.5 * model.period_ns])
+
+
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 4), periods=st.floats(0.5, 6.0))
 @PROPERTY
 def test_unguarded_states_keep_trace_and_positivity(seed, dim, periods):
