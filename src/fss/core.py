@@ -7,15 +7,20 @@ The master equation solved here is
 with hbar = 1, H in angular rad/ns and channel rates g_i in rad/ns.  Public
 rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
+Generators are arrays: ``liouvillian`` builds the vectorized Liouvillian by
+broadcasting (no Kronecker products), and models that differ by one
+Hamiltonian term x V, such as ensemble nodes or CPT probe frequencies, are
+one stack L(0) + x C(V), C(V) the commutator superoperator of V.
+
 There is one propagation function, ``_propagate``: it advances a batch of
-models from a (B, d, d) stack of initial states and returns the states on a
-shared grid as one (T, B, d, d) array, or each state only at its own end
-time on that grid; ``evolve`` and the pulse-sequence executor of
-:mod:`fss.sequences` go through it.  A model
-without drives has a constant vectorized Liouvillian L, and its evolution is
-exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy &
-Higham 2009) per distinct step of the grid, applied step by step and batched
-over models.
+models, or a (B, d^2, d^2) stack of static generators, from a (B, d, d)
+stack of initial states and returns the states on a shared grid as one
+(T, B, d, d) array, or each state only at its own end time on that grid;
+``evolve`` and the pulse-sequence executor of :mod:`fss.sequences` go
+through it.  A model without drives has a constant generator L, and its
+evolution is exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring,
+Al-Mohy & Higham 2009) per distinct step of the grid, applied step by step
+and batched over models.
 
 A model with drives goes through one table of propagators, ``_propagators``,
 which ``_propagate`` applies to every initial state that shares the model.
@@ -35,6 +40,9 @@ negative is a numerical failure.  Exact states stay within about -1e-14 of
 zero and states of models with drives within about -1e-9.
 ``DensityMatrix`` is that guard applied to one matrix; propagated states
 are wrapped without a second check.
+
+Steady states have one path too, ``_steady_states``, batched over a stack
+of generators; ``steady_state`` is its one-model case.
 """
 
 from __future__ import annotations
@@ -309,12 +317,16 @@ class Trajectory:
 def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChannel]) -> np.ndarray:
     """Right-hand side of the master equation, drho/dt in 1/ns.
 
-    The result is traceless and keeps rho + dt * rhs Hermitian to first order.
+    ``rho`` and ``hamiltonian`` may also be (..., d, d) stacks that
+    broadcast against each other.  The result is traceless and keeps
+    rho + dt * rhs Hermitian to first order.
     """
     r = _as_matrix(rho)
     h = np.asarray(hamiltonian, dtype=complex)
-    dim = _require_square(r, "rho")
-    if _require_square(h, "Hamiltonian") != dim:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
+        raise UsageError(f"rho must be a square matrix or a stack of them, got shape {r.shape}")
+    dim = r.shape[-1]
+    if h.shape[-2:] != (dim, dim):
         raise UsageError("rho and Hamiltonian dimensions differ")
     _require_hermitian(h, "Hamiltonian")
     out = -1j * (h @ r - r @ h)
@@ -332,49 +344,51 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
 
 # --- vectorized Liouvillian -------------------------------------------------
 #
-# Row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
+# Row-major vec, vec(rho)[i d + j] = rho[i, j]: vec(A rho B) = (A (x) B^T) vec(rho),
+# where A (x) B is the broadcast product einsum("ik,jl->ijkl", A, B) read as a
+# d^2 x d^2 matrix with rows (i, j) and columns (k, l).
 
 def _commutator_superop(op: np.ndarray) -> np.ndarray:
-    dim = op.shape[0]
-    eye = np.eye(dim)
-    return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
-
-
-def _dissipator_superop(op: np.ndarray) -> np.ndarray:
-    dim = op.shape[0]
-    eye = np.eye(dim)
-    LdL = op.conj().T @ op
-    return (
-        np.kron(op, op.conj())
-        - 0.5 * np.kron(LdL, eye)
-        - 0.5 * np.kron(eye, LdL.T)
-    )
+    """Superoperator of rho -> -i [op, rho]."""
+    d = op.shape[0]
+    eye = np.eye(d)
+    gen = np.einsum("ik,jl->ijkl", op, eye) - np.einsum("ik,jl->ijkl", eye, op.T)
+    return -1j * gen.reshape(d * d, d * d)
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Static part of the vectorized Liouvillian (dim^2 x dim^2)."""
-    L = _commutator_superop(model.h0)
-    for ch in model.channels:
-        g = ch.rate_angular
-        if g > 0:
-            L += g * _dissipator_superop(ch.operator)
-    return L
+    """Static part of the vectorized Liouvillian (dim^2 x dim^2).
+
+    With K = -i h0 - 1/2 sum_i g_i L_i^+ L_i it is K (x) I + I (x) conj(K)
+    + sum_i g_i L_i (x) conj(L_i), i.e. rho -> K rho + rho K^+ + sum_i g_i
+    L_i rho L_i^+.
+    """
+    d = model.dim
+    rates = np.array([ch.rate_angular for ch in model.channels])
+    ops = np.array([ch.operator for ch in model.channels]).reshape(-1, d, d)
+    k = -1j * model.h0 - 0.5 * np.einsum("c,cki,ckj->ij", rates, ops.conj(), ops)
+    eye = np.eye(d)
+    gen = (np.einsum("ik,jl->ijkl", k, eye) + np.einsum("ik,jl->ijkl", eye, k.conj())
+           + np.einsum("c,cik,cjl->ijkl", rates, ops, ops.conj()))
+    return gen.reshape(d * d, d * d)
 
 
 def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | None = None,
                rtol: float = _RTOL, atol: float = _ATOL, ends=None) -> np.ndarray:
     """States of several independent models on one shared grid, as a
     (T, B, d, d) array whose first row is the B initial states ``rhos``.
+    ``models`` is a sequence of B models, or a (B, d^2, d^2) stack of static
+    generators (vectorized Liouvillians, as :func:`liouvillian` builds them).
     Given ``ends``, one grid index per initial state, it returns instead the
     (B, d, d) states each at its own end time t[ends[b]].
 
     The initial states are taken as already guarded; every other returned
     state passes :func:`_guard` once.  Models without drives are propagated
-    exactly: their Liouvillians are stacked, one expm(L dt) is built per
-    distinct grid step, and each step advances the whole stack with einsum,
-    which keeps these tiny products off threaded BLAS.  Each distinct model
-    with drives builds one table of :func:`_propagators`, applied to all of
-    its initial states.
+    exactly: their generators are stacked (a stack passed in is used as it
+    is), one expm(L dt) is built per distinct grid step, and each step
+    advances the whole stack with einsum, which keeps these tiny products off
+    threaded BLAS.  Each distinct model with drives builds one table of
+    :func:`_propagators`, applied to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -383,17 +397,21 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
         raise UsageError("times must be finite")
     if np.any(np.diff(t) <= 0):
         raise UsageError("times must be strictly increasing")
+    stack = isinstance(models, np.ndarray)
+    if stack and (models.ndim != 3 or models.shape[1] != models.shape[2]):
+        raise UsageError(f"a generator stack must have shape (B, d^2, d^2), got {models.shape}")
+    dims = [math.isqrt(models.shape[1])] * len(models) if stack else [m.dim for m in models]
     if len(models) != len(rhos):
         raise UsageError("need one initial state per model")
-    if any(np.shape(r) != (m.dim, m.dim) for m, r in zip(models, rhos)):
+    if any(np.shape(r) != (d, d) for d, r in zip(dims, rhos)):
         raise UsageError("initial state dimension does not match model")
-    if len({m.dim for m in models}) > 1:
+    if len(set(dims)) > 1:
         raise UsageError("batched models must share a dimension")
     if ends is not None:
         ends = np.asarray(ends, dtype=int)
         if ends.shape != (len(models),) or np.any((ends < 0) | (ends >= t.size)):
             raise UsageError("need one end index on the grid per initial state")
-    n, dim = len(models), models[0].dim if models else 0
+    n, dim = len(models), dims[0] if dims else 0
     init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
     # grid index of every returned state: (T, 1) for the whole grid, (1, B) for ends
     rows = np.arange(t.size)[:, None] if ends is None else ends[None, :]
@@ -402,10 +420,10 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
         return rows if ends is None else rows[:, cols]
 
     vecs = np.empty((rows.shape[0], n, dim * dim), dtype=complex)
-    driven = np.array([m.time_dependent for m in models], dtype=bool)
+    driven = np.array([not stack and m.time_dependent for m in models], dtype=bool)
     if not driven.all():
         static = np.flatnonzero(~driven)
-        gens = np.stack([liouvillian(models[b]) for b in static])
+        gens = models if stack else np.stack([liouvillian(models[b]) for b in static])
         steps, which = np.unique(np.diff(t), return_inverse=True)
         props = [expm(gens * dt) for dt in steps]
         path = np.empty((t.size, static.size, dim * dim), dtype=complex)
@@ -556,35 +574,49 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
-    """Unique stationary state of a time-independent dissipative model.
+    """Unique stationary state of a time-independent dissipative model: the
+    one-member batch of :func:`_steady_states`.
 
-    Solves the vectorized null-space problem with the trace constraint
-    replacing one row (dense LU; exact and cheap for dim <= 4).  A null
-    space of dimension > 1 raises :class:`SteadyStateAmbiguityError`.
+    A null space of dimension > 1 raises :class:`SteadyStateAmbiguityError`.
     """
     if model.time_dependent:
         raise UsageError("steady_state requires a time-independent Hamiltonian")
     model.slowest_rate_angular()  # raises if there is no dissipative channel
+    rho = _steady_states(liouvillian(model)[None], model.h0[None], model.channels)[0]
+    rho.setflags(write=False)
+    return DensityMatrix._guarded(rho)
 
-    L = liouvillian(model)
-    n = model.dim
-    sv = np.linalg.svd(L, compute_uv=False)
-    tol = max(L.shape) * np.finfo(float).eps * sv[0]
-    null_dim = int(np.sum(sv < max(tol, 1e-12 * sv[0])))
-    if null_dim > 1:
-        raise SteadyStateAmbiguityError(null_dim)
 
-    A = np.array(L)
-    b = np.zeros(n * n, dtype=complex)
-    trace_row = np.eye(n, dtype=complex).reshape(-1)
-    A[0, :] = trace_row
-    b[0] = 1.0
-    vec = np.linalg.solve(A, b)
-    rho = vec.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= rho.trace().real
+def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequence[CollapseChannel],
+                   where: Callable[[int], str] = "batch index {}".format) -> np.ndarray:
+    """Stationary states of a (B, d^2, d^2) stack of static generators, as a
+    guarded (B, d, d) array: one batched SVD (a singular value below 1e-12 of
+    the largest counts as zero), one batched solve with the trace row in
+    place of each generator's first row, and one residual check by
+    :func:`lindblad_rhs` from the (B, d, d) ``hamiltonians`` and shared
+    ``channels``, independent of the generators solved.  A degenerate null
+    space raises SteadyStateAmbiguityError and a residual above
+    STEADY_STATE_RESIDUAL_TOL NumericalFailure, naming the first failing
+    member as ``where(index)``.
+    """
+    b, n2 = gens.shape[:2]
+    n = math.isqrt(n2)
+    sv = np.linalg.svd(gens, compute_uv=False)
+    null_dim = np.sum(sv < 1e-12 * sv[:, :1], axis=1)
+    if np.any(null_dim > 1):
+        k = int(np.argmax(null_dim > 1))
+        raise SteadyStateAmbiguityError(int(null_dim[k]), where(k))
 
-    residual = np.max(np.abs(lindblad_rhs(rho, model.h0, model.channels)))
-    if residual > STEADY_STATE_RESIDUAL_TOL:
-        raise NumericalFailure(f"steady-state residual {residual:.3e} exceeds tolerance")
-    return DensityMatrix(rho)
+    a = np.array(gens)
+    a[:, 0, :] = np.eye(n).reshape(-1)
+    rhs = np.zeros((b, n2, 1), dtype=complex)
+    rhs[:, 0] = 1.0
+    rho = np.linalg.solve(a, rhs).reshape(b, n, n)
+    rho = 0.5 * (rho + _dagger(rho))
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+    residual = np.max(np.abs(lindblad_rhs(rho, hamiltonians, channels)), axis=(-2, -1))
+    if np.any(residual > STEADY_STATE_RESIDUAL_TOL):
+        k = int(np.argmax(residual > STEADY_STATE_RESIDUAL_TOL))
+        raise NumericalFailure(f"steady-state residual {residual[k]:.3e} exceeds tolerance at {where(k)}")
+    return _guard(rho)

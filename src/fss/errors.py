@@ -50,10 +50,10 @@ class NumericalFailure(FssError):
 
 
 class SteadyStateAmbiguityError(FssError):
-    """Liouvillian null space has dimension > 1 (no unique steady state)."""
+    """Liouvillian null space has dimension > 1 (no unique steady state).
+    ``where`` names the failing member of a batch."""
 
-    def __init__(self, null_dim: int):
+    def __init__(self, null_dim: int, where: str | None = None):
         self.null_dim = null_dim
-        super().__init__(
-            f"steady state is not unique: Liouvillian null space has dimension {null_dim}"
-        )
+        message = f"steady state is not unique: Liouvillian null space has dimension {null_dim}"
+        super().__init__(message if where is None else f"{message} at {where}")

@@ -401,6 +401,27 @@ def refine_peak(xs, ys, k: int) -> float:
     return float(xs[k])
 
 
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` with prominence >= ``prominence``,
+    by the rules of ``scipy.signal.find_peaks``: a plateau is one maximum,
+    at its middle sample (rounded down), and neither end of the trace is
+    one; the prominence is the height above the higher of the two minima
+    reached on either side before the trace rises above the peak."""
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]][:x.size])  # runs of equal samples
+    ends = np.r_[starts[1:], x.size] - 1
+    v = x[starts]
+    runs = 1 + np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))
+    peaks = []
+    for k in (starts[runs] + ends[runs]) // 2:
+        higher = np.flatnonzero(x > x[k])
+        j = np.searchsorted(higher, k)
+        left = x[higher[j - 1] + 1 if j else 0:k + 1].min()
+        right = x[k:higher[j] if j < higher.size else x.size].min()
+        if x[k] - max(left, right) >= prominence:
+            peaks.append(k)
+    return np.array(peaks, dtype=int)
+
+
 def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectrum:
     """Hann-windowed magnitude spectrum of a uniformly sampled trace.
 
@@ -420,12 +441,9 @@ def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectr
     amp = np.abs(np.fft.rfft(y * window))
     freq = np.fft.rfftfreq(y.size, d=dt[0]) * 1e3
 
-    from scipy.signal import find_peaks
-
     if prominence is None:
         prominence = 4.0 * float(np.median(amp))
-    idx, _ = find_peaks(amp, prominence=prominence)
-    peaks = [(refine_peak(freq, amp, k), float(amp[k])) for k in idx]
+    peaks = [(refine_peak(freq, amp, k), float(amp[k])) for k in _find_peaks(amp, prominence)]
     peaks.sort(key=lambda p: -p[1])
     return FftSpectrum(freq_mhz=freq, amplitude=amp, peaks=tuple(peaks))
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, _guard, _propagate, evolve
+from .core import DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate, evolve, liouvillian
 from .ensemble import (
     EnsembleSpec,
     combined_sigma,
@@ -449,13 +449,15 @@ def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) 
 class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
-    a segment's model at a node offset (MHz); ODE solver tolerances; for
+    a segment's model at a node offset (MHz); ``offset``, the Hamiltonian
+    term that a node offset adds per rad/ns; ODE solver tolerances; for
     four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
     frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
     model: Callable[[PulseSegment, float], LindbladModel]
+    offset: np.ndarray
     solver: dict = field(default_factory=dict)
     calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
 
@@ -467,7 +469,8 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
         return _Binding(initial={"down": DensityMatrix.from_populations([1.0 - eps, eps]),
                                  "up": DensityMatrix.from_populations([eps, 1.0 - eps])},
                         readout={t: np.eye(2)[k] for k, t in enumerate(_LEVELS)},
-                        model=functools.partial(_segment_model, phys=physics))
+                        model=functools.partial(_segment_model, phys=physics),
+                        offset=models.SIGMA_Z / 2)
     if not isinstance(physics, FaradayParams):
         raise UsageError("physics must be TwoLevelPhysics or FaradayParams")
     calibrated = functools.cache(
@@ -481,8 +484,10 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
 
     # the flipped spin counts the trion weight that relaxes back to |down>
     flip = models.faraday_flip_projector(physics).diagonal().real
+    # the offset shifts the electron splitting, which sits on -|up><up|
     return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, model=model,
-                    solver={"rtol": 1e-9, "atol": 1e-12}, calibrated=calibrated)
+                    offset=-np.diag([0.0, 1.0, 0.0, 0.0]), solver={"rtol": 1e-9, "atol": 1e-12},
+                    calibrated=calibrated)
 
 
 def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
@@ -498,7 +503,6 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     seqs = [shot.segments for v in values
             for shot in _shots_for(protocol, {name: v}, ideal_pulses)]
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
-    model = functools.lru_cache(maxsize=None)(binding.model)
     readout = np.empty((offsets.size, len(seqs)))
     frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
     depth = 0
@@ -510,7 +514,7 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
                 split.setdefault(seqs[m][depth], []).append(m)
             items += [(states, seg, shared) for seg, shared in split.items()]
         frontier = []
-        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, model)):
+        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding)):
             if seg.kind == "readout":
                 readout[:, shared] = out[:, None]
             else:
@@ -520,18 +524,19 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     return pops.reshape(values.size, -1)
 
 
-def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.ndarray]:
+def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
     """Apply each item's segment to its (nodes, d, d) states.
 
-    Rotations are one batched product, guarded as one stack.  Drives and
-    waits on models without drives go through _propagate: the segments that
-    differ from one another only in duration on one shared prefix are stepped
-    over their sorted durations in one call, and all other segments of one
-    duration are one call over shots x nodes.  Drives and waits on models
-    with drives share one table of propagators per model (segment without its
-    duration, node offset): one _propagate call per such segment runs over
-    the union of the items' durations and ends each item's states at its
-    own duration.  A readout yields its target's (nodes,) weighted populations.
+    Rotations are one batched product, guarded as one stack.  A drive or wait
+    on a model without drives is one (nodes, d^2, d^2) generator stack
+    L(0) + offset * L_offset through _propagate: the segments that differ
+    from one another only in duration on one shared prefix are stepped over
+    their sorted durations in one call, and all other segments of one
+    duration are one call over shots x nodes.  A drive or wait on a model
+    with drives builds one model per node, which shares one table of
+    propagators: one _propagate call per such segment runs over the union of
+    the items' durations and ends each item's states at its own duration.
+    A readout yields its target's (nodes,) weighted populations.
     """
     out: list = [None] * len(items)
     rotations, evolving = [], {}
@@ -553,29 +558,37 @@ def _advance(items, offsets: np.ndarray, binding: _Binding, model) -> list[np.nd
         for i, block in zip(rotations, _guard(np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj()))):
             out[i] = block
 
+    # per segment: the static generator stack, or the driven per-node models
+    gens: dict[PulseSegment, np.ndarray | list[LindbladModel]] = {}
+    shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
+    for _, seg in evolving:
+        if seg not in gens:
+            base = binding.model(seg, 0.0)
+            gens[seg] = ([binding.model(seg, d) for d in offsets] if base.time_dependent
+                         else liouvillian(base) + shift)
+
     batches: dict[float, list[tuple]] = {}
     driven: dict[PulseSegment, list[int]] = {}
     for (_, seg), idx in evolving.items():
         durations = [items[i][1].duration_ns for i in idx]
-        if model(seg, offsets[0]).time_dependent:
+        if isinstance(gens[seg], list):
             driven.setdefault(seg, []).extend(idx)
         elif len(idx) == 1:
             batches.setdefault(durations[0], []).append((seg, idx[0]))
         else:
             grid = np.array([0.0] + sorted(durations))
-            block = _propagate([model(seg, d) for d in offsets], items[idx[0]][0], grid, **binding.solver)
+            block = _propagate(gens[seg], items[idx[0]][0], grid, **binding.solver)
             for i, k in zip(idx, np.searchsorted(grid, durations)):
                 out[i] = block[k]
     for duration, batch in batches.items():
-        finals = _propagate([model(seg, d) for seg, _ in batch for d in offsets],
+        finals = _propagate(np.concatenate([gens[seg] for seg, _ in batch]),
                             np.concatenate([items[i][0] for _, i in batch]),
                             np.array([0.0, duration]), **binding.solver)[-1]
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     for seg, idx in driven.items():
         grid, ends = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
-        finals = _propagate([model(seg, d) for _ in idx for d in offsets],
-                            np.concatenate([items[i][0] for i in idx]), grid,
+        finals = _propagate(gens[seg] * len(idx), np.concatenate([items[i][0] for i in idx]), grid,
                             ends=np.repeat(ends[1:], offsets.size), **binding.solver)
         for k, i in enumerate(idx):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fss.core import (
     CollapseChannel,
@@ -9,8 +11,11 @@ from fss.core import (
     evolve,
     expectation,
     lindblad_rhs,
+    _commutator_superop,
     _guard,
     _propagate,
+    _steady_states,
+    liouvillian,
     steady_state,
 )
 from fss.errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
@@ -511,3 +516,70 @@ class TestInvariantsAlongTrajectories:
                 assert np.max(np.abs(m - m.conj().T)) <= 1e-10
                 assert abs(np.trace(m).real - 1.0) <= 1e-8
                 assert np.linalg.eigvalsh(m).min() >= -1e-8
+
+
+# --- vectorized generators and batched steady states -------------------------
+
+def _random_model(seed: int, dim: int, channels: int) -> LindbladModel:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    chans = tuple(CollapseChannel(float(rng.uniform(0.0, 50.0)),
+                                  rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                  for _ in range(channels))
+    return LindbladModel(dim=dim, h0=0.5 * (a + a.conj().T), channels=chans)
+
+
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 4), channels=st.integers(0, 4))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_liouvillian_matches_kron_oracle(seed, dim, channels):
+    model = _random_model(seed, dim, channels)
+    oracle = _oracle_liouvillian(model.h0, [(c.rate_angular, c.operator) for c in model.channels])
+    assert np.max(np.abs(liouvillian(model) - oracle)) <= 1e-13
+    assert np.array_equal(_commutator_superop(model.h0), _oracle_liouvillian(model.h0, []))
+
+
+class TestBatchedSteadyStates:
+    @staticmethod
+    def _damped(delta_mhz: float) -> LindbladModel:
+        return LindbladModel(
+            dim=2, h0=(mhz_to_angular(40.0) / 2) * SX + (mhz_to_angular(delta_mhz) / 2) * SZ,
+            channels=(CollapseChannel(25.0, np.array([[0, 1], [0, 0]], dtype=complex)),),
+        )
+
+    def _batch(self, models):
+        return (np.stack([liouvillian(m) for m in models]), np.stack([m.h0 for m in models]),
+                models[0].channels)
+
+    def test_batch_matches_single_models(self):
+        models = [self._damped(d) for d in (-30.0, 0.0, 12.0, 80.0)]
+        batch = _steady_states(*self._batch(models))
+        for rho, model in zip(batch, models):
+            assert np.max(np.abs(rho - steady_state(model).matrix)) <= 1e-14
+
+    def test_one_ambiguous_member_raises_naming_it(self):
+        op = np.zeros((4, 4), dtype=complex)
+        op[0, 1] = 1.0
+        chans = (CollapseChannel(5.0, op),)
+        unique = LindbladModel(dim=4, h0=np.zeros((4, 4)), channels=chans)
+        # dissipation only inside the {0,1} block leaves the {2,3} block free,
+        # unless a coupling carries it into that block
+        mix = np.zeros((4, 4), dtype=complex)
+        mix[1, 2] = mix[2, 1] = mix[2, 3] = mix[3, 2] = 1.0
+        coupled = LindbladModel(dim=4, h0=mix, channels=chans)
+        gens = np.stack([liouvillian(coupled), liouvillian(coupled), liouvillian(unique)])
+        hams = np.stack([coupled.h0, coupled.h0, unique.h0])
+        assert _steady_states(gens[:2], hams[:2], chans).shape == (2, 4, 4)
+        with pytest.raises(SteadyStateAmbiguityError, match="batch index 2") as err:
+            _steady_states(gens, hams, chans)
+        assert err.value.null_dim > 1
+
+    def test_residual_is_checked_against_the_hamiltonians(self):
+        # the third generator does not belong to its Hamiltonian: its state
+        # solves the generator, and the independent residual catches that
+        models = [self._damped(d) for d in (-30.0, 0.0, 12.0, 80.0)]
+        gens, hams, chans = self._batch(models)
+        gens[2] = liouvillian(self._damped(5.0))
+        with pytest.raises(NumericalFailure, match="residual .* at batch index 2"):
+            _steady_states(gens, hams, chans)
+        with pytest.raises(NumericalFailure, match="at point 2"):
+            _steady_states(gens, hams, chans, "point {}".format)

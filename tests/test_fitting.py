@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fss.errors import DataError, DomainError, UsageError
 from fss.fitting import (
+    _find_peaks,
     MODEL_LIBRARY,
     fft_spectrum,
     fit,
@@ -305,3 +308,35 @@ class TestDataInterface:
         doc = json.loads(fit_result_json(r))
         assert doc["parameters"]["slope"]["value"] == pytest.approx(0.131)
         assert doc["converged"] is True
+
+
+# the peak search of fft_spectrum, against scipy.signal.find_peaks as the
+# reference: identical indices on random traces, on traces of a few levels
+# (plateaus of every length, at the ends too) and on a constant trace
+PEAKS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _reference_peaks(x, prominence):
+    from scipy.signal import find_peaks
+
+    return find_peaks(x, prominence=prominence)[0]
+
+
+@given(x=st.lists(st.floats(-10.0, 10.0), min_size=0, max_size=40), prominence=st.floats(0.0, 5.0))
+@PEAKS
+def test_find_peaks_matches_scipy_on_random_traces(x, prominence):
+    x = np.array(x, dtype=float)
+    assert np.array_equal(_find_peaks(x, prominence), _reference_peaks(x, prominence))
+
+
+@given(x=st.lists(st.integers(0, 3), min_size=0, max_size=40), prominence=st.sampled_from([0.0, 1.0, 2.0]))
+@PEAKS
+def test_find_peaks_matches_scipy_on_plateaus(x, prominence):
+    x = np.array(x, dtype=float)
+    assert np.array_equal(_find_peaks(x, prominence), _reference_peaks(x, prominence))
+
+
+def test_find_peaks_plateau_midpoint_and_constant_trace():
+    x = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0, 5.0, 5.0])
+    assert _find_peaks(x, 0.0).tolist() == [2, 6] == _reference_peaks(x, 0.0).tolist()
+    assert _find_peaks(np.full(12, 0.7), 0.0).size == 0 == _reference_peaks(np.full(12, 0.7), 0.0).size

@@ -119,6 +119,21 @@ class TestCptModel:
     def test_saturation_ratio(self):
         assert CptParams().saturation_ratio == pytest.approx(3.29, abs=0.01)
 
+    def test_batched_spectrum_matches_per_point_steady_states(self):
+        p = CptParams(delta_ghz=0.3, gamma2=0.2)
+        grid = np.linspace(2.45, 2.75, 31)
+        per_point = [steady_state(build_cpt_three_level(p, w)).population(2) / p.trion_lifetime_ns
+                     for w in grid]
+        assert np.max(np.abs(cpt_spectrum(p, grid) - per_point)) <= 1e-12
+
+    def test_failure_names_the_probe_frequency(self, monkeypatch):
+        import fss.core
+        from fss.errors import NumericalFailure
+
+        monkeypatch.setattr(fss.core, "STEADY_STATE_RESIDUAL_TOL", -1.0)
+        with pytest.raises(NumericalFailure, match="at probe frequency 2.57 GHz"):
+            cpt_spectrum(CptParams(), [2.57, 2.6])
+
     def test_trion_population_is_local_minimum_at_resonance(self):
         p = CptParams()
         pop = [steady_state(build_cpt_three_level(p, w)).population(2)

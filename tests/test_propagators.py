@@ -1,7 +1,8 @@
-"""Property tests of the propagator tables that every model with drives goes
-through: one-period folding against a full-span state integration, spans
-shorter than a period, aperiodic drives, batching, and the physical
-invariants of the produced states."""
+"""Property tests of the propagation path: the propagator tables that every
+model with drives goes through (one-period folding against a full-span state
+integration, spans shorter than a period, aperiodic drives, batching, and
+the physical invariants of the produced states), and the exact propagators
+of static generators (composition, generator stacks against models)."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fss.core import (
     _propagate,
     _propagators,
     evolve,
+    liouvillian,
 )
 from fss.errors import UsageError
 
@@ -255,3 +257,41 @@ def test_model_period_is_the_common_period_of_its_drives():
     assert model(2.0, 3.0).period_ns is None
     assert model(2.0, None).period_ns is None
     assert model(None).period_ns is None
+
+
+def _static(seed: int, dim: int) -> LindbladModel:
+    model = _random_model(seed, dim)
+    return LindbladModel(dim=dim, h0=model.h0, channels=model.channels)
+
+
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 4), t1=st.floats(0.01, 3.0),
+       t2=st.floats(0.01, 3.0))
+@PROPERTY
+def test_static_propagators_compose(seed, dim, t1, t2):
+    # P(t1 + t2) = P(t2) P(t1): one step over t1 + t2 against two steps
+    model = _static(seed, dim)
+    rho0 = _random_state(np.random.default_rng(seed), dim)
+    direct = _propagate([model], [rho0], [0.0, t1 + t2])[-1, 0]
+    half = _propagate([model], [rho0], [0.0, t1])[-1, 0]
+    assert np.max(np.abs(_propagate([model], [half], [0.0, t2])[-1, 0] - direct)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
+@PROPERTY
+def test_generator_stack_matches_its_models(seed, dim):
+    rng = np.random.default_rng(seed)
+    models = [_static(seed + k, dim) for k in range(3)]
+    rhos = [_random_state(rng, dim) for _ in models]
+    t = _grid(rng, 0.0, 4.0, 5)
+    stack = np.stack([liouvillian(m) for m in models])
+    assert np.array_equal(_propagate(stack, rhos, t), _propagate(models, rhos, t))
+    ends = rng.integers(0, t.size, len(models))
+    assert np.array_equal(_propagate(stack, rhos, t, ends=ends), _propagate(models, rhos, t, ends=ends))
+
+
+def test_generator_stack_shape_is_checked():
+    rho = _random_state(np.random.default_rng(1), 2)
+    with pytest.raises(UsageError):
+        _propagate(np.zeros((1, 4, 5)), [rho], [0.0, 1.0])
+    with pytest.raises(UsageError):
+        _propagate(np.zeros((1, 9, 9)), [rho], [0.0, 1.0])

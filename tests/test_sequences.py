@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fss import models, sequences
-from fss.core import DensityMatrix, evolve, expectation
+from fss.core import DensityMatrix, _commutator_superop, evolve, expectation, liouvillian
 from fss.ensemble import EnsembleSpec, gaussian_sigma, quadrature_nodes, weighted_average
 from fss.errors import UsageError
 from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
@@ -25,7 +27,7 @@ from fss.sequences import (
     spin_pumping_protocol,
     t1_protocol,
 )
-from fss.units import rate_mhz_from_lifetime
+from fss.units import mhz_to_angular, rate_mhz_from_lifetime
 
 IDEAL = dict(ideal_pulses=True)
 
@@ -492,3 +494,51 @@ class TestShotExecutor:
                                 counts_per_shot=100, seed=1)
         assert res.signal.shape == (2,)
         assert np.all(res.signal >= 0)
+
+
+# A static segment's generators over the ensemble are L(0) + offset * L_offset,
+# with L_offset from the binding's offset term; each must be the generator of
+# the model that the binding builds at that offset.
+OFFSETS = settings(max_examples=10, deadline=None, derandomize=True)
+SEGMENTS = [
+    PulseSegment("drive", 37.0, -12.0, 0.7, 5.0),
+    PulseSegment("wait", 0.0, 8.5, 0.0, 5.0),
+    PulseSegment("wait", phase=0.3, duration_ns=5.0, mod_amp_mhz=4.0, mod_freq_mhz=2.0),
+]
+
+
+def _offset_generators(binding, seg, offsets_mhz):
+    shift = _commutator_superop(binding.offset)
+    base = liouvillian(binding.model(seg, 0.0))
+    return [base + mhz_to_angular(d) * shift for d in offsets_mhz]
+
+
+@given(offsets=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=4))
+@OFFSETS
+def test_two_level_offset_term_matches_the_models(offsets):
+    binding = sequences._bind(TwoLevelPhysics(gamma1_mhz=1.5, gamma2_mhz=4.0))
+    for seg in SEGMENTS:
+        for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
+            assert np.max(np.abs(gen - liouvillian(binding.model(seg, d)))) <= 1e-12
+
+
+def test_four_level_offset_term_matches_the_models(quick_calibration):
+    binding = sequences._bind(SMALL_FOUR_LEVEL)
+    offsets = [-250.0, -3.3, 0.0, 41.0, 180.0]
+    for seg in (PulseSegment("drive", 60.0, 0.0, 0.0, 5.0), PulseSegment("drive", 60.0, 7.5, 0.4, 5.0)):
+        for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
+            assert np.max(np.abs(gen - liouvillian(binding.model(seg, d)))) <= 1e-12
+
+
+def test_static_segment_builds_one_model_for_all_nodes(monkeypatch):
+    calls = []
+    real = sequences.build_two_level
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "build_two_level", counting)
+    simulate_protocol(rabi_protocol(60.0, 0.0, np.linspace(0.0, 20.0, 11)), TwoLevelPhysics(0.5, 1.0),
+                      EnsembleSpec(t2star_ns=20.0, nodes=9))
+    assert len(calls) == 1
