@@ -1,11 +1,13 @@
 """Nonlinear least-squares engine, the model-function library, and spectral analysis.
 
-The optimizer is a damped least-squares (Levenberg-Marquardt) wrapper with
-numeric Jacobians, plus a derivative-free simplex path for fits whose
-residual evaluation is an ODE solve.  Standard errors come from the Jacobian
-at the optimum, (J^T W J)^-1 scaled by the reduced chi-square; a singular
-Jacobian produces a rank-deficiency report naming the unidentifiable
-parameters instead of bogus error bars.
+:func:`fit` is a damped least-squares wrapper with numeric Jacobians:
+Levenberg-Marquardt, or a bounded trust-region method for models that
+declare bounds, plus a derivative-free simplex path on request.  Every fit
+in the package goes through it, the ensemble master-equation Rabi fit
+(:func:`fit_rabi_master_equation`) included.  Standard errors come from the
+Jacobian at the optimum, (J^T W J)^-1 scaled by the reduced chi-square; a
+singular Jacobian produces a rank-deficiency report naming the
+unidentifiable parameters instead of bogus error bars.
 """
 
 from __future__ import annotations
@@ -92,8 +94,11 @@ def fit(
 
     ``fixed`` freezes named parameters at given values.  ``method`` is
     "auto" (Levenberg-Marquardt, falling back to trust-region when bounds
-    are declared) or "simplex" for derivative-free minimization with errors
-    from a finite-difference Jacobian at the optimum.
+    are declared) or "simplex" for derivative-free minimization; either way
+    the errors come from a finite-difference Jacobian at the optimum.
+    ``max_nfev`` caps the optimiser's model evaluations, and the result's
+    ``n_eval`` counts every model evaluation the optimiser made, its
+    finite-difference Jacobians included.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
@@ -118,7 +123,11 @@ def fit(
         vals.update(fixed)
         return [vals[n] for n in model.param_names]
 
+    n_eval = 0
+
     def residuals(p_free):
+        nonlocal n_eval
+        n_eval += 1
         return (model(x, *full(p_free)) - y) * w
 
     if method == "simplex":
@@ -126,12 +135,11 @@ def fit(
             lambda p: float(np.sum(residuals(p) ** 2)),
             p_free0,
             method="Nelder-Mead",
-            options={"maxiter": max_nfev, "xatol": 1e-10, "fatol": 1e-14},
+            options={"maxfev": max_nfev, "xatol": 1e-10, "fatol": 1e-14},
         )
         p_opt = res.x
         converged = bool(res.success)
         status = "converged" if converged else "max-iterations"
-        n_eval = int(res.nfev)
     else:
         bounds = (-np.inf, np.inf)
         ls_method = "lm"
@@ -151,10 +159,10 @@ def fit(
         p_opt = res.x
         converged = res.status > 0
         status = "converged" if converged else "max-iterations"
-        n_eval = int(res.nfev)
+    n_opt = n_eval  # the error bars below are not part of the optimisation
 
     r = residuals(p_opt)
-    jac = _numeric_jacobian(residuals, p_opt)
+    jac = _numeric_jacobian(residuals, p_opt, r)
     stderr, cov, unident = _errors_from_jacobian(jac, r, len(free_names))
     if unident:
         status = "rank-deficient"
@@ -167,14 +175,13 @@ def fit(
         residual_norm=float(np.sqrt(np.sum(r * r))),
         converged=converged,
         status=status,
-        n_eval=n_eval,
+        n_eval=n_opt,
         unidentifiable=tuple(free_names[i] for i in unident),
         fixed=fixed,
     )
 
 
-def _numeric_jacobian(residuals, p, rel_step=1e-6, abs_step=1e-9) -> np.ndarray:
-    r0 = residuals(p)
+def _numeric_jacobian(residuals, p, r0, rel_step=1e-6, abs_step=1e-9) -> np.ndarray:
     jac = np.empty((r0.size, p.size))
     for k in range(p.size):
         h = max(rel_step * abs(p[k]), abs_step)
@@ -306,10 +313,11 @@ def fit_rabi_master_equation(
 ) -> tuple[FitResult, "models.PiContrast"]:
     """Fit a measured Rabi trace with the ensemble-averaged two-level model.
 
-    T2* and Gamma1 enter as fixed priors; free parameters are (Omega, Gamma2)
-    with the counts scale and offset solved linearly at every evaluation
-    (variable projection).  Returns the fit plus the pi contrast and quality
-    factor of the noiseless readout model at the optimum.
+    T2* and Gamma1 enter as fixed priors.  The model counts = scale * P(tau;
+    Omega, Gamma2) + offset, with Omega >= 0 and Gamma2 >= 0, goes through
+    :func:`fit`'s bounded least squares; scale and offset start from a linear
+    solve at the guessed (Omega, Gamma2).  Returns the fit plus the pi
+    contrast and quality factor of the noiseless readout model at the optimum.
     """
     from . import models
     from .ensemble import EnsembleSpec
@@ -317,55 +325,36 @@ def fit_rabi_master_equation(
 
     tau = np.asarray(tau_ns, dtype=float)
     y = np.asarray(counts, dtype=float)
+    for name, arr in (("tau_ns", tau), ("counts", y)):
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise UsageError(f"{name} must be a finite 1-d array")
+    if y.size != tau.size:
+        raise UsageError(f"counts has {y.size} points, tau_ns has {tau.size}")
+    if tau.size < 5:
+        raise UsageError(f"tau_ns has {tau.size} points; need at least 5")
+    for name, value, ok in (("omega0_mhz", omega0_mhz, omega0_mhz > 0),
+                            ("gamma2_0_mhz", gamma2_0_mhz, gamma2_0_mhz >= 0),
+                            ("t2star_ns", t2star_ns, t2star_ns > 0),
+                            ("gamma1_mhz", gamma1_mhz, gamma1_mhz >= 0)):
+        if not (math.isfinite(value) and ok):
+            raise UsageError(f"{name} = {value} is out of range")
     ensemble = EnsembleSpec(t2star_ns=t2star_ns, nodes=nodes)
 
-    def population(omega_mhz: float, gamma2_mhz: float, times) -> np.ndarray:
-        # |.| keeps the simplex walk inside the physical domain
-        physics = TwoLevelPhysics(gamma1_mhz=gamma1_mhz, gamma2_mhz=abs(gamma2_mhz))
-        protocol = rabi_protocol(abs(omega_mhz), delta_mhz, times)
-        return simulate_protocol(protocol, physics, ensemble).signal
+    def population(times, omega_mhz, gamma2_mhz) -> np.ndarray:
+        physics = TwoLevelPhysics(gamma1_mhz=gamma1_mhz, gamma2_mhz=gamma2_mhz)
+        return simulate_protocol(rabi_protocol(omega_mhz, delta_mhz, times), physics, ensemble).signal
 
-    def projected(p):
-        s = population(p[0], p[1], tau)
-        basis = np.stack([s, np.ones_like(s)], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return s, coef
-
-    def residuals(p):
-        s, coef = projected(p)
-        return s * coef[0] + coef[1] - y
-
-    res = minimize(
-        lambda p: float(np.sum(residuals(p) ** 2)),
-        np.array([omega0_mhz, gamma2_0_mhz]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400},
+    model = FitModel(
+        "rabi_master_equation", ("omega_mhz", "gamma2_mhz", "scale", "offset"),
+        lambda t, omega, gamma2, scale, offset: scale * population(t, omega, gamma2) + offset,
+        bounds=(np.array([0.0, 0.0, -np.inf, -np.inf]), np.full(4, np.inf)),
     )
-    omega_fit, gamma2_fit = abs(res.x[0]), abs(res.x[1])
-    s, coef = projected(res.x)
-    p_full = np.array([omega_fit, gamma2_fit, coef[0], coef[1]])
-
-    def residuals_full(p):
-        return population(p[0], p[1], tau) * p[2] + p[3] - y
-
-    r = residuals_full(p_full)
-    jac = _numeric_jacobian(residuals_full, p_full)
-    stderr, cov, unident = _errors_from_jacobian(jac, r, 4)
-    names = ("omega_mhz", "gamma2_mhz", "scale", "offset")
-    result = FitResult(
-        model="rabi_master_equation",
-        param_names=names,
-        params=p_full,
-        stderr=stderr,
-        covariance=cov,
-        residual_norm=float(np.sqrt(np.sum(r * r))),
-        converged=bool(res.success),
-        status="converged" if res.success else "max-iterations",
-        n_eval=int(res.nfev),
-        unidentifiable=tuple(names[i] for i in unident),
-    )
+    s0 = population(tau, omega0_mhz, gamma2_0_mhz)
+    (scale0, offset0), *_ = np.linalg.lstsq(np.stack([s0, np.ones_like(s0)], axis=1), y, rcond=None)
+    result = fit(model, tau, y, [omega0_mhz, gamma2_0_mhz, scale0, offset0])
     # evaluate the noiseless readout model exactly at the pi time
-    f_pi = float(population(omega_fit, gamma2_fit, [1e3 / (2 * omega_fit)])[0])
+    omega, gamma2 = result["omega_mhz"], result["gamma2_mhz"]
+    f_pi = float(population([1e3 / (2 * omega)], omega, gamma2)[0])
     return result, models.pi_contrast_and_q(f_pi)
 
 

@@ -10,6 +10,7 @@ from fss.errors import DataError, DomainError, UsageError
 from fss.fitting import (
     _find_peaks,
     MODEL_LIBRARY,
+    FitModel,
     fft_spectrum,
     fit,
     fit_rabi_master_equation,
@@ -39,6 +40,17 @@ MODEL_CASES = {
 
 def _params_vec(model, true):
     return [true[name] for name in model.param_names]
+
+
+def _counting(model, bounds=None):
+    """``model`` with ``bounds``, recording each call in the returned list."""
+    calls = []
+
+    def func(*args):
+        calls.append(args)
+        return model.func(*args)
+
+    return FitModel("counted", model.param_names, func, bounds=bounds), calls
 
 
 class TestFitEngine:
@@ -134,6 +146,26 @@ class TestFitEngine:
         for k in true:
             assert r2[k] == pytest.approx(r1[k], rel=1e-4)
 
+    @pytest.mark.parametrize("bounded", [False, True], ids=["lm", "trf"])
+    def test_n_eval_counts_every_model_call(self, bounded):
+        base = MODEL_LIBRARY["exp_decay"]
+        x, true = MODEL_CASES["exp_decay"]
+        y = base(x, *_params_vec(base, true)) + np.random.default_rng(5).normal(0, 3.0, x.size)
+        model, calls = _counting(base, base.bounds if bounded else None)
+        r = fit(model, x, y, {k: v * 1.1 for k, v in true.items()})
+        # after the optimisation, the error bars take one residual and one
+        # forward difference per free parameter
+        assert r.n_eval == len(calls) - 1 - len(r.param_names)
+
+    def test_max_nfev_caps_simplex_evaluations(self):
+        base = MODEL_LIBRARY["exp_decay"]
+        x, true = MODEL_CASES["exp_decay"]
+        model, calls = _counting(base)
+        r = fit(model, x, base(x, *_params_vec(base, true)), {k: v * 1.1 for k, v in true.items()},
+                method="simplex", max_nfev=25)
+        assert not r.converged
+        assert r.n_eval == len(calls) - 1 - len(r.param_names) == 25
+
     def test_multi_peak_lorentzian(self):
         model = lorentzian_multi(2)
         x = np.linspace(-5, 5, 200)
@@ -147,6 +179,10 @@ class TestFitEngine:
     def test_unknown_model_rejected(self):
         with pytest.raises(UsageError):
             get_model("polynomial")
+
+
+_TAU = np.linspace(0.0, 30.0, 25)
+_COUNTS = 60.0 + 400.0 * np.sin(0.2 * _TAU) ** 2
 
 
 class TestRabiMasterEquationFit:
@@ -197,6 +233,67 @@ class TestRabiMasterEquationFit:
         )
         assert contrast.q == pytest.approx(18.8, abs=1.0)
         assert contrast.f_pi == pytest.approx(0.974, abs=0.002)
+
+    def test_matches_nelder_mead_oracle(self):
+        # a noisy trace like the benchmark's; the oracle minimises the same
+        # sum of squares by Nelder-Mead over (Omega, Gamma2), with scale and
+        # offset solved linearly at every step
+        from scipy.optimize import minimize
+        from fss.sequences import TwoLevelPhysics, rabi_protocol, simulate_protocol
+        from fss.ensemble import EnsembleSpec
+
+        ensemble = EnsembleSpec(t2star_ns=34.0, nodes=9)
+        tau = np.linspace(0.0, 30.0, 25)
+
+        def population(omega, gamma2):
+            physics = TwoLevelPhysics(gamma1_mhz=0.4, gamma2_mhz=gamma2)
+            return simulate_protocol(rabi_protocol(omega, 0.0, tau), physics, ensemble).signal
+
+        counts = 480.0 * population(60.0, 3.7) + 60.0 + np.random.default_rng(7).normal(0.0, 0.4, tau.size)
+        r, _ = fit_rabi_master_equation(tau, counts, omega0_mhz=60.6, gamma2_0_mhz=2.96,
+                                        t2star_ns=34.0, gamma1_mhz=0.4, nodes=9)
+
+        def projected(p):
+            s = population(*p)
+            basis = np.stack([s, np.ones_like(s)], axis=1)
+            coef, *_ = np.linalg.lstsq(basis, counts, rcond=None)
+            return coef, float(np.sum((basis @ coef - counts) ** 2))
+
+        oracle = minimize(lambda p: projected(p)[1], [60.6, 2.96], method="Nelder-Mead",
+                          options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 400})
+        assert oracle.success
+        expected = [*oracle.x, *projected(oracle.x)[0]]
+        for name, value in zip(("omega_mhz", "gamma2_mhz", "scale", "offset"), expected):
+            assert abs(r[name] - value) <= 0.05 * r.error(name), name
+        assert r.n_eval < 60  # a derivative-free walk takes over 100
+
+    @pytest.mark.parametrize("field, bad", [
+        ("counts", {"counts": np.r_[_COUNTS[:3], np.nan, _COUNTS[4:]]}),
+        ("counts", {"counts": _COUNTS[:-1]}),
+        ("counts", {"counts": _COUNTS[None, :]}),
+        ("tau_ns", {"tau_ns": np.r_[np.inf, _TAU[1:]]}),
+        ("tau_ns", {"tau_ns": _TAU[:4], "counts": _COUNTS[:4]}),
+        ("omega0_mhz", {"omega0_mhz": -60.0}),
+        ("omega0_mhz", {"omega0_mhz": 0.0}),
+        ("omega0_mhz", {"omega0_mhz": np.nan}),
+        ("gamma2_0_mhz", {"gamma2_0_mhz": -1.0}),
+        ("gamma2_0_mhz", {"gamma2_0_mhz": np.inf}),
+        ("t2star_ns", {"t2star_ns": 0.0}),
+        ("gamma1_mhz", {"gamma1_mhz": -0.1}),
+    ], ids=["nan-count", "short-counts", "2d-counts", "inf-tau", "four-points", "negative-omega0",
+            "zero-omega0", "nan-omega0", "negative-gamma2", "inf-gamma2", "zero-t2star",
+            "negative-gamma1"])
+    def test_bad_input_fails_before_simulating(self, monkeypatch, field, bad):
+        import fss.sequences
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before validating the input")
+
+        monkeypatch.setattr(fss.sequences, "simulate_protocol", no_simulation)
+        good = {"tau_ns": _TAU, "counts": _COUNTS, "omega0_mhz": 60.0, "gamma2_0_mhz": 3.0,
+                "t2star_ns": 34.0, "gamma1_mhz": 0.4}
+        with pytest.raises(UsageError, match=field):
+            fit_rabi_master_equation(**{**good, **bad})
 
 
 class TestSpectra:
