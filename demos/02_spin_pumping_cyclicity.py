@@ -5,7 +5,7 @@ the driven trion.  The raw emission decay time is slower than 1/gamma_SP by
 the quasi-steady trion occupation s/(2(1+s)); correcting for it recovers the
 branch rate, which is how a measured pumping time maps onto a cyclicity.
 
-Run:  python demos/02_spin_pumping_cyclicity.py      (roughly 10 s)
+Run:  python demos/02_spin_pumping_cyclicity.py      (about a second)
 """
 
 from fss.models import FaradayParams, cyclicity

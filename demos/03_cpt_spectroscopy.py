@@ -6,7 +6,7 @@ dip position measures the bare electron splitting, and refitting the
 spectrum with the same steady-state model recovers the generating
 parameters.
 
-Run:  python demos/03_cpt_spectroscopy.py      (a few seconds)
+Run:  python demos/03_cpt_spectroscopy.py      (about a second)
 """
 
 import numpy as np

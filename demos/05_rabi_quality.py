@@ -5,7 +5,7 @@ f_pi -> Q = -1/ln(2 f_pi - 1).  Laser intensity noise enters as extra
 quasi-static detuning spread through the differential Stark shift and
 degrades Q.
 
-Run:  python demos/05_rabi_quality.py      (roughly 20 s)
+Run:  python demos/05_rabi_quality.py      (about a second)
 """
 
 import numpy as np

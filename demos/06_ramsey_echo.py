@@ -1,6 +1,6 @@
 """Phase-resolved control: Ramsey fringes, serrodyne shifts, Hahn echo.
 
-Run:  python demos/06_ramsey_echo.py      (roughly 15 s)
+Run:  python demos/06_ramsey_echo.py      (about a second)
 """
 
 import numpy as np

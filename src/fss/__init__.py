@@ -22,7 +22,7 @@ from .core import (
     lindblad_rhs,
     steady_state,
 )
-from .ensemble import EnsembleSpec, combined_sigma, ensemble_average, gaussian_sigma
+from .ensemble import EnsembleSpec, combined_sigma, gaussian_sigma
 from .models import (
     CptParams,
     FaradayParams,

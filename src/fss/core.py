@@ -12,26 +12,27 @@ broadcasting (no Kronecker products), and models that differ by one
 Hamiltonian term x V, such as ensemble nodes or CPT probe frequencies, are
 one stack L(0) + x C(V), C(V) the commutator superoperator of V.
 
-There is one propagation function, ``_propagate``: it advances a batch of
-models, or a (B, d^2, d^2) stack of static generators, from a (B, d, d)
-stack of initial states and returns the states on a shared grid as one
-(T, B, d, d) array, or each state only at its own end time on that grid;
-``evolve`` and the pulse-sequence executor of :mod:`fss.sequences` go
-through it.  A model without drives has a constant generator L, and its
-evolution is exact: one ``scipy.linalg.expm(L dt)`` (scaling and squaring,
-Al-Mohy & Higham 2009) per distinct step of the grid, applied step by step
-and batched over models.
+There is one propagation function, ``_propagate``, and one input form: a
+(B, d^2, d^2) stack of generators plus the drives that all of its members
+share.  It advances a (B, d, d) stack of initial states and returns the
+states on a shared grid as one (T, B, d, d) array, or each state only at its
+own end time on that grid; ``evolve`` (a one-member stack) and the
+pulse-sequence executor of :mod:`fss.sequences` go through it.  Without
+drives the generator L is constant, and the evolution is exact: one
+``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy & Higham 2009)
+per distinct step of the grid, applied step by step and batched over the
+stack.
 
-A model with drives goes through one table of propagators, ``_propagators``,
-which ``_propagate`` applies to every initial state that shares the model.
-The 8th-order
-Dormand-Prince method (scipy's DOP853, rtol 2e-9 / atol 1e-11) integrates
-the propagator ODE dP/dt = L(t) P, P(t0) = I, over one period T of the
-drives, with outputs at the residues (t - t0) mod T of the requested times;
-a time t0 + kT + tau is then P(tau) P(T)^k (Floquet stepping; Shirley, Phys.
-Rev. 138, B979, 1965).  An aperiodic model (``Drive.period_ns`` None, or
-drives of different periods) is the same computation with T infinite: k = 0
-and the table spans the grid.
+With drives, each distinct generator of the stack goes through one table of
+propagators, ``_propagators``, which ``_propagate`` applies to every initial
+state that shares it.  The 8th-order Dormand-Prince method (scipy's DOP853,
+rtol 2e-9 / atol 1e-11) integrates the propagator ODE dP/dt = L(t) P,
+P(t0) = I, over one period T of the drives, with outputs at the residues
+(t - t0) mod T of the requested times; a time t0 + kT + tau is then
+P(tau) P(T)^k (Floquet stepping; Shirley, Phys. Rev. 138, B979, 1965).
+Aperiodic drives (``Drive.period_ns`` None, or drives of different periods)
+are the same computation with T infinite: k = 0 and the table spans the
+grid.
 
 Every state the package produces passes one positivity guard, ``_guard``,
 exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
@@ -242,6 +243,13 @@ class Drive:
         object.__setattr__(self, "operator", op)
 
 
+def _common_period(drives: Sequence[Drive]) -> float | None:
+    """The common period of ``drives``; None if any drive is aperiodic or
+    their periods differ."""
+    periods = {dr.period_ns for dr in drives}
+    return periods.pop() if len(periods) == 1 else None
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Static Hamiltonian + drives + collapse channels over labelled levels."""
@@ -287,10 +295,8 @@ class LindbladModel:
 
     @property
     def period_ns(self) -> float | None:
-        """The common period of the drives; None if any drive is aperiodic or
-        their periods differ."""
-        periods = {dr.period_ns for dr in self.drives}
-        return periods.pop() if len(periods) == 1 else None
+        """The common period of the drives (see :func:`_common_period`)."""
+        return _common_period(self.drives)
 
     def slowest_rate_angular(self) -> float:
         rates = [ch.rate_angular for ch in self.channels if ch.rate_angular > 0]
@@ -373,22 +379,22 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return gen.reshape(d * d, d * d)
 
 
-def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | None = None,
+def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_step: float | None = None,
                rtol: float = _RTOL, atol: float = _ATOL, ends=None) -> np.ndarray:
-    """States of several independent models on one shared grid, as a
+    """States of a (B, d^2, d^2) stack of generators on one shared grid, as a
     (T, B, d, d) array whose first row is the B initial states ``rhos``.
-    ``models`` is a sequence of B models, or a (B, d^2, d^2) stack of static
-    generators (vectorized Liouvillians, as :func:`liouvillian` builds them).
-    Given ``ends``, one grid index per initial state, it returns instead the
-    (B, d, d) states each at its own end time t[ends[b]].
+    ``gens`` holds static vectorized Liouvillians (as :func:`liouvillian`
+    builds them) and ``drives`` the drives that all of them share: member b
+    evolves under gens[b] plus the drives' commutator terms.  Given ``ends``,
+    one grid index per initial state, it returns instead the (B, d, d)
+    states each at its own end time t[ends[b]].
 
     The initial states are taken as already guarded; every other returned
-    state passes :func:`_guard` once.  Models without drives are propagated
-    exactly: their generators are stacked (a stack passed in is used as it
-    is), one expm(L dt) is built per distinct grid step, and each step
+    state passes :func:`_guard` once.  Without drives the propagation is
+    exact: one expm(L dt) is built per distinct grid step, and each step
     advances the whole stack with einsum, which keeps these tiny products off
-    threaded BLAS.  Each distinct model with drives builds one table of
-    :func:`_propagators`, applied to all of its initial states.
+    threaded BLAS.  With drives, each distinct generator of the stack builds
+    one table of :func:`_propagators`, applied to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -397,47 +403,35 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
         raise UsageError("times must be finite")
     if np.any(np.diff(t) <= 0):
         raise UsageError("times must be strictly increasing")
-    stack = isinstance(models, np.ndarray)
-    if stack and (models.ndim != 3 or models.shape[1] != models.shape[2]):
-        raise UsageError(f"a generator stack must have shape (B, d^2, d^2), got {models.shape}")
-    dims = [math.isqrt(models.shape[1])] * len(models) if stack else [m.dim for m in models]
-    if len(models) != len(rhos):
-        raise UsageError("need one initial state per model")
-    if any(np.shape(r) != (d, d) for d, r in zip(dims, rhos)):
-        raise UsageError("initial state dimension does not match model")
-    if len(set(dims)) > 1:
-        raise UsageError("batched models must share a dimension")
+    gens = np.asarray(gens, dtype=complex)
+    dim = math.isqrt(gens.shape[-1]) if gens.ndim == 3 else 0
+    if gens.ndim != 3 or gens.shape[1:] != (dim * dim, dim * dim):
+        raise UsageError(f"a generator stack must have shape (B, d^2, d^2), got {gens.shape}")
+    n = len(gens)
+    if len(rhos) != n:
+        raise UsageError("need one initial state per generator")
+    if any(np.shape(r) != (dim, dim) for r in rhos) or any(dr.operator.shape != (dim, dim) for dr in drives):
+        raise UsageError("initial state or drive dimension does not match the generators")
     if ends is not None:
         ends = np.asarray(ends, dtype=int)
-        if ends.shape != (len(models),) or np.any((ends < 0) | (ends >= t.size)):
+        if ends.shape != (n,) or np.any((ends < 0) | (ends >= t.size)):
             raise UsageError("need one end index on the grid per initial state")
-    n, dim = len(models), dims[0] if dims else 0
     init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
     # grid index of every returned state: (T, 1) for the whole grid, (1, B) for ends
     rows = np.arange(t.size)[:, None] if ends is None else ends[None, :]
 
-    def at(cols):
-        return rows if ends is None else rows[:, cols]
-
-    vecs = np.empty((rows.shape[0], n, dim * dim), dtype=complex)
-    driven = np.array([not stack and m.time_dependent for m in models], dtype=bool)
-    if not driven.all():
-        static = np.flatnonzero(~driven)
-        gens = models if stack else np.stack([liouvillian(models[b]) for b in static])
+    if drives:
+        distinct, which = np.unique(gens, axis=0, return_inverse=True)
+        tables = np.stack([_propagators(g, drives, t, max_step, rtol, atol) for g in distinct])
+        vecs = np.einsum("...ij,...j->...i", tables[which, rows], init)
+    else:
         steps, which = np.unique(np.diff(t), return_inverse=True)
         props = [expm(gens * dt) for dt in steps]
-        path = np.empty((t.size, static.size, dim * dim), dtype=complex)
-        path[0] = init[static]
+        path = np.empty((t.size, n, dim * dim), dtype=complex)
+        path[0] = init
         for k, j in enumerate(which, start=1):
             path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
-        vecs[:, static] = path[at(static), np.arange(static.size)]
-
-    shared: dict[int, list[int]] = {}
-    for b in np.flatnonzero(driven):
-        shared.setdefault(id(models[b]), []).append(b)
-    for idx in shared.values():
-        table = _propagators(models[idx[0]], t, max_step, rtol, atol)
-        vecs[:, idx] = np.einsum("...ij,...j->...i", table[at(idx)], init[idx])
+        vecs = path[rows, np.arange(n)]
 
     out = vecs.reshape(rows.shape[0], n, dim, dim)
     new = np.broadcast_to(rows > 0, out.shape[:2])
@@ -447,50 +441,52 @@ def _propagate(models: Sequence[LindbladModel], rhos, times, max_step: float | N
     return out if ends is None else out[0]
 
 
-def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = None,
+def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray, max_step: float | None = None,
                  rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
-    """Propagators P(t_k, t_0) of a model with drives on the increasing grid
-    ``t``, as a (T, d^2, d^2) array acting on row-major vectorized states.
+    """Propagators P(t_k, t_0) of the static generator ``gen`` (d^2 x d^2)
+    plus the commutator terms of ``drives`` on the increasing grid ``t``, as
+    a (T, d^2, d^2) array acting on row-major vectorized states.
 
-    DOP853 integrates dP/dt = L(t) P from P(t0) = I over one period T of the
-    model's drives, with outputs at the sorted residues tau = (t - t0) mod T
+    DOP853 integrates dP/dt = L(t) P from P(t0) = I over one common period T
+    of the drives, with outputs at the sorted residues tau = (t - t0) mod T
     (and at T itself if the grid runs past it); a time t0 + kT + tau is then
     P(tau) P(T)^k, with each distinct power taken once; before folding, a
-    drive whose envelope does not repeat after T raises UsageError.  An
-    aperiodic model has T = inf, so k = 0 and the table runs to the last
+    drive whose envelope does not repeat after T raises UsageError.
+    Aperiodic drives have T = inf, so k = 0 and the table runs to the last
     time.  ``max_step`` defaults to a tenth of the shortest drive period.
 
-    The integration runs in the frame that rotates with the diagonal of the
-    static Hamiltonian, P(t) = exp(D s) Q(s) with s = t - t0 and D the
-    (diagonal) commutator superoperator of that diagonal: Q then carries no
-    phase of levels the drives leave uncoupled, such as the far-detuned
-    trion of the four-level model, which would otherwise set the step size.
+    The integration runs in the frame that rotates with the imaginary part
+    of the generator's diagonal, P(t) = exp(D s) Q(s) with s = t - t0 and
+    D = i Im diag(gen).  With real jump operators, as in every model of this
+    package, D is the commutator superoperator of the static Hamiltonian's
+    diagonal: Q then carries no phase of levels the drives leave uncoupled,
+    such as the far-detuned trion of the four-level model, which would
+    otherwise set the step size.
     """
-    n2 = model.dim ** 2
-    e = model.h0.diagonal().real
-    rates = (-1j * (e[:, None] - e[None, :])).reshape(-1)
-    L0 = liouvillian(model) - np.diag(rates)
+    n2 = gen.shape[0]
+    rates = 1j * gen.diagonal().imag
+    L0 = gen - np.diag(rates)
     drive_terms = [
         (dr.envelope, _commutator_superop(dr.operator), _commutator_superop(dr.operator.conj().T))
-        for dr in model.drives
+        for dr in drives
     ]
 
     def rhs(tt, y):
-        gen = L0.copy()
+        lt = L0.copy()
         for env, c_op, c_opd in drive_terms:
             f = env(tt)
-            gen += f * c_op + np.conj(f) * c_opd
+            lt += f * c_op + np.conj(f) * c_opd
         phase = np.exp(rates * (tt - t[0]))
-        return ((gen * phase) / phase[:, None] @ y.reshape(n2, n2)).reshape(-1)
+        return ((lt * phase) / phase[:, None] @ y.reshape(n2, n2)).reshape(-1)
 
     if max_step is None:
-        periods = [dr.period_ns for dr in model.drives if dr.period_ns is not None]
+        periods = [dr.period_ns for dr in drives if dr.period_ns is not None]
         max_step = min(periods) / 10.0 if periods else np.inf
 
-    period = model.period_ns or np.inf
+    period = _common_period(drives) or np.inf
     k, tau = np.divmod(t - t[0], period)
     if k[-1]:
-        _require_periodic(model, t[0], period)
+        _require_periodic(drives, t[0], period)
     # the grid increases, so all k are 0 exactly when the last one is
     taus, which = np.unique(np.append(tau, period if k[-1] else tau[-1]), return_inverse=True)
     table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
@@ -514,26 +510,18 @@ def _propagators(model: LindbladModel, t: np.ndarray, max_step: float | None = N
     return table[which[:-1]] @ cycles[k_of]
 
 
-def _require_periodic(model: LindbladModel, t0: float, period: float):
+def _require_periodic(drives: Sequence[Drive], t0: float, period: float):
     """Folding takes f(t + T) = f(t) on trust; check it at a few points of
     the first period.  Rounding of the drives' phases grows with t/T, hence
     the tolerance's (1 + |t0|/T)."""
     s = t0 + period * np.array([0.0, 0.23, 0.58, 0.91])
     tol = 1e-12 * (1.0 + abs(t0) / period)
-    for dr in model.drives:
+    for dr in drives:
         f = np.array([dr.envelope(x) for x in s])
         dev = np.max(np.abs(np.array([dr.envelope(x + period) for x in s]) - f))
         if dev > tol * np.max(np.abs(f)):
             raise UsageError(f"drive envelope does not repeat with period_ns={period}: "
                              f"|f(t + T) - f(t)| reaches {dev:.3e}")
-
-
-def _trajectories(states: np.ndarray, rho0s, t: np.ndarray) -> list[Trajectory]:
-    """Wrap the guarded (T, B, d, d) states of :func:`_propagate`, keeping the
-    caller's initial DensityMatrix objects as each trajectory's first state."""
-    states.setflags(write=False)
-    return [Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states[1:, b])))
-            for b, rho0 in enumerate(rho0s)]
 
 
 def evolve(
@@ -553,7 +541,9 @@ def evolve(
     passes the positivity guard once.  Deterministic for fixed inputs.
     """
     t = np.asarray(times, dtype=float)
-    return _trajectories(_propagate([model], [rho0.matrix], t, max_step, rtol, atol), [rho0], t)[0]
+    states = _propagate(liouvillian(model)[None], [rho0.matrix], t, model.drives, max_step, rtol, atol)
+    states.setflags(write=False)
+    return Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states[1:, 0])))
 
 
 def expectation(rho, observable: np.ndarray) -> float:

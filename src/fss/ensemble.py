@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -95,22 +94,3 @@ def weighted_average(weights, traces) -> np.ndarray:
         acc = total
     return acc
 
-
-def ensemble_average(
-    simulator: Callable[[float], np.ndarray],
-    sigma_mhz: float,
-    nodes: int = DEFAULT_NODES,
-) -> np.ndarray:
-    """Weighted average of per-detuning traces over a Gaussian detuning ensemble.
-
-    ``simulator`` maps a detuning offset in MHz to a trace (any ndarray shape,
-    consistent across calls).  sigma = 0 short-circuits to a single evaluation.
-    Summation is fixed-order and compensated, so results are reproducible to
-    1e-12 regardless of how node evaluations are scheduled.
-    """
-    if sigma_mhz < 0:
-        raise UsageError("sigma must be >= 0")
-    if sigma_mhz == 0.0:
-        return np.asarray(simulator(0.0), dtype=float)
-    offsets, weights = quadrature_nodes(sigma_mhz, nodes)
-    return weighted_average(weights, [simulator(d) for d in offsets])

@@ -2,12 +2,11 @@
 
 :func:`fit` is a damped least-squares wrapper with numeric Jacobians:
 Levenberg-Marquardt, or a bounded trust-region method for models that
-declare bounds, plus a derivative-free simplex path on request.  Every fit
-in the package goes through it, the ensemble master-equation Rabi fit
-(:func:`fit_rabi_master_equation`) included.  Standard errors come from the
-Jacobian at the optimum, (J^T W J)^-1 scaled by the reduced chi-square; a
-singular Jacobian produces a rank-deficiency report naming the
-unidentifiable parameters instead of bogus error bars.
+declare bounds.  Every fit in the package goes through it, the ensemble
+master-equation Rabi fit (:func:`fit_rabi_master_equation`) included.
+Standard errors come from the Jacobian at the optimum, (J^T W J)^-1 scaled
+by the reduced chi-square; a singular Jacobian produces a rank-deficiency
+report naming the unidentifiable parameters instead of bogus error bars.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from .ensemble import FWHM_PER_SIGMA, gaussian_sigma
 from .errors import DataError, DomainError, UsageError
@@ -87,14 +86,12 @@ def fit(
     p0,
     yerr=None,
     fixed: dict | None = None,
-    method: str = "auto",
     max_nfev: int = 2000,
 ) -> FitResult:
     """Weighted nonlinear least squares; deterministic for fixed inputs.
 
-    ``fixed`` freezes named parameters at given values.  ``method`` is
-    "auto" (Levenberg-Marquardt, falling back to trust-region when bounds
-    are declared) or "simplex" for derivative-free minimization; either way
+    ``fixed`` freezes named parameters at given values.  The optimiser is
+    Levenberg-Marquardt, or trust-region when the model declares bounds;
     the errors come from a finite-difference Jacobian at the optimum.
     ``max_nfev`` caps the optimiser's model evaluations, and the result's
     ``n_eval`` counts every model evaluation the optimiser made, its
@@ -130,35 +127,24 @@ def fit(
         n_eval += 1
         return (model(x, *full(p_free)) - y) * w
 
-    if method == "simplex":
-        res = minimize(
-            lambda p: float(np.sum(residuals(p) ** 2)),
-            p_free0,
-            method="Nelder-Mead",
-            options={"maxfev": max_nfev, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        p_opt = res.x
-        converged = bool(res.success)
-        status = "converged" if converged else "max-iterations"
-    else:
-        bounds = (-np.inf, np.inf)
-        ls_method = "lm"
-        if model.bounds is not None:
-            free_idx = [model.param_names.index(n) for n in free_names]
-            bounds = (np.asarray(model.bounds[0])[free_idx], np.asarray(model.bounds[1])[free_idx])
-            ls_method = "trf"
-        # scale each direction by the guess magnitude: parameters here span
-        # orders of magnitude (GHz splittings against sub-ns^-1 rates)
-        x_scale = np.where(np.abs(p_free0) > 0, np.abs(p_free0), 1.0)
-        try:
-            res = least_squares(residuals, p_free0, method=ls_method, bounds=bounds,
-                                max_nfev=max_nfev, diff_step=1e-6, x_scale=x_scale,
-                                xtol=1e-11, ftol=1e-11, gtol=1e-11)
-        except ValueError as exc:
-            raise UsageError(f"least-squares setup failed: {exc}") from exc
-        p_opt = res.x
-        converged = res.status > 0
-        status = "converged" if converged else "max-iterations"
+    bounds = (-np.inf, np.inf)
+    ls_method = "lm"
+    if model.bounds is not None:
+        free_idx = [model.param_names.index(n) for n in free_names]
+        bounds = (np.asarray(model.bounds[0])[free_idx], np.asarray(model.bounds[1])[free_idx])
+        ls_method = "trf"
+    # scale each direction by the guess magnitude: parameters here span
+    # orders of magnitude (GHz splittings against sub-ns^-1 rates)
+    x_scale = np.where(np.abs(p_free0) > 0, np.abs(p_free0), 1.0)
+    try:
+        res = least_squares(residuals, p_free0, method=ls_method, bounds=bounds,
+                            max_nfev=max_nfev, diff_step=1e-6, x_scale=x_scale,
+                            xtol=1e-11, ftol=1e-11, gtol=1e-11)
+    except ValueError as exc:
+        raise UsageError(f"least-squares setup failed: {exc}") from exc
+    p_opt = res.x
+    converged = res.status > 0
+    status = "converged" if converged else "max-iterations"
     n_opt = n_eval  # the error bars below are not part of the optimisation
 
     r = residuals(p_opt)

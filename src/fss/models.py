@@ -237,19 +237,17 @@ def build_faraday_four_level(
     p: FaradayParams,
     drive: TwoToneDrive,
     handedness: str = "sigma-",
-    splitting_offset_mhz: float = 0.0,
 ) -> LindbladModel:
     """Four-level model {down, up, trion-, trion+} with two-tone envelopes.
 
     Spin-flipping couplings are scaled by 1/sqrt(C); each trion decays at
     the total rate gamma_1 with branching C : 1 into the spin-conserving and
-    spin-flipping ground states.  ``splitting_offset_mhz`` shifts the
-    electron splitting (used for Overhauser/laser detuning ensembles).
+    spin-flipping ground states.
     """
     if handedness not in HANDEDNESS:
         raise UsageError(f"handedness must be one of {HANDEDNESS}")
 
-    we = ghz_to_angular(p.omega_e_ghz) + mhz_to_angular(splitting_offset_mhz)
+    we = ghz_to_angular(p.omega_e_ghz)
     wh = ghz_to_angular(p.omega_h_ghz)
     dd = ghz_to_angular(p.delta_ghz)
     h0 = np.diag([0.0, -we, dd, dd + wh]).astype(complex)

@@ -430,10 +430,9 @@ def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[f
     return 0.0, 21
 
 
-def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) -> LindbladModel:
-    """Two-level model of a drive or wait segment at one ensemble offset."""
-    model = build_two_level(seg.omega_mhz, seg.delta_mhz + offset_mhz,
-                            phys.gamma1_mhz, phys.gamma2_mhz, phase=seg.phase)
+def _segment_model(seg: PulseSegment, phys: TwoLevelPhysics) -> LindbladModel:
+    """Two-level model of a drive or wait segment."""
+    model = build_two_level(seg.omega_mhz, seg.delta_mhz, phys.gamma1_mhz, phys.gamma2_mhz, phase=seg.phase)
     if not seg.mod_amp_mhz:
         return model
     w_mod, f_ang = mhz_to_angular(seg.mod_amp_mhz), mhz_to_angular(seg.mod_freq_mhz)
@@ -449,14 +448,14 @@ def _segment_model(seg: PulseSegment, offset_mhz: float, phys: TwoLevelPhysics) 
 class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
-    a segment's model at a node offset (MHz); ``offset``, the Hamiltonian
-    term that a node offset adds per rad/ns; ODE solver tolerances; for
+    a segment's model; ``offset``, the Hamiltonian term that an ensemble
+    node's detuning offset adds per rad/ns; ODE solver tolerances; for
     four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
     frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
-    model: Callable[[PulseSegment, float], LindbladModel]
+    model: Callable[[PulseSegment], LindbladModel]
     offset: np.ndarray
     solver: dict = field(default_factory=dict)
     calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
@@ -476,11 +475,10 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
     calibrated = functools.cache(
         lambda omega_mhz: models.calibrate_faraday_drive(physics, omega_mhz, handedness))
 
-    def model(seg: PulseSegment, offset_mhz: float) -> LindbladModel:
+    def model(seg: PulseSegment) -> LindbladModel:
         drive, _ = calibrated(seg.omega_mhz)
         drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + seg.delta_mhz * 1e-3)
-        return models.build_faraday_four_level(physics, drive, handedness,
-                                               splitting_offset_mhz=offset_mhz)
+        return models.build_faraday_four_level(physics, drive, handedness)
 
     # the flipped spin counts the trion weight that relaxes back to |down>
     flip = models.faraday_flip_projector(physics).diagonal().real
@@ -528,14 +526,14 @@ def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
     """Apply each item's segment to its (nodes, d, d) states.
 
     Rotations are one batched product, guarded as one stack.  A drive or wait
-    on a model without drives is one (nodes, d^2, d^2) generator stack
-    L(0) + offset * L_offset through _propagate: the segments that differ
-    from one another only in duration on one shared prefix are stepped over
-    their sorted durations in one call, and all other segments of one
-    duration are one call over shots x nodes.  A drive or wait on a model
-    with drives builds one model per node, which shares one table of
-    propagators: one _propagate call per such segment runs over the union of
-    the items' durations and ends each item's states at its own duration.
+    builds its one model, and propagates the (nodes, d^2, d^2) generator
+    stack L(0) + offset * L_offset with that model's drives through
+    _propagate.  Without drives, the segments that differ from one another
+    only in duration on one shared prefix are stepped over their sorted
+    durations in one call, and all other segments of one duration are one
+    call over shots x nodes.  With drives, one call per segment runs over the
+    union of the items' durations and ends each item's states at its own
+    duration; each node's generator builds one table of propagators.
     A readout yields its target's (nodes,) weighted populations.
     """
     out: list = [None] * len(items)
@@ -558,38 +556,39 @@ def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
         for i, block in zip(rotations, _guard(np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj()))):
             out[i] = block
 
-    # per segment: the static generator stack, or the driven per-node models
-    gens: dict[PulseSegment, np.ndarray | list[LindbladModel]] = {}
+    # per segment: its generator stack over the nodes, and its model's drives
+    gens: dict[PulseSegment, tuple[np.ndarray, tuple[Drive, ...]]] = {}
     shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
     for _, seg in evolving:
         if seg not in gens:
-            base = binding.model(seg, 0.0)
-            gens[seg] = ([binding.model(seg, d) for d in offsets] if base.time_dependent
-                         else liouvillian(base) + shift)
+            model = binding.model(seg)
+            gens[seg] = liouvillian(model) + shift, model.drives
 
     batches: dict[float, list[tuple]] = {}
     driven: dict[PulseSegment, list[int]] = {}
     for (_, seg), idx in evolving.items():
+        stack, drives = gens[seg]
         durations = [items[i][1].duration_ns for i in idx]
-        if isinstance(gens[seg], list):
+        if drives:
             driven.setdefault(seg, []).extend(idx)
         elif len(idx) == 1:
             batches.setdefault(durations[0], []).append((seg, idx[0]))
         else:
             grid = np.array([0.0] + sorted(durations))
-            block = _propagate(gens[seg], items[idx[0]][0], grid, **binding.solver)
+            block = _propagate(stack, items[idx[0]][0], grid, **binding.solver)
             for i, k in zip(idx, np.searchsorted(grid, durations)):
                 out[i] = block[k]
     for duration, batch in batches.items():
-        finals = _propagate(np.concatenate([gens[seg] for seg, _ in batch]),
+        finals = _propagate(np.concatenate([gens[seg][0] for seg, _ in batch]),
                             np.concatenate([items[i][0] for _, i in batch]),
                             np.array([0.0, duration]), **binding.solver)[-1]
         for k, (_, i) in enumerate(batch):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     for seg, idx in driven.items():
+        stack, drives = gens[seg]
         grid, ends = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
-        finals = _propagate(gens[seg] * len(idx), np.concatenate([items[i][0] for i in idx]), grid,
-                            ends=np.repeat(ends[1:], offsets.size), **binding.solver)
+        finals = _propagate(np.tile(stack, (len(idx), 1, 1)), np.concatenate([items[i][0] for i in idx]),
+                            grid, drives, ends=np.repeat(ends[1:], offsets.size), **binding.solver)
         for k, i in enumerate(idx):
             out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
     return out

@@ -11,7 +11,8 @@ Each product has one tolerance per CSV column.  Axis columns must match as
 text.  Signals carry the population error of the path that produced them:
 1e-9 absolute on populations and contrasts of the exact (matrix-exponential)
 path, and the solver-derived bounds of ``benchmarks/workloads.py`` on the
-one RK45 product, fig5cd's modulated echo.  Derived signals carry that error
+one driven product, fig5cd's modulated echo, whose modulated waits go
+through DOP853 one-period propagator tables.  Derived signals carry that error
 through the formula that forms them (see each entry).  Comment lines must
 match as text, except fig5cd's ``# meta peaks=`` line, whose peak
 frequencies are refined from the FFT amplitudes that the golden already
@@ -34,9 +35,10 @@ from fss.scenario import load_scenario
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 POP = 1e-9  # exact-path populations and contrasts
-# RK45 populations are good to 1e-6 (rtol 2e-9 / atol 1e-11 stays well
-# inside); (n0 - n1) / (n0 + n1) carries two such errors, doubled for margin
-RK45_CONTRAST = 4e-6
+# populations of the driven path (DOP853 one-period propagator tables at
+# rtol 2e-9 / atol 1e-11) are good to 1e-6 with a wide margin;
+# (n0 - n1) / (n0 + n1) carries two such errors, doubled for margin
+DRIVEN_CONTRAST = 4e-6
 # peak positions of the two-axis summaries: the parabola vertex through three
 # samples moves by at most 1.6e-9 GHz (fig2ef) when each sample moves by 1e-9
 PEAK = 1e-8
@@ -75,10 +77,10 @@ TOLERANCES = {
     "fig4abc_chevron.csv": (None, None, EXACT),
     "fig4abc_chevron_summary.csv": (None, absolute(PEAK), EXACT),
     "fig4b_fringe.csv": (None, EXACT),
-    "fig5cd_echo.csv": (None, absolute(RK45_CONTRAST)),
+    "fig5cd_echo.csv": (None, absolute(DRIVEN_CONTRAST)),
     # Hann-weighted |FFT| of the 161-point echo: at most the sum of 161
     # contrast errors
-    "fig5cd_echo_fft.csv": (None, absolute(161 * RK45_CONTRAST)),
+    "fig5cd_echo_fft.csv": (None, absolute(161 * DRIVEN_CONTRAST)),
     "fig6_c_ingaas.csv": (None, EXACT),
     "fig6_f_gaas.csv": (None, EXACT),
     # closed-form Stokes S3, no integrator

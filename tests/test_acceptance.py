@@ -11,7 +11,7 @@ import pytest
 import fss
 from fss.cli import main as cli_main
 from fss.core import CollapseChannel, DensityMatrix, LindbladModel, evolve
-from fss.ensemble import ensemble_average, gaussian_sigma
+from fss.ensemble import gaussian_sigma, quadrature_nodes, weighted_average
 from fss.fitting import MODEL_LIBRARY, FitModel, fit, larmor_frequencies, linewidth_from_t2star, t2star_from_linewidth
 from fss.models import CptParams, FaradayParams, cpt_spectrum, cyclicity, g_factor
 from fss.raman import (
@@ -237,7 +237,8 @@ class TestCriterion6PropertySuites:
         t2star = 34.0
         sigma = gaussian_sigma(t2star)
         tau = np.linspace(0.0, 3 * t2star, 25)
-        avg = ensemble_average(lambda d: np.cos(2e-3 * np.pi * d * tau), sigma)
+        offsets, weights = quadrature_nodes(sigma)
+        avg = weighted_average(weights, [np.cos(2e-3 * np.pi * d * tau) for d in offsets])
         err_quad = float(np.max(np.abs(avg - np.exp(-((tau / t2star) ** 2)))))
         assert err_quad <= 1e-6
 

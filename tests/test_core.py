@@ -350,7 +350,7 @@ class TestExactPropagation:
         models = [self._two_level(d) for d in (-40.0, 0.0, 13.0, 75.0)]
         rho0s = [DensityMatrix.pure(2, 1), DensityMatrix.from_populations([0.2, 0.8]),
                  DensityMatrix.maximally_mixed(2), DensityMatrix.pure(2, 0)]
-        batch = _propagate(models, [r.matrix for r in rho0s], t)
+        batch = _propagate(np.stack([liouvillian(m) for m in models]), [r.matrix for r in rho0s], t)
         assert batch.shape == (t.size, len(models), 2, 2)
         for b, (model, rho0) in enumerate(zip(models, rho0s)):
             single = evolve(model, rho0, t)
@@ -362,14 +362,13 @@ class TestExactPropagation:
         rho0 = DensityMatrix.from_populations([0.3, 0.7])
         traj = evolve(self._two_level(10.0), rho0, [4.0])
         assert traj.states == (rho0,)
-        batch = _propagate([self._two_level(10.0)], [rho0.matrix], [4.0])
+        batch = _propagate(liouvillian(self._two_level(10.0))[None], [rho0.matrix], [4.0])
         assert np.array_equal(batch, rho0.matrix[None, None])
 
     def test_batch_rejects_mixed_dimensions(self):
-        three = LindbladModel(dim=3, h0=np.zeros((3, 3)))
+        gens = np.stack([liouvillian(self._two_level(0.0))] * 2)
         with pytest.raises(UsageError):
-            _propagate([self._two_level(0.0), three],
-                       [DensityMatrix.pure(2, 1).matrix, DensityMatrix.pure(3, 0).matrix], [0.0, 1.0])
+            _propagate(gens, [DensityMatrix.pure(2, 1).matrix, DensityMatrix.pure(3, 0).matrix], [0.0, 1.0])
 
     def test_static_pumping_against_direct_expm(self):
         # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points
@@ -406,7 +405,8 @@ class TestExactPropagation:
         monkeypatch.setattr(fss.core, "solve_ivp", counting)
         static = self._two_level(5.0)
         evolve(static, DensityMatrix.pure(2, 1), np.linspace(0, 10, 11))
-        _propagate([static, static], [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 11))
+        _propagate(np.stack([liouvillian(static)] * 2), [DensityMatrix.pure(2, 1).matrix] * 2,
+                   np.linspace(0, 10, 11))
         assert calls == []
         driven = LindbladModel(dim=2, h0=np.zeros((2, 2)),
                                drives=(Drive(lambda t: 0.3, SX / 2),))

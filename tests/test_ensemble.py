@@ -4,7 +4,6 @@ import pytest
 from fss.ensemble import (
     EnsembleSpec,
     combined_sigma,
-    ensemble_average,
     fwhm_from_t2star,
     gaussian_sigma,
     laser_sigma,
@@ -12,6 +11,12 @@ from fss.ensemble import (
     weighted_average,
 )
 from fss.errors import UsageError
+
+
+def _average(trace, sigma_mhz: float, nodes: int = 21) -> np.ndarray:
+    """Quadrature average of ``trace(offset)`` over a Gaussian detuning ensemble."""
+    offsets, weights = quadrature_nodes(sigma_mhz, nodes)
+    return weighted_average(weights, [trace(d) for d in offsets])
 
 
 class TestGaussianSigma:
@@ -28,7 +33,7 @@ class TestGaussianSigma:
         t2star = 34.0
         sigma = gaussian_sigma(t2star)
         for tau in np.linspace(0.0, 3 * t2star, 16):
-            avg = ensemble_average(lambda d: np.cos(2e-3 * np.pi * d * tau), sigma)
+            avg = _average(lambda d: np.cos(2e-3 * np.pi * d * tau), sigma)
             assert avg == pytest.approx(np.exp(-((tau / t2star) ** 2)), abs=1e-6)
 
 
@@ -61,19 +66,6 @@ def gaussian_sigma_inverse(sigma_mhz: float) -> float:
 
 
 class TestEnsembleAverage:
-    def test_constant_function(self):
-        assert ensemble_average(lambda d: np.array([2.5, 1.0]), 4.0) == pytest.approx([2.5, 1.0])
-
-    def test_zero_sigma_short_circuit(self):
-        calls = []
-
-        def sim(d):
-            calls.append(d)
-            return d
-
-        assert ensemble_average(sim, 0.0) == 0.0
-        assert calls == [0.0]
-
     def test_node_convergence(self):
         # 21 vs 41 nodes agree to < 1e-6 of the trace scale out to tau = 3 T2*
         t2star = 34.0
@@ -83,8 +75,8 @@ class TestEnsembleAverage:
         def sim(d):
             return np.cos(2e-3 * np.pi * d * tau)
 
-        a = ensemble_average(sim, sigma, nodes=21)
-        b = ensemble_average(sim, sigma, nodes=41)
+        a = _average(sim, sigma, nodes=21)
+        b = _average(sim, sigma, nodes=41)
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_compensated_sum_reproducible(self):

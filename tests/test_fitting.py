@@ -136,16 +136,6 @@ class TestFitEngine:
         assert len(r.unidentifiable) >= 1
         assert all(math.isinf(r.error(n)) for n in r.unidentifiable)
 
-    def test_simplex_agrees_with_lm(self):
-        model = MODEL_LIBRARY["exp_decay"]
-        x, true = MODEL_CASES["exp_decay"]
-        y = model(x, *_params_vec(model, true))
-        p0 = {k: v * 1.1 for k, v in true.items()}
-        r1 = fit(model, x, y, p0)
-        r2 = fit(model, x, y, p0, method="simplex", max_nfev=4000)
-        for k in true:
-            assert r2[k] == pytest.approx(r1[k], rel=1e-4)
-
     @pytest.mark.parametrize("bounded", [False, True], ids=["lm", "trf"])
     def test_n_eval_counts_every_model_call(self, bounded):
         base = MODEL_LIBRARY["exp_decay"]
@@ -156,15 +146,6 @@ class TestFitEngine:
         # after the optimisation, the error bars take one residual and one
         # forward difference per free parameter
         assert r.n_eval == len(calls) - 1 - len(r.param_names)
-
-    def test_max_nfev_caps_simplex_evaluations(self):
-        base = MODEL_LIBRARY["exp_decay"]
-        x, true = MODEL_CASES["exp_decay"]
-        model, calls = _counting(base)
-        r = fit(model, x, base(x, *_params_vec(base, true)), {k: v * 1.1 for k, v in true.items()},
-                method="simplex", max_nfev=25)
-        assert not r.converged
-        assert r.n_eval == len(calls) - 1 - len(r.param_names) == 25
 
     def test_multi_peak_lorentzian(self):
         model = lorentzian_multi(2)

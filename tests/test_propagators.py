@@ -1,8 +1,9 @@
 """Property tests of the propagation path: the propagator tables that every
-model with drives goes through (one-period folding against a full-span state
-integration, spans shorter than a period, aperiodic drives, batching, and
-the physical invariants of the produced states), and the exact propagators
-of static generators (composition, generator stacks against models)."""
+generator with drives goes through (one-period folding against a full-span
+state integration, spans shorter than a period, aperiodic drives, batching,
+and the physical invariants of the produced states), and the exact
+propagators of static generators (composition, generator stacks against
+``evolve`` of their models)."""
 
 import numpy as np
 import pytest
@@ -132,19 +133,31 @@ def test_aperiodic_drive_integrates_the_full_span(seed, dim, periods):
     assert np.max(np.abs(full - _states(periodic, rho0, t))) <= 2 * FOLD_TOL
 
 
+def _static(seed: int, dim: int) -> LindbladModel:
+    model = _random_model(seed, dim)
+    return LindbladModel(dim=dim, h0=model.h0, channels=model.channels)
+
+
+def _generators(seed: int, dim: int, picks) -> np.ndarray:
+    """A stack of the static generators of ``_random_model(seed + k)`` for
+    each k in ``picks``; a repeated k repeats its generator."""
+    return np.stack([liouvillian(_static(seed + k, dim)) for k in picks])
+
+
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
 @PROPERTY
 def test_batched_propagate_matches_models_one_at_a_time(seed, dim):
     rng = np.random.default_rng(seed)
-    driven = [_random_model(seed + k, dim) for k in range(2)]
-    static = LindbladModel(dim=dim, h0=driven[0].h0, channels=driven[0].channels)
-    # the first driven model serves two initial states through one table
-    models = [driven[0], static, driven[1], driven[0]]
-    rhos = [_random_state(rng, dim) for _ in models]
-    t = _grid(rng, 0.5, 3.0 * driven[0].period_ns, 6)
-    batch = _propagate(models, rhos, t)
-    for b, (model, rho) in enumerate(zip(models, rhos)):
-        assert np.max(np.abs(batch[:, b] - _propagate([model], [rho], t)[:, 0])) <= 1e-13
+    driven = _random_model(seed, dim)
+    # distinct generators under one drive set; the first serves two initial
+    # states through one table
+    gens = _generators(seed, dim, [0, 1, 2, 0])
+    rhos = [_random_state(rng, dim) for _ in gens]
+    t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
+    for drives in (driven.drives, ()):
+        batch = _propagate(gens, rhos, t, drives)
+        for b, rho in enumerate(rhos):
+            assert np.max(np.abs(batch[:, b] - _propagate(gens[b:b + 1], [rho], t, drives)[:, 0])) <= 1e-13
 
 
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
@@ -152,16 +165,16 @@ def test_batched_propagate_matches_models_one_at_a_time(seed, dim):
 def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
     rng = np.random.default_rng(seed)
     driven = _random_model(seed, dim)
-    static = LindbladModel(dim=dim, h0=driven.h0, channels=driven.channels)
-    models = [driven, static, driven, static, driven]
-    rhos = [_random_state(rng, dim) for _ in models]
+    gens = _generators(seed, dim, [0, 1, 0, 1, 0])
+    rhos = [_random_state(rng, dim) for _ in gens]
     t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
-    ends = rng.integers(0, t.size, len(models))
+    ends = rng.integers(0, t.size, len(gens))
     ends[0] = 0  # an initial state comes back unchanged
-    picked = _propagate(models, rhos, t, ends=ends)
-    full = _propagate(models, rhos, t)
-    assert np.array_equal(picked[0], rhos[0])
-    assert np.max(np.abs(picked - full[ends, np.arange(len(models))])) <= 1e-13
+    for drives in (driven.drives, ()):
+        picked = _propagate(gens, rhos, t, drives, ends=ends)
+        full = _propagate(gens, rhos, t, drives)
+        assert np.array_equal(picked[0], rhos[0])
+        assert np.max(np.abs(picked - full[ends, np.arange(len(gens))])) <= 1e-13
 
 
 @pytest.mark.parametrize("ends", [[0], [0, 3], [0, -1]])
@@ -169,7 +182,7 @@ def test_end_indices_must_name_one_grid_point_per_state(ends):
     model = _random_model(5, 2)
     rhos = [_random_state(np.random.default_rng(5), 2)] * 2
     with pytest.raises(UsageError):
-        _propagate([model] * 2, rhos, [0.0, 1.0, 2.0], ends=ends)
+        _propagate(np.stack([liouvillian(model)] * 2), rhos, [0.0, 1.0, 2.0], model.drives, ends=ends)
 
 
 @pytest.mark.parametrize("stretch", [1.01, 1.0 + 1e-9])
@@ -199,7 +212,7 @@ def test_unguarded_states_keep_trace_and_positivity(seed, dim, periods):
     model = _random_model(seed, dim)
     rho0 = _random_state(rng, dim)
     t = _grid(rng, 0.0, periods * model.period_ns, 8)
-    table = _propagators(model, t)
+    table = _propagators(liouvillian(model), model.drives, t)
     assert np.array_equal(table[0], np.eye(dim * dim))
     states = (table @ rho0.reshape(-1)).reshape(-1, dim, dim)
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-9
@@ -225,6 +238,7 @@ def test_one_point_grid_of_a_driven_model_makes_no_solver_call(monkeypatch):
 
 
 def test_one_table_per_model_covers_every_period(monkeypatch):
+    # three copies of one generator share one table, integrated over one period
     calls = []
     real = fss.core.solve_ivp
 
@@ -236,7 +250,7 @@ def test_one_table_per_model_covers_every_period(monkeypatch):
     model = _random_model(3, 2)
     t = np.linspace(1.0, 1.0 + 12.5 * model.period_ns, 40)
     rhos = [_random_state(np.random.default_rng(k), 2) for k in range(3)]
-    _propagate([model] * 3, rhos, t)
+    _propagate(np.stack([liouvillian(model)] * 3), rhos, t, model.drives)
     assert calls == [pytest.approx((1.0, 1.0 + model.period_ns), abs=1e-12)]
 
 
@@ -259,21 +273,16 @@ def test_model_period_is_the_common_period_of_its_drives():
     assert model(None).period_ns is None
 
 
-def _static(seed: int, dim: int) -> LindbladModel:
-    model = _random_model(seed, dim)
-    return LindbladModel(dim=dim, h0=model.h0, channels=model.channels)
-
-
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 4), t1=st.floats(0.01, 3.0),
        t2=st.floats(0.01, 3.0))
 @PROPERTY
 def test_static_propagators_compose(seed, dim, t1, t2):
     # P(t1 + t2) = P(t2) P(t1): one step over t1 + t2 against two steps
-    model = _static(seed, dim)
+    gen = _generators(seed, dim, [0])
     rho0 = _random_state(np.random.default_rng(seed), dim)
-    direct = _propagate([model], [rho0], [0.0, t1 + t2])[-1, 0]
-    half = _propagate([model], [rho0], [0.0, t1])[-1, 0]
-    assert np.max(np.abs(_propagate([model], [half], [0.0, t2])[-1, 0] - direct)) <= 1e-12
+    direct = _propagate(gen, [rho0], [0.0, t1 + t2])[-1, 0]
+    half = _propagate(gen, [rho0], [0.0, t1])[-1, 0]
+    assert np.max(np.abs(_propagate(gen, [half], [0.0, t2])[-1, 0] - direct)) <= 1e-12
 
 
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
@@ -283,10 +292,9 @@ def test_generator_stack_matches_its_models(seed, dim):
     models = [_static(seed + k, dim) for k in range(3)]
     rhos = [_random_state(rng, dim) for _ in models]
     t = _grid(rng, 0.0, 4.0, 5)
-    stack = np.stack([liouvillian(m) for m in models])
-    assert np.array_equal(_propagate(stack, rhos, t), _propagate(models, rhos, t))
-    ends = rng.integers(0, t.size, len(models))
-    assert np.array_equal(_propagate(stack, rhos, t, ends=ends), _propagate(models, rhos, t, ends=ends))
+    batch = _propagate(np.stack([liouvillian(m) for m in models]), rhos, t)
+    for b, (model, rho) in enumerate(zip(models, rhos)):
+        assert np.max(np.abs(batch[:, b] - _states(model, rho, t))) <= 1e-13
 
 
 def test_generator_stack_shape_is_checked():

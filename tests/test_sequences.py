@@ -471,7 +471,9 @@ class TestShotExecutor:
         offsets, weights = quadrature_nodes(gaussian_sigma(20.0), 9)
         traces = []
         for off in offsets:
-            model = models.build_faraday_four_level(SMALL_FOUR_LEVEL, drive, handedness, splitting_offset_mhz=off)
+            # a node offset shifts the electron splitting
+            shifted = replace(SMALL_FOUR_LEVEL, omega_e_ghz=SMALL_FOUR_LEVEL.omega_e_ghz + off * 1e-3)
+            model = models.build_faraday_four_level(shifted, drive, handedness)
             traj = evolve(model, DensityMatrix.pure(4, 1), np.concatenate([[0.0], tau]),
                           rtol=1e-9, atol=1e-12)
             traces.append([expectation(st, flip) for st in traj.states[1:]])
@@ -496,9 +498,10 @@ class TestShotExecutor:
         assert np.all(res.signal >= 0)
 
 
-# A static segment's generators over the ensemble are L(0) + offset * L_offset,
-# with L_offset from the binding's offset term; each must be the generator of
-# the model that the binding builds at that offset.
+# A segment's generators over the ensemble are L(0) + offset * L_offset, with
+# L_offset from the binding's offset term; each must be the generator of the
+# model at that offset: the two-level segment's detuning, or the four-level
+# electron splitting, shifted by the offset.
 OFFSETS = settings(max_examples=10, deadline=None, derandomize=True)
 SEGMENTS = [
     PulseSegment("drive", 37.0, -12.0, 0.7, 5.0),
@@ -509,7 +512,7 @@ SEGMENTS = [
 
 def _offset_generators(binding, seg, offsets_mhz):
     shift = _commutator_superop(binding.offset)
-    base = liouvillian(binding.model(seg, 0.0))
+    base = liouvillian(binding.model(seg))
     return [base + mhz_to_angular(d) * shift for d in offsets_mhz]
 
 
@@ -519,26 +522,54 @@ def test_two_level_offset_term_matches_the_models(offsets):
     binding = sequences._bind(TwoLevelPhysics(gamma1_mhz=1.5, gamma2_mhz=4.0))
     for seg in SEGMENTS:
         for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
-            assert np.max(np.abs(gen - liouvillian(binding.model(seg, d)))) <= 1e-12
+            model = binding.model(replace(seg, delta_mhz=seg.delta_mhz + d))
+            assert np.max(np.abs(gen - liouvillian(model))) <= 1e-12
 
 
 def test_four_level_offset_term_matches_the_models(quick_calibration):
     binding = sequences._bind(SMALL_FOUR_LEVEL)
     offsets = [-250.0, -3.3, 0.0, 41.0, 180.0]
     for seg in (PulseSegment("drive", 60.0, 0.0, 0.0, 5.0), PulseSegment("drive", 60.0, 7.5, 0.4, 5.0)):
+        drive, _ = binding.calibrated(seg.omega_mhz)
+        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + seg.delta_mhz * 1e-3)
         for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
-            assert np.max(np.abs(gen - liouvillian(binding.model(seg, d)))) <= 1e-12
+            shifted = replace(SMALL_FOUR_LEVEL, omega_e_ghz=SMALL_FOUR_LEVEL.omega_e_ghz + d * 1e-3)
+            model = models.build_faraday_four_level(shifted, drive)
+            assert np.max(np.abs(gen - liouvillian(model))) <= 1e-12
 
 
-def test_static_segment_builds_one_model_for_all_nodes(monkeypatch):
+def _counting(monkeypatch, module, name) -> list:
     calls = []
-    real = sequences.build_two_level
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sequences, "build_two_level", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_static_segment_builds_one_model_for_all_nodes(monkeypatch):
+    calls = _counting(monkeypatch, sequences, "build_two_level")
     simulate_protocol(rabi_protocol(60.0, 0.0, np.linspace(0.0, 20.0, 11)), TwoLevelPhysics(0.5, 1.0),
                       EnsembleSpec(t2star_ns=20.0, nodes=9))
     assert len(calls) == 1
+
+
+def test_driven_wait_builds_one_model_for_all_nodes(monkeypatch):
+    calls = _counting(monkeypatch, sequences, "build_two_level")
+    prot = hahn_echo_protocol(125.0, [40.0, 80.0, 120.0], modulation_amp_mhz=4.0, modulation_freq_mhz=20.0)
+    simulate_protocol(prot, TwoLevelPhysics(0.5, 1.0), EnsembleSpec(t2star_ns=20.0, nodes=9), **IDEAL)
+    # the refocused echo has two distinct waits: a static one before the pi
+    # pulse and a modulated one, driven by the modulation, after it
+    assert len(calls) == 2
+
+
+def test_driven_drive_builds_one_four_level_model_for_all_nodes(monkeypatch, quick_calibration):
+    calls = _counting(monkeypatch, models, "build_faraday_four_level")
+    simulate_protocol(rabi_protocol(60.0, 0.0, [2.0, 4.0, 6.0]), SMALL_FOUR_LEVEL,
+                      EnsembleSpec(t2star_ns=20.0, nodes=9))
+    # one drive segment, built once for its 9 nodes and 3 durations
+    assert len(calls) == 1
+    assert sequences._bind(SMALL_FOUR_LEVEL).model(PulseSegment("drive", 60.0)).time_dependent
