@@ -14,11 +14,12 @@ one stack L(0) + x C(V), C(V) the commutator superoperator of V.
 
 There is one propagation function, ``_propagate``, and one input form: a
 (B, d^2, d^2) stack of generators plus the drives that all of its members
-share.  It advances a (B, d, d) stack of initial states and returns the
-states on a shared grid as one (T, B, d, d) array, or each state only at its
-own end time on that grid; ``evolve`` (a one-member stack) and the
-pulse-sequence executor of :mod:`fss.sequences` go through it.  Without
-drives the generator L is constant, and the evolution is exact: one
+share.  It advances a (B, d, d) stack of initial states over a shared grid
+and returns the states at (grid index, member) pairs, by default all of
+them as one (T, B, d, d) array; ``evolve`` (a one-member stack), the
+pulse-sequence executor of :mod:`fss.sequences`, spin pumping and the drive
+calibration of :mod:`fss.models` go through it.  Without drives the
+generator L is constant, and the evolution is exact: one
 ``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy & Higham 2009)
 per distinct step of the grid, applied step by step and batched over the
 stack.
@@ -380,21 +381,26 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_step: float | None = None,
-               rtol: float = _RTOL, atol: float = _ATOL, ends=None) -> np.ndarray:
-    """States of a (B, d^2, d^2) stack of generators on one shared grid, as a
-    (T, B, d, d) array whose first row is the B initial states ``rhos``.
+               rtol: float = _RTOL, atol: float = _ATOL, at=None) -> np.ndarray:
+    """States of a (B, d^2, d^2) stack of generators on one shared grid.
     ``gens`` holds static vectorized Liouvillians (as :func:`liouvillian`
     builds them) and ``drives`` the drives that all of them share: member b
-    evolves under gens[b] plus the drives' commutator terms.  Given ``ends``,
-    one grid index per initial state, it returns instead the (B, d, d)
-    states each at its own end time t[ends[b]].
+    evolves under gens[b] plus the drives' commutator terms from the initial
+    state rhos[b] at times[0].
+
+    ``at = (rows, members)`` picks the returned states: grid index rows[...]
+    of stack member members[...], the two index arrays broadcasting
+    together.  The result has their broadcast shape plus (d, d); the default
+    is the whole grid, (arange(T)[:, None], arange(B)[None, :]), a
+    (T, B, d, d) array whose first row is ``rhos``.
 
     The initial states are taken as already guarded; every other returned
     state passes :func:`_guard` once.  Without drives the propagation is
-    exact: one expm(L dt) is built per distinct grid step, and each step
-    advances the whole stack with einsum, which keeps these tiny products off
-    threaded BLAS.  With drives, each distinct generator of the stack builds
-    one table of :func:`_propagators`, applied to all of its initial states.
+    exact: one expm(L dt) is built per distinct grid step up to the last row
+    asked for, and each step advances the whole stack with einsum, which
+    keeps these tiny products off threaded BLAS.  With drives, each distinct
+    generator of the stack builds one table of :func:`_propagators`, applied
+    to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -412,33 +418,34 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
         raise UsageError("need one initial state per generator")
     if any(np.shape(r) != (dim, dim) for r in rhos) or any(dr.operator.shape != (dim, dim) for dr in drives):
         raise UsageError("initial state or drive dimension does not match the generators")
-    if ends is not None:
-        ends = np.asarray(ends, dtype=int)
-        if ends.shape != (n,) or np.any((ends < 0) | (ends >= t.size)):
-            raise UsageError("need one end index on the grid per initial state")
+    rows, cols = (np.arange(t.size)[:, None], np.arange(n)[None, :]) if at is None else at
+    try:
+        rows, cols = np.broadcast_arrays(np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+    except ValueError:
+        raise UsageError("the grid and member indices of at do not broadcast together") from None
+    if np.any((rows < 0) | (rows >= t.size)) or np.any((cols < 0) | (cols >= n)):
+        raise UsageError("at must name points on the grid and members of the stack")
     init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
-    # grid index of every returned state: (T, 1) for the whole grid, (1, B) for ends
-    rows = np.arange(t.size)[:, None] if ends is None else ends[None, :]
 
     if drives:
         distinct, which = np.unique(gens, axis=0, return_inverse=True)
         tables = np.stack([_propagators(g, drives, t, max_step, rtol, atol) for g in distinct])
-        vecs = np.einsum("...ij,...j->...i", tables[which, rows], init)
+        vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], init[cols])
     else:
-        steps, which = np.unique(np.diff(t), return_inverse=True)
+        steps, which = np.unique(np.diff(t[:rows.max(initial=0) + 1]), return_inverse=True)
         props = [expm(gens * dt) for dt in steps]
-        path = np.empty((t.size, n, dim * dim), dtype=complex)
+        path = np.empty((which.size + 1, n, dim * dim), dtype=complex)
         path[0] = init
         for k, j in enumerate(which, start=1):
             path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
-        vecs = path[rows, np.arange(n)]
+        vecs = path[rows, cols]
 
-    out = vecs.reshape(rows.shape[0], n, dim, dim)
-    new = np.broadcast_to(rows > 0, out.shape[:2])
-    out[~new] = np.broadcast_to(init.reshape(n, dim, dim), out.shape)[~new]
+    out = vecs.reshape(rows.shape + (dim, dim))
+    new = rows > 0
+    out[~new] = init[cols[~new]].reshape(-1, dim, dim)
     if new.any():
-        out[new] = _guard(out[new], np.broadcast_to(t[rows], new.shape)[new])
-    return out if ends is None else out[0]
+        out[new] = _guard(out[new], t[rows[new]])
+    return out
 
 
 def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray, max_step: float | None = None,

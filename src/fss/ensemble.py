@@ -54,11 +54,6 @@ def gaussian_sigma(t2star_ns: float) -> float:
     return math.sqrt(2.0) / (2.0 * math.pi * t2star_ns) * 1e3
 
 
-def fwhm_from_t2star(t2star_ns: float) -> float:
-    """Gaussian ESR full width at half maximum (MHz) for a given T2*."""
-    return FWHM_PER_SIGMA * gaussian_sigma(t2star_ns)
-
-
 def laser_sigma(spec: EnsembleSpec) -> float:
     return abs(spec.stark_ratio) * spec.omega_mhz * spec.di_over_i
 

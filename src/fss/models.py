@@ -29,8 +29,8 @@ from .core import (
     LindbladModel,
     Trajectory,
     _commutator_superop,
+    _propagate,
     _steady_states,
-    evolve,
     liouvillian,
 )
 from .errors import DomainError, UsageError
@@ -365,23 +365,13 @@ def calibrate_faraday_drive(
     fitted kappa * w_env^2 law while the amplitude converges.  Returns
     (drive, resonant Delta_RF in GHz); the drive already carries that Delta_RF.
     """
-    target = mhz_to_angular(omega_target_mhz)
-    we = ghz_to_angular(p.omega_e_ghz)
-    dd = ghz_to_angular(p.delta_ghz)
-    sqrt_c = math.sqrt(p.cyclicity)
-    # equal tones: target = w_env^2 / sqrt(C) * mean inverse Raman detuning
-    if handedness == "sigma-":
-        eff = 0.5 * (1.0 / dd + 1.0 / (dd + we))
-    elif handedness == "sigma+":
-        wh = ghz_to_angular(p.omega_h_ghz)
-        eff = 0.5 * (1.0 / (dd + wh) + 1.0 / (dd + wh + we))
-    else:
-        raise UsageError("calibration supports a single handedness")
-    w_env = math.sqrt(target * sqrt_c / eff)
 
     def make(w_env_rad: float, rf_ghz: float) -> TwoToneDrive:
         w_mhz = angular_to_mhz(w_env_rad)
         return TwoToneDrive(omega1_mhz=w_mhz, omega2_mhz=w_mhz, delta_rf_ghz=rf_ghz)
+
+    # equal tones: the two-photon Rabi frequency scales with w_env^2
+    w_env = math.sqrt(omega_target_mhz / faraday_two_photon_rabi_mhz(p, make(1.0, 0.0), handedness))
 
     def stark_ghz(w_env_rad: float) -> float:
         return faraday_stark_shift_ghz(p, make(w_env_rad, 0.0), handedness)
@@ -391,7 +381,7 @@ def calibrate_faraday_drive(
         return make(w_env, rf), rf
 
     coherent = replace(p, gamma1_mhz=0.0, bigGamma1_mhz=0.0, bigGamma2_mhz=0.0)
-    rho0 = DensityMatrix.pure(4, 1)
+    rho0 = DensityMatrix.pure(4, 1).matrix
     t_pi = 1e3 / (2 * omega_target_mhz)
     flip = faraday_flip_projector(p).diagonal().real
 
@@ -401,11 +391,11 @@ def calibrate_faraday_drive(
         model = build_faraday_four_level(coherent, drv, handedness)
         beat = 2 * math.pi / abs(ghz_to_angular(drv.delta_rf_ghz))
         offsets = (np.arange(8) / 8.0 - 0.5) * beat
-        samples = [np.clip(t + offsets, 0.0, None) for t in np.atleast_1d(t_grid)]
-        tt = np.unique(np.concatenate([[0.0]] + samples))
-        traj = evolve(model, rho0, tt, rtol=1e-9, atol=1e-12)
-        sig = np.array([s.matrix.diagonal().real for s in traj.states]) @ flip
-        return np.array([np.mean(sig[np.searchsorted(tt, s)]) for s in samples])
+        samples = np.clip(np.atleast_1d(t_grid)[:, None] + offsets, 0.0, None)
+        tt, rows = np.unique(np.append(0.0, samples), return_inverse=True)
+        states = _propagate(liouvillian(model)[None], [rho0], tt, model.drives, rtol=1e-9, atol=1e-12,
+                            at=(rows[1:].reshape(samples.shape), 0))
+        return np.mean(states.diagonal(axis1=-2, axis2=-1).real @ flip, axis=1)
 
     # one numeric resonance location fixes kappa in rf = omega_e + kappa w^2
     span = 0.5 * omega_target_mhz * 1e-3

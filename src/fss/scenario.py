@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fitting, models, sequences
-from .ensemble import EnsembleSpec
+from .ensemble import DEFAULT_NODES, EnsembleSpec
 from .errors import ConfigError, UsageError
 from .models import CptParams, FaradayParams
 from .sequences import (
@@ -432,7 +432,7 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec | None:
         stark_ratio=e.get("stark_ratio", 0.0),
         omega_mhz=e.get("omega", 0.0),
         di_over_i=e.get("di_over_i", 0.0),
-        nodes=e.get("nodes", 21),
+        nodes=e.get("nodes", DEFAULT_NODES),
     )
 
 

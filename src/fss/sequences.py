@@ -27,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate, evolve, liouvillian
+from .core import DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate, liouvillian
 from .ensemble import (
+    DEFAULT_NODES,
     EnsembleSpec,
     combined_sigma,
     gaussian_sigma,
@@ -426,8 +427,8 @@ def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[f
     if ensemble is not None:
         return combined_sigma(ensemble), ensemble.nodes
     if protocol.cooling is not None:
-        return gaussian_sigma(protocol.cooling.resulting_t2star_ns), 21
-    return 0.0, 21
+        return gaussian_sigma(protocol.cooling.resulting_t2star_ns), DEFAULT_NODES
+    return 0.0, DEFAULT_NODES
 
 
 def _segment_model(seg: PulseSegment, phys: TwoLevelPhysics) -> LindbladModel:
@@ -526,14 +527,13 @@ def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
     """Apply each item's segment to its (nodes, d, d) states.
 
     Rotations are one batched product, guarded as one stack.  A drive or wait
-    builds its one model, and propagates the (nodes, d^2, d^2) generator
-    stack L(0) + offset * L_offset with that model's drives through
-    _propagate.  Without drives, the segments that differ from one another
-    only in duration on one shared prefix are stepped over their sorted
-    durations in one call, and all other segments of one duration are one
-    call over shots x nodes.  With drives, one call per segment runs over the
-    union of the items' durations and ends each item's states at its own
-    duration; each node's generator builds one table of propagators.
+    builds its one model, whose (nodes, d^2, d^2) generator stack is
+    L(0) + offset * L_offset.  The items that evolve from the same states
+    under segments that differ only in duration form a group, one block of
+    nodes in a stack of generators and initial states.  All static groups are
+    one _propagate call over the union of their durations, and all groups of
+    one driven segment are one call with that segment's drives; each item
+    reads its own duration's grid row on its group's block.
     A readout yields its target's (nodes,) weighted populations.
     """
     out: list = [None] * len(items)
@@ -559,38 +559,23 @@ def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
     # per segment: its generator stack over the nodes, and its model's drives
     gens: dict[PulseSegment, tuple[np.ndarray, tuple[Drive, ...]]] = {}
     shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
-    for _, seg in evolving:
+    calls: dict = {}  # None: every static group; a driven segment: its groups
+    for (_, seg), idx in evolving.items():
         if seg not in gens:
             model = binding.model(seg)
             gens[seg] = liouvillian(model) + shift, model.drives
+        calls.setdefault(seg if gens[seg][1] else None, []).append((seg, idx))
 
-    batches: dict[float, list[tuple]] = {}
-    driven: dict[PulseSegment, list[int]] = {}
-    for (_, seg), idx in evolving.items():
-        stack, drives = gens[seg]
-        durations = [items[i][1].duration_ns for i in idx]
-        if drives:
-            driven.setdefault(seg, []).extend(idx)
-        elif len(idx) == 1:
-            batches.setdefault(durations[0], []).append((seg, idx[0]))
-        else:
-            grid = np.array([0.0] + sorted(durations))
-            block = _propagate(stack, items[idx[0]][0], grid, **binding.solver)
-            for i, k in zip(idx, np.searchsorted(grid, durations)):
-                out[i] = block[k]
-    for duration, batch in batches.items():
-        finals = _propagate(np.concatenate([gens[seg][0] for seg, _ in batch]),
-                            np.concatenate([items[i][0] for _, i in batch]),
-                            np.array([0.0, duration]), **binding.solver)[-1]
-        for k, (_, i) in enumerate(batch):
-            out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
-    for seg, idx in driven.items():
-        stack, drives = gens[seg]
-        grid, ends = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
-        finals = _propagate(np.tile(stack, (len(idx), 1, 1)), np.concatenate([items[i][0] for i in idx]),
-                            grid, drives, ends=np.repeat(ends[1:], offsets.size), **binding.solver)
-        for k, i in enumerate(idx):
-            out[i] = finals[k * offsets.size:(k + 1) * offsets.size]
+    for groups in calls.values():
+        idx = [i for _, group in groups for i in group]
+        grid, rows = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
+        block = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
+        states = _propagate(np.concatenate([gens[seg][0] for seg, _ in groups]),
+                            np.concatenate([items[group[0]][0] for _, group in groups]),
+                            grid, gens[groups[0][0]][1], **binding.solver,
+                            at=(rows[1:, None], block[:, None] * offsets.size + np.arange(offsets.size)))
+        for i, s in zip(idx, states):
+            out[i] = s
     return out
 
 
@@ -674,11 +659,13 @@ def _simulate_spin_pumping(protocol, params: FaradayParams, handedness: str) -> 
     tone = models.saturation_tone_mhz(params.gamma1_mhz, s)
     drive = TwoToneDrive(omega1_mhz=tone, omega2_mhz=0.0)
     model = models.build_faraday_four_level(params, drive, handedness)
-    grid = tgrid if tgrid[0] == 0.0 else np.concatenate([[0.0], tgrid])
-    skip = 0 if tgrid[0] == 0.0 else 1
-    traj = evolve(model, DensityMatrix.pure(4, 0), grid)
-    gamma1_ang = mhz_to_angular(params.gamma1_mhz)
-    emission = gamma1_ang * (traj.population(2) + traj.population(3))[skip:]
+    if tgrid.min() < 0:
+        raise UsageError("pumping times must be >= 0")
+    # the pump switches on at t = 0
+    grid, rows = np.unique(np.append(0.0, tgrid), return_inverse=True)
+    states = _propagate(liouvillian(model)[None], [DensityMatrix.pure(4, 0).matrix], grid, model.drives,
+                        at=(rows[1:], 0))
+    emission = mhz_to_angular(params.gamma1_mhz) * (states[:, 2, 2].real + states[:, 3, 3].real)
     return ScanResult(protocol.axes, emission)
 
 
@@ -708,7 +695,7 @@ def two_level_pi_contrast(
     gamma2_mhz: float,
     t2star_ns: float | None = None,
     sigma_mhz: float | None = None,
-    nodes: int = 21,
+    nodes: int = DEFAULT_NODES,
 ) -> models.PiContrast:
     """Pi contrast of the driven two-level model under a static detuning ensemble."""
     if sigma_mhz is None:
@@ -728,7 +715,7 @@ def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
     omegas = protocol.axis("omega_mhz")
     noises = protocol.axis("di_over_i")
     q = protocol.params
-    base_nodes = ensemble.nodes if ensemble is not None else 21
+    base_nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES
     jitter = ensemble.correlated_rabi_jitter if ensemble is not None else False
 
     def point(w: float, di: float) -> float:

@@ -4,13 +4,13 @@ import pytest
 from fss.ensemble import (
     EnsembleSpec,
     combined_sigma,
-    fwhm_from_t2star,
     gaussian_sigma,
     laser_sigma,
     quadrature_nodes,
     weighted_average,
 )
 from fss.errors import UsageError
+from fss.fitting import linewidth_from_t2star
 
 
 def _average(trace, sigma_mhz: float, nodes: int = 21) -> np.ndarray:
@@ -23,7 +23,7 @@ class TestGaussianSigma:
     def test_t2star_74ns(self):
         sigma = gaussian_sigma(74.0)
         assert sigma == pytest.approx(3.04, abs=0.01)
-        assert fwhm_from_t2star(74.0) == pytest.approx(7.2, abs=0.05)
+        assert linewidth_from_t2star(74.0) == pytest.approx(7.2, abs=0.05)
 
     def test_long_t2star_limit(self):
         assert gaussian_sigma(1e12) == pytest.approx(0.0, abs=1e-9)

@@ -168,21 +168,27 @@ def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
     gens = _generators(seed, dim, [0, 1, 0, 1, 0])
     rhos = [_random_state(rng, dim) for _ in gens]
     t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
-    ends = rng.integers(0, t.size, len(gens))
-    ends[0] = 0  # an initial state comes back unchanged
+    # four grid rows for each of three members, one member asked for twice
+    rows = rng.integers(0, t.size, (4, 3))
+    rows[0, 0] = 0  # an initial state comes back unchanged
+    members = rng.integers(0, len(gens), 3)
+    members[2] = members[0]
     for drives in (driven.drives, ()):
-        picked = _propagate(gens, rhos, t, drives, ends=ends)
+        picked = _propagate(gens, rhos, t, drives, at=(rows, members))
         full = _propagate(gens, rhos, t, drives)
-        assert np.array_equal(picked[0], rhos[0])
-        assert np.max(np.abs(picked - full[ends, np.arange(len(gens))])) <= 1e-13
+        assert picked.shape == (4, 3, dim, dim)
+        assert np.array_equal(picked[0, 0], rhos[members[0]])
+        assert np.max(np.abs(picked - full[rows, members])) <= 1e-13
 
 
-@pytest.mark.parametrize("ends", [[0], [0, 3], [0, -1]])
-def test_end_indices_must_name_one_grid_point_per_state(ends):
+@pytest.mark.parametrize("at", [([3], [0, 1]), ([-1], [0, 1]), ([1], [2]), ([[1, 2]], [0, 1, 0])],
+                         ids=["row-off-grid", "negative-row", "member-outside-stack", "no-broadcast"])
+def test_at_must_name_grid_points_and_members_that_broadcast(at):
     model = _random_model(5, 2)
     rhos = [_random_state(np.random.default_rng(5), 2)] * 2
-    with pytest.raises(UsageError):
-        _propagate(np.stack([liouvillian(model)] * 2), rhos, [0.0, 1.0, 2.0], model.drives, ends=ends)
+    for drives in (model.drives, ()):
+        with pytest.raises(UsageError):
+            _propagate(np.stack([liouvillian(model)] * 2), rhos, [0.0, 1.0, 2.0], drives, at=at)
 
 
 @pytest.mark.parametrize("stretch", [1.01, 1.0 + 1e-9])

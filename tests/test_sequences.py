@@ -14,6 +14,7 @@ from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
 from fss.models import FaradayParams
 from fss.sequences import (
     CoolingSpec,
+    Protocol,
     PulseSegment,
     PulseSequence,
     TwoLevelPhysics,
@@ -304,6 +305,17 @@ class TestSpinPumping:
         assert res.signal.shape == (0,)
         assert res.axis("t_ns").shape == (0,)
 
+    def test_a_grid_after_t0_is_the_tail_of_one_from_t0(self):
+        def pumping(t_ns):
+            prot = Protocol(kind="spin_pumping", params={"s": 6.0}, axes=(("t_ns", t_ns),), signal="emission")
+            return simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
+
+        full = pumping([0.0, 5.0, 10.0, 20.0])
+        assert full[0] == 0.0 and np.all(full[1:] > 0)
+        assert np.array_equal(pumping([5.0, 10.0, 20.0]), full[1:])
+        with pytest.raises(UsageError):
+            pumping([-5.0, 10.0])
+
     def test_slower_pumping_at_higher_cyclicity(self):
         gamma1 = rate_mhz_from_lifetime(0.270)
         decays = []
@@ -573,3 +585,12 @@ def test_driven_drive_builds_one_four_level_model_for_all_nodes(monkeypatch, qui
     # one drive segment, built once for its 9 nodes and 3 durations
     assert len(calls) == 1
     assert sequences._bind(SMALL_FOUR_LEVEL).model(PulseSegment("drive", 60.0)).time_dependent
+
+
+@pytest.mark.parametrize("ideal, calls", [(False, 5), (True, 2)])
+def test_echo_makes_one_propagation_call_per_evolving_step(monkeypatch, ideal, calls):
+    counted = _counting(monkeypatch, sequences, "_propagate")
+    simulate_protocol(hahn_echo_protocol(125.0, np.linspace(0.0, 1000.0, 11)), TwoLevelPhysics(0.5, 1.0),
+                      EnsembleSpec(t2star_ns=34.0, nodes=9), ideal_pulses=ideal)
+    # finite pulses: pi/2, wait, pi, wait, pi/2; ideal pulses: the two waits
+    assert len(counted) == calls
