@@ -19,10 +19,10 @@ and returns the states at (grid index, member) pairs, by default all of
 them as one (T, B, d, d) array; ``evolve`` (a one-member stack), the
 pulse-sequence executor of :mod:`fss.sequences`, spin pumping and the drive
 calibration of :mod:`fss.models` go through it.  Without drives the
-generator L is constant, and the evolution is exact: one
-``scipy.linalg.expm(L dt)`` (scaling and squaring, Al-Mohy & Higham 2009)
-per distinct step of the grid, applied step by step and batched over the
-stack.
+generator L is constant, and the evolution is exact: one exponential
+exp(L dt) of the whole stack per distinct step of the grid, ``_expm``
+(Padé-13 scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+2005, with one scaling for the stack), applied step by step.
 
 With drives, each distinct generator of the stack goes through one table of
 propagators, ``_propagators``, which ``_propagate`` applies to every initial
@@ -38,8 +38,10 @@ grid.
 Every state the package produces passes one positivity guard, ``_guard``,
 exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
 [-1e-8, 0) are clamped to zero with the trace renormalized, anything more
-negative is a numerical failure.  Exact states stay within about -1e-14 of
-zero and states of models with drives within about -1e-9.
+negative is a numerical failure.  Only the states it clamps are
+diagonalized; the others need only their lowest eigenvalue.  Exact states
+stay within about -1e-14 of zero and states of models with drives within
+about -1e-9.
 ``DensityMatrix`` is that guard applied to one matrix; propagated states
 are wrapped without a second check.
 
@@ -55,7 +57,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from .units import mhz_to_angular
@@ -110,6 +111,10 @@ def _guard(rhos, times=None) -> np.ndarray:
     NumericalFailure carrying the time of the first state that fails
     (``times`` broadcasts against the stack's leading shape); a non-Hermitian
     state raises UsageError.
+
+    Only the states whose lowest eigenvalue (:func:`_lowest_eigenvalues`)
+    is below zero go through ``eigh``: a clamped state is rebuilt from its
+    eigenvectors and clipped eigenvalues.
     """
     m = np.asarray(rhos, dtype=complex)
 
@@ -124,15 +129,24 @@ def _guard(rhos, times=None) -> np.ndarray:
     m = 0.5 * (m + _dagger(m))
     off = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
     check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
-    evals, evecs = np.linalg.eigh(m)
-    low = evals[..., 0]  # eigh sorts ascending
+    low = _lowest_eigenvalues(m)
     check(low < EIGENVALUE_FLOOR, "density matrix has negative eigenvalue {:.3e}", low)
     neg = low < 0.0
     if np.any(neg):
-        vecs = evecs[neg]
-        clamped = (vecs * np.clip(evals[neg], 0.0, None)[..., None, :]) @ _dagger(vecs)
+        evals, vecs = np.linalg.eigh(m[neg])
+        clamped = (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ _dagger(vecs)
         m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]
     return m
+
+
+def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each matrix of a Hermitian (..., d, d) stack: for
+    d = 2 the closed form (a + c)/2 - hypot((a - c)/2, |b|) of
+    [[a, b], [b*, c]], otherwise ``eigvalsh``."""
+    if m.shape[-1] == 2:
+        a, c = m[..., 0, 0].real, m[..., 1, 1].real
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), np.abs(m[..., 0, 1]))
+    return np.linalg.eigvalsh(m)[..., 0]  # ascending
 
 
 class DensityMatrix:
@@ -380,6 +394,41 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return gen.reshape(d * d, d * d)
 
 
+# Padé-13 coefficients b_k / b_0, k = 0..13, and the 1-norm up to which the
+# approximant is accurate to double precision without scaling (Higham 2005).
+# With b_0 = 1 the approximant of a zero stack is exactly the identity.
+_PADE13 = tuple(b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+    10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1))
+_THETA13 = 5.371920351148152
+
+
+def _expm(gens: np.ndarray, dt: float) -> np.ndarray:
+    """exp(L dt) of every member L of a (B, n, n) stack: one Padé-13 scaling
+    and squaring for the whole stack, scaled by 2^-s so that the largest
+    1-norm of the stack times dt is at most _THETA13, then squared s times.
+    An exponential that overflows raises NumericalFailure."""
+    b = _PADE13
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(gens).sum(axis=-2).max(initial=0.0)) * dt
+        if not math.isfinite(norm):
+            raise NumericalFailure("matrix exponential of the generator stack overflows")
+        s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+        a = gens * (dt * 2.0 ** -s)
+        eye = np.eye(a.shape[-1])
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            r = r @ r
+        if not np.isfinite(r).all():
+            raise NumericalFailure("matrix exponential of the generator stack overflows")
+    return r
+
+
 def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_step: float | None = None,
                rtol: float = _RTOL, atol: float = _ATOL, at=None) -> np.ndarray:
     """States of a (B, d^2, d^2) stack of generators on one shared grid.
@@ -395,10 +444,12 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
     (T, B, d, d) array whose first row is ``rhos``.
 
     The initial states are taken as already guarded; every other returned
-    state passes :func:`_guard` once.  Without drives the propagation is
-    exact: one expm(L dt) is built per distinct grid step up to the last row
-    asked for, and each step advances the whole stack with einsum, which
-    keeps these tiny products off threaded BLAS.  With drives, each distinct
+    state passes :func:`_guard` once.  A stack with non-finite entries
+    raises NumericalFailure before any propagator is built.  Without drives
+    the propagation is exact: one batched :func:`_expm` of the stack,
+    exp(L dt), is built per distinct grid step up to the last row asked
+    for, and each step advances the whole stack with einsum, which keeps
+    these tiny products off threaded BLAS.  With drives, each distinct
     generator of the stack builds one table of :func:`_propagators`, applied
     to all of its initial states.
     """
@@ -426,6 +477,8 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
     if np.any((rows < 0) | (rows >= t.size)) or np.any((cols < 0) | (cols >= n)):
         raise UsageError("at must name points on the grid and members of the stack")
     init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
+    if not np.isfinite(gens).all():
+        raise NumericalFailure("generator stack has non-finite entries")
 
     if drives:
         distinct, which = np.unique(gens, axis=0, return_inverse=True)
@@ -433,7 +486,7 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
         vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], init[cols])
     else:
         steps, which = np.unique(np.diff(t[:rows.max(initial=0) + 1]), return_inverse=True)
-        props = [expm(gens * dt) for dt in steps]
+        props = [_expm(gens, dt) for dt in steps]
         path = np.empty((which.size + 1, n, dim * dim), dtype=complex)
         path[0] = init
         for k, j in enumerate(which, start=1):
@@ -458,7 +511,8 @@ def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray, max_st
     of the drives, with outputs at the sorted residues tau = (t - t0) mod T
     (and at T itself if the grid runs past it); a time t0 + kT + tau is then
     P(tau) P(T)^k, with each distinct power taken once; before folding, a
-    drive whose envelope does not repeat after T raises UsageError.
+    drive whose envelope does not repeat after T raises UsageError.  A
+    table that overflows raises NumericalFailure.
     Aperiodic drives have T = inf, so k = 0 and the table runs to the last
     time.  ``max_step`` defaults to a tenth of the shortest drive period.
 
@@ -497,24 +551,30 @@ def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray, max_st
     # the grid increases, so all k are 0 exactly when the last one is
     taus, which = np.unique(np.append(tau, period if k[-1] else tau[-1]), return_inverse=True)
     table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
-    if taus[-1] > 0:
-        sol = solve_ivp(
-            rhs,
-            (t[0], t[0] + taus[-1]),
-            np.eye(n2, dtype=complex).reshape(-1),
-            method="DOP853",
-            t_eval=t[0] + taus,
-            rtol=rtol,
-            atol=atol,
-            max_step=max_step,
-        )
-        if not sol.success:
-            t_fail = float(sol.t[-1]) if sol.t.size else float(t[0])
-            raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
-        table = np.exp(np.outer(taus, rates))[..., None] * sol.y.T.reshape(taus.size, n2, n2)
-    powers, k_of = np.unique(k.astype(int), return_inverse=True)
-    cycles = np.stack([np.linalg.matrix_power(table[-1], p) for p in powers])
-    return table[which[:-1]] @ cycles[k_of]
+    # a growing solution ends in the solver's failure or the check below,
+    # not in floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if taus[-1] > 0:
+            sol = solve_ivp(
+                rhs,
+                (t[0], t[0] + taus[-1]),
+                np.eye(n2, dtype=complex).reshape(-1),
+                method="DOP853",
+                t_eval=t[0] + taus,
+                rtol=rtol,
+                atol=atol,
+                max_step=max_step,
+            )
+            if not sol.success:
+                t_fail = float(sol.t[-1]) if len(sol.t) else float(t[0])
+                raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
+            table = np.exp(np.outer(taus, rates))[..., None] * sol.y.T.reshape(taus.size, n2, n2)
+        powers, k_of = np.unique(k.astype(int), return_inverse=True)
+        cycles = np.stack([np.linalg.matrix_power(table[-1], p) for p in powers])
+        out = table[which[:-1]] @ cycles[k_of]
+    if not np.isfinite(out).all():
+        raise NumericalFailure("propagator table overflows")
+    return out
 
 
 def _require_periodic(drives: Sequence[Drive], t0: float, period: float):

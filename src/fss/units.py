@@ -66,10 +66,3 @@ def rate_mhz_from_lifetime(lifetime_ns: float) -> float:
     if lifetime_ns <= 0:
         raise ValueError("lifetime must be positive")
     return angular_to_mhz(1.0 / lifetime_ns)
-
-
-def lifetime_from_rate_mhz(rate_mhz: float) -> float:
-    """Inverse of :func:`rate_mhz_from_lifetime`."""
-    if rate_mhz <= 0:
-        raise ValueError("rate must be positive")
-    return 1.0 / mhz_to_angular(rate_mhz)

@@ -12,7 +12,9 @@ from fss.core import (
     expectation,
     lindblad_rhs,
     _commutator_superop,
+    _expm,
     _guard,
+    _lowest_eigenvalues,
     _propagate,
     _steady_states,
     liouvillian,
@@ -153,6 +155,46 @@ class TestGuard:
     def test_density_matrix_is_the_guard_on_one_matrix(self):
         m = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
         assert np.array_equal(DensityMatrix(m).matrix, _guard(m))
+
+    @staticmethod
+    def _full_eigh_guard(rhos):
+        """The guard's clamp with every state diagonalized, for states that
+        pass its other checks."""
+        m = 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))
+        evals, evecs = np.linalg.eigh(m)
+        neg = evals[..., 0] < 0.0
+        if np.any(neg):
+            vecs = evecs[neg]
+            clamped = (vecs * np.clip(evals[neg], 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+            m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]
+        return m
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["general", "diagonal", "near-degenerate"]),
+           st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 2 * np.pi), st.floats(-12.0, -4.0))
+    def test_two_level_closed_form_matches_eigvalsh(self, kind, a, b, phase, log_gap):
+        if kind == "diagonal":
+            b = 0.0
+        elif kind == "near-degenerate":
+            a, b = 0.5 + 10.0 ** log_gap, 10.0 ** log_gap * b
+        off = b * np.exp(1j * phase)
+        m = np.array([[a, off], [np.conj(off), 1.0 - a]])
+        assert abs(_lowest_eigenvalues(m) - np.linalg.eigvalsh(m)[0]) <= 1e-15
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
+    def test_guard_matches_full_eigh_clamp(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        b = 40
+        evals = rng.dirichlet(np.ones(dim), size=b)
+        clamp = rng.random(b) < 0.4
+        evals[clamp, 0] = -rng.uniform(0.0, 1e-8, size=clamp.sum())
+        evals[clamp, 1:] *= (1.0 - evals[clamp, :1]) / evals[clamp, 1:].sum(axis=-1, keepdims=True)
+        z = rng.normal(size=(b, dim, dim)) + 1j * rng.normal(size=(b, dim, dim))
+        u, _ = np.linalg.qr(z)
+        rhos = (u * evals[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        assert np.any(np.linalg.eigvalsh(rhos)[:, 0] < 0.0)
+        assert np.abs(_guard(rhos) - self._full_eigh_guard(rhos)).max() <= 1e-14
 
 
 class TestModelInputs:
@@ -392,6 +434,29 @@ class TestExactPropagation:
             oracle = (expm(L * tk) @ vec0).reshape(4, 4)
             assert np.max(np.abs(state.matrix - oracle)) <= 1e-9
 
+    @pytest.mark.parametrize("driven", [False, True])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_generators_fail_before_any_propagator(self, monkeypatch, value, driven):
+        import fss.core
+
+        monkeypatch.setattr(fss.core, "solve_ivp", None)  # any solver call would raise TypeError
+        gens = np.stack([liouvillian(self._two_level(5.0))] * 2)
+        gens[1, 2, 1] = value
+        drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
+        with pytest.raises(NumericalFailure, match="generator stack has non-finite entries"):
+            _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6), drives)
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_overflowing_exponential_is_a_numerical_failure(self, driven):
+        # a growth rate of 1e300 rad/ns: exp(L dt) overflows, and so does
+        # the propagator ODE; neither may surface as an OverflowError or a
+        # RuntimeWarning (an error under this suite's warning filter)
+        gens = np.stack([liouvillian(self._two_level(5.0))] * 2)
+        gens[1, 0, 0] = 1e300
+        drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
+        with pytest.raises(NumericalFailure):
+            _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6), drives)
+
     def test_only_driven_models_reach_the_ode_solver(self, monkeypatch):
         import fss.core
 
@@ -412,6 +477,42 @@ class TestExactPropagation:
                                drives=(Drive(lambda t: 0.3, SX / 2),))
         evolve(driven, DensityMatrix.pure(2, 1), np.linspace(0, 10, 11))
         assert len(calls) == 1
+
+
+class TestBatchedExpm:
+    """``_expm`` against scipy.linalg.expm, which works one matrix at a time."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.integers(1, 12),
+           st.floats(-3.0, 3.0), st.booleans())
+    def test_matches_scipy_expm(self, seed, dim, members, log_norm, spread):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(seed)
+        n = dim * dim
+        a = rng.normal(size=(members, n, n)) + 1j * rng.normal(size=(members, n, n))
+        # the largest 1-norm is 10^log_norm; with spread the others reach 6 decades below it
+        norms = 10.0 ** (log_norm - 6.0 * spread * rng.random(members))
+        norms[0] = 10.0 ** log_norm
+        a *= (norms / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+        dt = float(rng.uniform(0.5, 2.0))
+        got = _expm(a / dt, dt)
+        for g, m in zip(got, a):
+            ref = expm(m)
+            one_norm = np.abs(ref).sum(axis=0).max()
+            assert np.abs(g - ref).sum(axis=0).max() <= 1e-12 * max(1.0, one_norm)
+
+    def test_zero_stack_is_exactly_the_identity(self):
+        out = _expm(np.zeros((3, 9, 9), dtype=complex), 0.7)
+        assert np.array_equal(out, np.broadcast_to(np.eye(9), (3, 9, 9)))
+
+    def test_one_member_stack(self):
+        from scipy.linalg import expm
+
+        gen = liouvillian(TestExactPropagation._two_level(20.0))
+        out = _expm(gen[None], 3.0)
+        assert out.shape == (1, 4, 4)
+        assert np.abs(out[0] - expm(gen * 3.0)).max() <= 1e-12
 
 
 class TestExpectation:
