@@ -26,14 +26,19 @@ exp(L dt) of the whole stack per distinct step of the grid, ``_expm``
 
 With drives, each distinct generator of the stack goes through one table of
 propagators, ``_propagators``, which ``_propagate`` applies to every initial
-state that shares it.  The 8th-order Dormand-Prince method (scipy's DOP853,
-rtol 2e-9 / atol 1e-11) integrates the propagator ODE dP/dt = L(t) P,
-P(t0) = I, over one period T of the drives, with outputs at the residues
-(t - t0) mod T of the requested times; a time t0 + kT + tau is then
-P(tau) P(T)^k (Floquet stepping; Shirley, Phys. Rev. 138, B979, 1965).
-Aperiodic drives (``Drive.period_ns`` None, or drives of different periods)
-are the same computation with T infinite: k = 0 and the table spans the
-grid.
+state that shares it.  The table holds the propagators P(t0 + tau, t0) over
+one period T of the drives, at the residues tau = (t - t0) mod T of the
+requested times; a time t0 + kT + tau is then P(tau) P(T)^k (Floquet
+stepping; Shirley, Phys. Rev. 138, B979, 1965).  Aperiodic drives
+(``Drive.period_ns`` None, or drives of different periods) are the same
+computation with T infinite: k = 0 and the table spans the grid.  ``_cfm4``
+builds each table as products of exponentials, with the fourth-order
+commutator-free Magnus integrator: two exponentials per step, all steps of
+a grid in one ``_expm`` call, the step count doubled until two grids agree
+and the last two grids extrapolated to sixth order.  Every exponent is a
+Lindblad generator, so every step is completely positive and trace
+preserving, and the steps run in a basis of Hermitian matrices, in which
+the generators are real.
 
 Every state the package produces passes one positivity guard, ``_guard``,
 exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
@@ -41,7 +46,7 @@ exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
 negative is a numerical failure.  Only the states it clamps are
 diagonalized; the others need only their lowest eigenvalue.  Exact states
 stay within about -1e-14 of zero and states of models with drives within
-about -1e-9.
+about -4e-14 (see _CFM4_TOL).
 ``DensityMatrix`` is that guard applied to one matrix; propagated states
 are wrapped without a second check.
 
@@ -51,12 +56,12 @@ of generators; ``steady_state`` is its one-model case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from .units import mhz_to_angular
@@ -64,14 +69,6 @@ from .units import mhz_to_angular
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
-
-# Solver tolerances for the propagator tables of models with drives.  At the
-# nominal rtol 1e-8 the most negative pre-clamp eigenvalue of a driven state
-# over the tier-1 suite is -4.8e-9, half the positivity floor; at 2e-9 it is
-# -5.4e-10 (2,406 states), and -2.5e-10 over the 13 bundled scenarios and the
-# pulse-driven benchmark at seed 0 (numpy 2.4.6, scipy 1.17.1).
-_RTOL = 2e-9
-_ATOL = 1e-11
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -239,9 +236,9 @@ class Drive:
     ``envelope`` returns the complex amplitude in rad/ns.  ``period_ns`` is
     its period, f(t + period) = f(t), or None for an aperiodic envelope.  A
     model whose drives share one period is propagated one period at a time
-    (an envelope that does not repeat after it raises UsageError there);
-    the shortest period also bounds the integrator step to a tenth of it, so
-    oscillating envelopes are never stepped over.
+    (an envelope that does not repeat after it raises UsageError there).
+    The integrator calls the envelope at two points of every step, and step
+    doubling, not the period, sets the step (see :func:`_cfm4`).
     """
 
     envelope: Callable[[float], complex]
@@ -429,8 +426,7 @@ def _expm(gens: np.ndarray, dt: float) -> np.ndarray:
     return r
 
 
-def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_step: float | None = None,
-               rtol: float = _RTOL, atol: float = _ATOL, at=None) -> np.ndarray:
+def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=None) -> np.ndarray:
     """States of a (B, d^2, d^2) stack of generators on one shared grid.
     ``gens`` holds static vectorized Liouvillians (as :func:`liouvillian`
     builds them) and ``drives`` the drives that all of them share: member b
@@ -482,7 +478,7 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
 
     if drives:
         distinct, which = np.unique(gens, axis=0, return_inverse=True)
-        tables = np.stack([_propagators(g, drives, t, max_step, rtol, atol) for g in distinct])
+        tables = np.stack([_propagators(g, drives, t) for g in distinct])
         vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], init[cols])
     else:
         steps, which = np.unique(np.diff(t[:rows.max(initial=0) + 1]), return_inverse=True)
@@ -501,79 +497,162 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), max_
     return out
 
 
-def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray, max_step: float | None = None,
-                 rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray) -> np.ndarray:
     """Propagators P(t_k, t_0) of the static generator ``gen`` (d^2 x d^2)
     plus the commutator terms of ``drives`` on the increasing grid ``t``, as
     a (T, d^2, d^2) array acting on row-major vectorized states.
 
-    DOP853 integrates dP/dt = L(t) P from P(t0) = I over one common period T
-    of the drives, with outputs at the sorted residues tau = (t - t0) mod T
-    (and at T itself if the grid runs past it); a time t0 + kT + tau is then
-    P(tau) P(T)^k, with each distinct power taken once; before folding, a
-    drive whose envelope does not repeat after T raises UsageError.  A
-    table that overflows raises NumericalFailure.
-    Aperiodic drives have T = inf, so k = 0 and the table runs to the last
-    time.  ``max_step`` defaults to a tenth of the shortest drive period.
-
-    The integration runs in the frame that rotates with the imaginary part
-    of the generator's diagonal, P(t) = exp(D s) Q(s) with s = t - t0 and
-    D = i Im diag(gen).  With real jump operators, as in every model of this
-    package, D is the commutator superoperator of the static Hamiltonian's
-    diagonal: Q then carries no phase of levels the drives leave uncoupled,
-    such as the far-detuned trion of the four-level model, which would
-    otherwise set the step size.
+    :func:`_cfm4` builds the table over one common period T of the drives,
+    at the sorted residues tau = (t - t0) mod T (and at T itself if the grid
+    runs past it); a time t0 + kT + tau is then P(tau) P(T)^k, with each
+    distinct power taken once; before folding, a drive whose envelope does
+    not repeat after T raises UsageError.  A table that overflows raises
+    NumericalFailure.  Aperiodic drives have T = inf, so k = 0 and the table
+    runs to the last time.
     """
     n2 = gen.shape[0]
-    rates = 1j * gen.diagonal().imag
-    L0 = gen - np.diag(rates)
-    drive_terms = [
-        (dr.envelope, _commutator_superop(dr.operator), _commutator_superop(dr.operator.conj().T))
-        for dr in drives
-    ]
-
-    def rhs(tt, y):
-        lt = L0.copy()
-        for env, c_op, c_opd in drive_terms:
-            f = env(tt)
-            lt += f * c_op + np.conj(f) * c_opd
-        phase = np.exp(rates * (tt - t[0]))
-        return ((lt * phase) / phase[:, None] @ y.reshape(n2, n2)).reshape(-1)
-
-    if max_step is None:
-        periods = [dr.period_ns for dr in drives if dr.period_ns is not None]
-        max_step = min(periods) / 10.0 if periods else np.inf
-
     period = _common_period(drives) or np.inf
     k, tau = np.divmod(t - t[0], period)
     if k[-1]:
         _require_periodic(drives, t[0], period)
     # the grid increases, so all k are 0 exactly when the last one is
     taus, which = np.unique(np.append(tau, period if k[-1] else tau[-1]), return_inverse=True)
+    # residues that differ only by the rounding of t - t0 are one point
+    first = np.r_[True, np.diff(taus) > 1e-13 * taus[-1]]
+    taus, which = taus[first], (np.cumsum(first) - 1)[which]
     table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
-    # a growing solution ends in the solver's failure or the check below,
-    # not in floating-point warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # a growing solution ends in the checks of _expm or below, not in
+    # floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
         if taus[-1] > 0:
-            sol = solve_ivp(
-                rhs,
-                (t[0], t[0] + taus[-1]),
-                np.eye(n2, dtype=complex).reshape(-1),
-                method="DOP853",
-                t_eval=t[0] + taus,
-                rtol=rtol,
-                atol=atol,
-                max_step=max_step,
-            )
-            if not sol.success:
-                t_fail = float(sol.t[-1]) if len(sol.t) else float(t[0])
-                raise NumericalFailure(f"integrator failed: {sol.message}", time_ns=t_fail)
-            table = np.exp(np.outer(taus, rates))[..., None] * sol.y.T.reshape(taus.size, n2, n2)
+            table = _cfm4(gen, (t[0], t[0] + taus[-1]), drives, taus)
         powers, k_of = np.unique(k.astype(int), return_inverse=True)
         cycles = np.stack([np.linalg.matrix_power(table[-1], p) for p in powers])
         out = table[which[:-1]] @ cycles[k_of]
     if not np.isfinite(out).all():
         raise NumericalFailure("propagator table overflows")
+    return out
+
+
+# Fourth-order commutator-free Magnus integrator CFM4 (Blanes & Moan, Appl.
+# Numer. Math. 56, 1519, 2006; Alvermann & Fehske, J. Comput. Phys. 230,
+# 5930, 2011): a step of length h from s is exp(h B2) exp(h B1), with
+# B_i = sum_j _CFM4_WEIGHTS[i, j] L(s + _GAUSS_NODES[j] h) at the two
+# Gauss-Legendre nodes.  The weights of each exponent sum to 1/2, so the
+# static part enters each as gen / 2, and every exponent is a Lindblad
+# generator: each step is a completely positive, trace-preserving map.
+_GAUSS_NODES = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
+_CFM4_WEIGHTS = np.array([[0.25 + math.sqrt(3) / 6, 0.25 - math.sqrt(3) / 6],
+                          [0.25 - math.sqrt(3) / 6, 0.25 + math.sqrt(3) / 6]])
+
+# Step doubling: a table is accepted once the propagators on a grid and on
+# the grid of twice its steps differ by at most _CFM4_TOL (largest entry).
+# The scheme is symmetric, so its error is even in h, and the two grids
+# extrapolate to sixth order, (16 P_fine - P_coarse) / 15.  Measured against
+# DOP853 at rtol 1e-13 (numpy 2.4.6, scipy 1.17.1): the tables of the
+# benchmark's two-tone four-level model and of the GaAs-like sigma- and
+# sigma+ calibrated drives are within 8e-11 at every residue (at 1e-5 they
+# are within 4.5e-9), and the states of 150 random models of
+# tests/test_propagators.py, folded over up to five periods, within 4.8e-10
+# (at 1e-5, 3e-8).  Being products of completely positive steps, the driven
+# states of the tier-1 suite, which runs every bundled scenario, have no
+# pre-clamp eigenvalue below -3.8e-14.  The grids start at
+# _CFM4_START_STEPS steps over the span and double at most _CFM4_DOUBLINGS
+# times.
+_CFM4_TOL = 1e-6
+_CFM4_START_STEPS = 8
+_CFM4_DOUBLINGS = 7
+
+
+def _cfm4(gen: np.ndarray, t_span: tuple[float, float], drives: Sequence[Drive],
+          taus: np.ndarray) -> np.ndarray:
+    """Propagators P(t0 + tau, t0) of ``gen`` plus the commutator terms of
+    ``drives`` at the sorted offsets ``taus`` of t_span = (t0, t1), the
+    last offset being t1 - t0, as a (len(taus), d^2, d^2) array.
+
+    The span is cut into equal CFM4 steps, doubled until two successive
+    grids agree to _CFM4_TOL; a span that does not converge within
+    _CFM4_DOUBLINGS doublings raises NumericalFailure.  Each grid's
+    exponentials are one batched :func:`_expm` call, and the propagators on
+    the grid are its prefix products, extrapolated from the last two grids
+    on the coarser one's points.  An offset past such a point is reached by
+    one step and by two half steps from it, extrapolated the same way, so
+    every offset's propagator depends on the span and on that offset alone.
+    The steps run in the basis of :func:`_hermitian_basis`, in real
+    arithmetic when the generator keeps states Hermitian.
+    """
+    t0, t1 = t_span
+    n2 = gen.shape[0]
+    basis, inverse = _hermitian_basis(math.isqrt(n2))
+    # a generator that does not keep states Hermitian stays complex
+    g = basis @ gen @ inverse
+    if np.abs(g.imag).max() <= 1e-12 * np.abs(g).max():
+        g = g.real
+    # f op + conj(f) op^+ = Re f (op + op^+) + Im f i (op - op^+)
+    ops = (basis @ np.stack([_commutator_superop(dr.operator + dr.operator.conj().T) for dr in drives]
+                            + [_commutator_superop(1j * (dr.operator - dr.operator.conj().T)) for dr in drives])
+           @ inverse).real
+
+    def steps(starts: np.ndarray, h) -> np.ndarray:
+        """The CFM4 step of length h (a scalar or one per start) from each start."""
+        nodes = t0 + starts[:, None] + np.multiply.outer(h, _GAUSS_NODES)
+        f = np.array([[dr.envelope(x) for x in nodes.flat] for dr in drives]).reshape(len(drives), -1, 2)
+        c = f @ _CFM4_WEIGHTS.T  # (drives, steps, exponent)
+        b = 0.5 * g + np.einsum("dsi,dkl->iskl", np.concatenate([c.real, c.imag]), ops)
+        e = _expm((b * np.reshape(h, (-1, 1, 1))).reshape(-1, n2, n2), 1.0).reshape(b.shape)
+        return e[1] @ e[0]
+
+    eye = np.eye(n2)[None]
+    n, coarse = _CFM4_START_STEPS, None
+    for _ in range(_CFM4_DOUBLINGS + 1):
+        h = (t1 - t0) / n
+        grid = np.concatenate([eye, _prefix_products(steps(h * np.arange(n), h))])
+        if coarse is not None and np.max(np.abs(grid[::2] - coarse)) <= _CFM4_TOL:
+            break
+        coarse, n = grid, 2 * n
+    else:
+        raise NumericalFailure(f"propagator table did not converge on {n // 2} steps per span",
+                               time_ns=float(t0))
+
+    grid = (16.0 * grid[::2] - coarse) / 15.0
+    below = np.minimum(np.floor(taus / (2 * h)), n // 2).astype(int)
+    rest = taus - below * 2 * h
+    out = grid[below]
+    part = np.flatnonzero(rest > 0)
+    if part.size:
+        start, r = below[part] * 2 * h, rest[part]
+        one, half = np.split(steps(np.r_[start, start, start + r / 2], np.r_[r, r / 2, r / 2]), [part.size])
+        two = half[part.size:] @ half[:part.size]
+        out[part] = ((16.0 * two - one) / 15.0) @ out[part]
+    return inverse @ out @ basis
+
+
+@functools.cache
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map of row-major vectorized d x d matrices to their coordinates
+    Tr(B rho) in the Hermitian basis E_ii, E_ij + E_ji and i (E_ij - E_ji)
+    (i < j), and its inverse.  Hermitian matrices have real coordinates, so
+    a superoperator that keeps matrices Hermitian, such as every Lindblad
+    generator, is real in this basis.  The entries of both maps are 0, 1/2
+    and 1 times powers of i, so the identity maps to the identity exactly."""
+    rows = np.zeros((d, d, d, d), dtype=complex)
+    for i in range(d):
+        rows[i, i, i, i] = 1.0
+        for j in range(i + 1, d):
+            rows[i, j, i, j] = rows[i, j, j, i] = 1.0
+            rows[j, i, i, j], rows[j, i, j, i] = -1j, 1j
+    basis = rows.reshape(d * d, d * d)
+    return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Products m[k] ... m[1] m[0] of a (N, n, n) stack for every k, in
+    log2(N) batched products (Hillis & Steele's scan)."""
+    out = np.array(m)
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
     return out
 
 
@@ -591,24 +670,17 @@ def _require_periodic(drives: Sequence[Drive], t0: float, period: float):
                              f"|f(t + T) - f(t)| reaches {dev:.3e}")
 
 
-def evolve(
-    model: LindbladModel,
-    rho0: DensityMatrix,
-    times: Sequence[float],
-    max_step: float | None = None,
-    rtol: float = _RTOL,
-    atol: float = _ATOL,
-) -> Trajectory:
+def evolve(model: LindbladModel, rho0: DensityMatrix, times: Sequence[float]) -> Trajectory:
     """Evolve the master equation, returning the state on the given grid.
 
     ``times`` must be strictly increasing with times[0] the initial time, and
     ``states[0]`` is ``rho0`` itself.  A model without drives is propagated
-    exactly; ``max_step``, ``rtol`` and ``atol`` apply only to models with
-    drives, whose one-period propagator DOP853 integrates.  Every later state
-    passes the positivity guard once.  Deterministic for fixed inputs.
+    exactly, a model with drives through its one-period propagator table
+    (see :func:`_propagators`).  Every later state passes the positivity
+    guard once.  Deterministic for fixed inputs.
     """
     t = np.asarray(times, dtype=float)
-    states = _propagate(liouvillian(model)[None], [rho0.matrix], t, model.drives, max_step, rtol, atol)
+    states = _propagate(liouvillian(model)[None], [rho0.matrix], t, model.drives)
     states.setflags(write=False)
     return Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states[1:, 0])))
 

@@ -1,8 +1,8 @@
 """Nonlinear least-squares engine, the model-function library, and spectral analysis.
 
-:func:`fit` is a damped least-squares wrapper with numeric Jacobians:
-Levenberg-Marquardt, or a bounded trust-region method for models that
-declare bounds.  Every fit in the package goes through it, the ensemble
+:func:`fit` is a damped least-squares engine with numeric Jacobians: a
+numpy Levenberg-Marquardt with a trust region, projected onto the bounds a
+model declares.  Every fit in the package goes through it, the ensemble
 master-equation Rabi fit (:func:`fit_rabi_master_equation`) included.
 Standard errors come from the Jacobian at the optimum, (J^T W J)^-1 scaled
 by the reduced chi-square; a singular Jacobian produces a rank-deficiency
@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ensemble import FWHM_PER_SIGMA, gaussian_sigma
 from .errors import DataError, DomainError, UsageError
 from .units import GYROMAGNETIC_MHZ_PER_T
 
 _RANK_TOL = 1e-9
+# the step, cost-reduction and gradient tolerances of the least-squares engine
+_LS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,11 @@ def fit(
     """Weighted nonlinear least squares; deterministic for fixed inputs.
 
     ``fixed`` freezes named parameters at given values.  The optimiser is
-    Levenberg-Marquardt, or trust-region when the model declares bounds;
-    the errors come from a finite-difference Jacobian at the optimum.
-    ``max_nfev`` caps the optimiser's model evaluations, and the result's
-    ``n_eval`` counts every model evaluation the optimiser made, its
-    finite-difference Jacobians included.
+    Levenberg-Marquardt (:func:`_least_squares`), projected onto the bounds
+    when the model declares them; the errors come from a finite-difference
+    Jacobian at the optimum.  ``max_nfev`` caps the optimiser's model
+    evaluations, and the result's ``n_eval`` counts every model evaluation
+    the optimiser made, its finite-difference Jacobians included.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
@@ -127,28 +128,19 @@ def fit(
         n_eval += 1
         return (model(x, *full(p_free)) - y) * w
 
-    bounds = (-np.inf, np.inf)
-    ls_method = "lm"
+    lower, upper = np.full(p_free0.size, -np.inf), np.full(p_free0.size, np.inf)
     if model.bounds is not None:
         free_idx = [model.param_names.index(n) for n in free_names]
-        bounds = (np.asarray(model.bounds[0])[free_idx], np.asarray(model.bounds[1])[free_idx])
-        ls_method = "trf"
+        lower, upper = (np.asarray(b, dtype=float)[free_idx] for b in model.bounds)
     # scale each direction by the guess magnitude: parameters here span
     # orders of magnitude (GHz splittings against sub-ns^-1 rates)
     x_scale = np.where(np.abs(p_free0) > 0, np.abs(p_free0), 1.0)
-    try:
-        res = least_squares(residuals, p_free0, method=ls_method, bounds=bounds,
-                            max_nfev=max_nfev, diff_step=1e-6, x_scale=x_scale,
-                            xtol=1e-11, ftol=1e-11, gtol=1e-11)
-    except ValueError as exc:
-        raise UsageError(f"least-squares setup failed: {exc}") from exc
-    p_opt = res.x
-    converged = res.status > 0
+    p_opt, converged = _least_squares(residuals, p_free0, lower, upper, x_scale, max_nfev)
     status = "converged" if converged else "max-iterations"
     n_opt = n_eval  # the error bars below are not part of the optimisation
 
     r = residuals(p_opt)
-    jac = _numeric_jacobian(residuals, p_opt, r)
+    jac = _numeric_jacobian(residuals, p_opt, r, upper)
     stderr, cov, unident = _errors_from_jacobian(jac, r, len(free_names))
     if unident:
         status = "rank-deficient"
@@ -167,10 +159,103 @@ def fit(
     )
 
 
-def _numeric_jacobian(residuals, p, r0, rel_step=1e-6, abs_step=1e-9) -> np.ndarray:
+def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarray, scale: np.ndarray,
+                   max_nfev: int) -> tuple[np.ndarray, bool]:
+    """Minimise sum(residuals(p)^2) by Levenberg-Marquardt from p0 projected
+    onto [lower, upper]; returns the optimum and whether it converged within
+    ``max_nfev`` calls of ``residuals``.
+
+    The damping is set by a trust region on the scaled parameters p / scale
+    (Moré, Lecture Notes in Mathematics 630, 105, 1978), which starts, grows
+    and shrinks as in MINPACK's lmdif: the step is the Gauss-Newton step
+    when it fits in the region, otherwise the damped step that reaches its
+    edge, both from the SVD of the forward-difference Jacobian.  Each step
+    is projected onto the bounds, after a parameter that it would take past
+    a bound from further than 1e-6 of its scale is sent only half of the way
+    there: a width whose sign does not matter then does not land on the
+    1e-12 floor of a zero model.  Parameters that the gradient holds at a
+    bound stay there.  It converges when the region shrinks below _LS_TOL of
+    the scaled parameters, when both the actual and the predicted cost
+    reduction of a step are at most _LS_TOL of the cost, or when every free
+    column of the Jacobian is within _LS_TOL of orthogonal to the residuals.
+    """
+    n = p0.size
+    p = np.clip(p0, lower, upper)
+    r = residuals(p)
+    if not np.isfinite(r).all():
+        raise UsageError("the residuals are not finite at the initial guess")
+    nfev, cost = 1, float(r @ r)
+    radius = 100.0 * (np.linalg.norm(p / scale) or 1.0)
+    while nfev + n + 1 <= max_nfev:
+        jac = _numeric_jacobian(residuals, p, r, upper) * scale
+        nfev += n
+        grad = jac.T @ r
+        held = ((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0))
+        jac[:, held] = 0.0
+        if np.all(np.abs(grad[~held]) <= _LS_TOL * np.linalg.norm(jac[:, ~held], axis=0) * math.sqrt(cost)):
+            return p, True
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        ur = u.T @ r
+        while nfev < max_nfev:
+            damping = _damping(sv, ur, radius)
+            gain = np.divide(sv, sv**2 + damping, out=np.zeros_like(sv), where=sv > 0)
+            step = -(vt.T @ (gain * ur)) * scale
+            gap = np.where(step < 0, p - lower, upper - p)
+            past = (np.abs(step) > gap) & (gap > 1e-6 * scale)
+            step[past] = np.copysign(0.5 * gap[past], step[past])
+            trial = np.clip(p + step, lower, upper)
+            dz = (trial - p) / scale
+            r_trial = residuals(trial)
+            nfev += 1
+            cost_trial = float(r_trial @ r_trial)
+            # MINPACK's relative reductions and region update (lmdif)
+            length, fit_part = np.linalg.norm(dz), float(np.sum((jac @ dz) ** 2)) / cost
+            predicted = fit_part + 2.0 * damping * length**2 / cost
+            far = not cost_trial < 100.0 * cost  # a NaN cost too
+            actual = -1.0 if far else 1.0 - cost_trial / cost
+            ratio = actual / predicted if predicted > 0 else 0.0
+            if ratio <= 0.25:
+                slope = -(fit_part + damping * length**2 / cost)
+                shrink = 0.5 if actual >= 0 else 0.5 * slope / (slope + 0.5 * actual)
+                radius = (0.1 if far else max(shrink, 0.1)) * min(radius, 10.0 * length)
+            elif damping == 0.0 or ratio >= 0.75:
+                radius = 2.0 * length
+            if ratio >= 1e-4:
+                p, r, cost = trial, r_trial, cost_trial
+            if (abs(actual) <= _LS_TOL and predicted <= _LS_TOL and ratio <= 2.0
+                    or radius <= _LS_TOL * np.linalg.norm(p / scale)):
+                return p, True
+            if ratio >= 1e-4:
+                break
+    return p, False
+
+
+def _damping(sv: np.ndarray, ur: np.ndarray, radius: float) -> float:
+    """The damping lam >= 0 whose step, of components sv ur / (sv^2 + lam),
+    has at most the length ``radius``: 0 if the Gauss-Newton step fits,
+    otherwise the root of 1/radius - 1/|step(lam)| by Newton's method, to
+    within a tenth of the radius."""
+    live = sv > 0
+    sv, ur = sv[live], ur[live]
+    lam = 0.0
+    for _ in range(50):
+        step = sv * ur / (sv**2 + lam)
+        length = np.linalg.norm(step)
+        if length <= 1.1 * radius and (lam == 0.0 or length >= 0.9 * radius):
+            break
+        slope = -np.sum(step**2 / (sv**2 + lam)) / length
+        lam = max(lam - (1.0 / radius - 1.0 / length) * length**2 / slope, 0.0)
+    return lam
+
+
+def _numeric_jacobian(residuals, p, r0, upper, rel_step=1e-6, abs_step=1e-9) -> np.ndarray:
+    """Forward differences of ``residuals`` at p, stepping backwards from
+    parameters that a forward step would take past ``upper``."""
     jac = np.empty((r0.size, p.size))
     for k in range(p.size):
         h = max(rel_step * abs(p[k]), abs_step)
+        if p[k] + h > upper[k]:
+            h = -h
         pk = np.array(p, dtype=float)
         pk[k] += h
         jac[:, k] = (residuals(pk) - r0) / h
@@ -189,7 +274,8 @@ def _errors_from_jacobian(jac: np.ndarray, r: np.ndarray, n_free: int):
                 unident.append(int(np.argmax(np.abs(vt[col]))))
     else:
         unident = list(range(n_free))
-    sv_inv = np.where(sv > (_RANK_TOL * sv[0] if sv.size and sv[0] > 0 else 1.0), 1.0 / sv, 0.0)
+    floor = _RANK_TOL * sv[0] if sv.size and sv[0] > 0 else 1.0
+    sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > floor)
     cov = (vt.T * sv_inv**2) @ vt * s2
     stderr = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     for k in unident:
@@ -416,8 +502,9 @@ def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectr
     amp = np.abs(np.fft.rfft(y * window))
     freq = np.fft.rfftfreq(y.size, d=dt[0]) * 1e3
 
-    if prominence is None:
-        prominence = 4.0 * float(np.median(amp))
+    if prominence is None:  # four times the median; np.median would import numpy.ma
+        ranked = np.sort(amp)
+        prominence = 2.0 * float(ranked[(amp.size - 1) // 2] + ranked[amp.size // 2])
     peaks = [(refine_peak(freq, amp, k), float(amp[k])) for k in _find_peaks(amp, prominence)]
     peaks.sort(key=lambda p: -p[1])
     return FftSpectrum(freq_mhz=freq, amplitude=amp, peaks=tuple(peaks))

@@ -393,7 +393,7 @@ def calibrate_faraday_drive(
         offsets = (np.arange(8) / 8.0 - 0.5) * beat
         samples = np.clip(np.atleast_1d(t_grid)[:, None] + offsets, 0.0, None)
         tt, rows = np.unique(np.append(0.0, samples), return_inverse=True)
-        states = _propagate(liouvillian(model)[None], [rho0], tt, model.drives, rtol=1e-9, atol=1e-12,
+        states = _propagate(liouvillian(model)[None], [rho0], tt, model.drives,
                             at=(rows[1:].reshape(samples.shape), 0))
         return np.mean(states.diagonal(axis1=-2, axis2=-1).real @ flip, axis=1)
 

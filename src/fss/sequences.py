@@ -450,15 +450,13 @@ class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
     a segment's model; ``offset``, the Hamiltonian term that an ensemble
-    node's detuning offset adds per rad/ns; ODE solver tolerances; for
-    four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
-    frequency."""
+    node's detuning offset adds per rad/ns; for four-level physics, the
+    calibrated (drive, resonant Delta_RF) per Rabi frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
     model: Callable[[PulseSegment], LindbladModel]
     offset: np.ndarray
-    solver: dict = field(default_factory=dict)
     calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
 
 
@@ -485,8 +483,7 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
     flip = models.faraday_flip_projector(physics).diagonal().real
     # the offset shifts the electron splitting, which sits on -|up><up|
     return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, model=model,
-                    offset=-np.diag([0.0, 1.0, 0.0, 0.0]), solver={"rtol": 1e-9, "atol": 1e-12},
-                    calibrated=calibrated)
+                    offset=-np.diag([0.0, 1.0, 0.0, 0.0]), calibrated=calibrated)
 
 
 def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
@@ -572,7 +569,7 @@ def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
         block = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
         states = _propagate(np.concatenate([gens[seg][0] for seg, _ in groups]),
                             np.concatenate([items[group[0]][0] for _, group in groups]),
-                            grid, gens[groups[0][0]][1], **binding.solver,
+                            grid, gens[groups[0][0]][1],
                             at=(rows[1:, None], block[:, None] * offsets.size + np.arange(offsets.size)))
         for i, s in zip(idx, states):
             out[i] = s

@@ -12,7 +12,7 @@ text.  Signals carry the population error of the path that produced them:
 1e-9 absolute on populations and contrasts of the exact (matrix-exponential)
 path, and the solver-derived bounds of ``benchmarks/workloads.py`` on the
 one driven product, fig5cd's modulated echo, whose modulated waits go
-through DOP853 one-period propagator tables.  Derived signals carry that error
+through one-period propagator tables.  Derived signals carry that error
 through the formula that forms them (see each entry).  Comment lines must
 match as text, except fig5cd's ``# meta peaks=`` line, whose peak
 frequencies are refined from the FFT amplitudes that the golden already
@@ -35,8 +35,8 @@ from fss.scenario import load_scenario
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 POP = 1e-9  # exact-path populations and contrasts
-# populations of the driven path (DOP853 one-period propagator tables at
-# rtol 2e-9 / atol 1e-11) are good to 1e-6 with a wide margin;
+# populations of the driven path (one-period propagator tables, products of
+# CFM4 steps, see fss.core._CFM4_TOL) are good to 1e-6 with a wide margin;
 # (n0 - n1) / (n0 + n1) carries two such errors, doubled for margin
 DRIVEN_CONTRAST = 4e-6
 # peak positions of the two-axis summaries: the parabola vertex through three

@@ -136,6 +136,13 @@ class TestFitEngine:
         assert len(r.unidentifiable) >= 1
         assert all(math.isinf(r.error(n)) for n in r.unidentifiable)
 
+    def test_model_blind_to_its_parameter_is_rank_deficient(self):
+        # an all-zero Jacobian: no division by its zero singular values
+        model = FitModel("flat", ("level",), lambda x, level: np.ones_like(x))
+        r = fit(model, np.arange(6.0), np.arange(6.0), [1.0])
+        assert r.status == "rank-deficient"
+        assert r.unidentifiable == ("level",) and math.isinf(r.error("level"))
+
     @pytest.mark.parametrize("bounded", [False, True], ids=["lm", "trf"])
     def test_n_eval_counts_every_model_call(self, bounded):
         base = MODEL_LIBRARY["exp_decay"]
@@ -146,6 +153,49 @@ class TestFitEngine:
         # after the optimisation, the error bars take one residual and one
         # forward difference per free parameter
         assert r.n_eval == len(calls) - 1 - len(r.param_names)
+
+    # widths enter their models squared, so an unbounded fit may end on
+    # either sign of them
+    _SQUARED = ("t2star_ns", "t2he_ns", "fwhm", "fwhm1")
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("name", sorted(MODEL_LIBRARY))
+    def test_matches_scipy_least_squares(self, name, bounded):
+        # the oracle minimises the same sum of squares with the same
+        # forward-difference Jacobian, at tolerances far below fit's 1e-11;
+        # at the benchmark's noise, 1% of the peak-to-peak range, stopping
+        # on a cost reduction of 1e-11 resolves every parameter to better
+        # than 1e-8 relative
+        from scipy.optimize import least_squares
+
+        base = MODEL_LIBRARY[name]
+        model = FitModel(base.name, base.param_names, base.func, bounds=base.bounds if bounded else None)
+        x, true = MODEL_CASES[name]
+        clean = model(x, *_params_vec(model, true))
+        y = clean + np.random.default_rng(3).normal(0.0, 0.01 * np.ptp(clean), x.size)
+        p0 = 1.1 * np.array(_params_vec(model, true))
+        r = fit(model, x, y, p0)
+
+        def residuals(p):
+            return model(x, *p) - y
+
+        def jacobian(p):
+            r0, out = residuals(p), np.empty((x.size, p.size))
+            for k in range(p.size):
+                step = np.zeros(p.size)
+                step[k] = max(1e-6 * abs(p[k]), 1e-9)
+                out[:, k] = (residuals(p + step) - r0) / step[k]
+            return out
+
+        lower, upper = model.bounds if bounded and model.bounds is not None else (-np.inf, np.inf)
+        oracle = least_squares(residuals, p0, jac=jacobian, bounds=(lower, upper), x_scale=np.abs(p0),
+                               method="lm" if np.all(np.isinf([lower, upper])) else "trf",
+                               xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert r.converged and oracle.status > 0
+        for name_k, got, want in zip(model.param_names, r.params, oracle.x):
+            if name_k in self._SQUARED:
+                got, want = abs(got), abs(want)
+            assert got == pytest.approx(want, rel=1e-8), name_k
 
     def test_multi_peak_lorentzian(self):
         model = lorentzian_multi(2)
