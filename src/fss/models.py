@@ -27,7 +27,6 @@ from .core import (
     DensityMatrix,
     Drive,
     LindbladModel,
-    Trajectory,
     _commutator_superop,
     _propagate,
     _steady_states,
@@ -354,7 +353,6 @@ def calibrate_faraday_drive(
     p: FaradayParams,
     omega_target_mhz: float,
     handedness: str = "sigma-",
-    refine: bool = True,
 ) -> tuple[TwoToneDrive, float]:
     """Choose equal-tone amplitudes and Delta_RF hitting a target two-photon Rabi.
 
@@ -377,9 +375,6 @@ def calibrate_faraday_drive(
         return faraday_stark_shift_ghz(p, make(w_env_rad, 0.0), handedness)
 
     rf = p.omega_e_ghz + stark_ghz(w_env)
-    if not refine:
-        return make(w_env, rf), rf
-
     coherent = replace(p, gamma1_mhz=0.0, bigGamma1_mhz=0.0, bigGamma2_mhz=0.0)
     rho0 = DensityMatrix.pure(4, 1).matrix
     t_pi = 1e3 / (2 * omega_target_mhz)
@@ -460,24 +455,9 @@ class PiContrast(NamedTuple):
     flag: str  # "ok", "unbounded" (f_pi -> 1), "no-contrast" (f_pi <= 0.5)
 
 
-def pi_contrast_and_q(trace, omega_mhz: float | None = None, readout_level: int = 0) -> PiContrast:
-    """Pi-pulse contrast f_pi and quality factor Q = -1/ln(2 f_pi - 1).
-
-    ``trace`` is either the flipped-state population trace (a Trajectory, with
-    ``omega_mhz`` locating the first pi time at 1/(2 Omega)) or a bare f_pi.
-    """
-    if isinstance(trace, Trajectory):
-        if omega_mhz is None or omega_mhz <= 0:
-            raise UsageError("omega_mhz is required to locate the pi time")
-        t_pi = 1e3 / (2 * omega_mhz)
-        if trace.times[-1] < t_pi:
-            raise UsageError(
-                f"trace ends at {trace.times[-1]:g} ns, before the pi time {t_pi:g} ns"
-            )
-        f_pi = float(np.interp(t_pi, trace.times, trace.population(readout_level)))
-    else:
-        f_pi = float(trace)
-
+def pi_contrast_and_q(f_pi: float) -> PiContrast:
+    """Pi-pulse contrast f_pi and quality factor Q = -1/ln(2 f_pi - 1)."""
+    f_pi = float(f_pi)
     if f_pi <= 0.5:
         return PiContrast(f_pi, 0.0, "no-contrast")
     arg = 2 * f_pi - 1

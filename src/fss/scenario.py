@@ -2,27 +2,34 @@
 ``key = value unit`` entries, plus the runner that turns a scenario into
 simulated data products.
 
-Unit annotations are mandatory for dimensioned keys and are validated
-against the unit family each key declares, so a bare number where a
-frequency or time belongs is a schema error with a line diagnostic (this is
-the guard against the MHz/angular mixups centralized in the ensemble
-module).  Multiple ``[protocol name]`` sections yield one data product per
-section; an optional ``[scan]`` section sweeps one protocol parameter,
-turning each product into a two-axis (long format) scan.
-"""
+Each section kind is declared once, in a table that gives every key's type,
+unit family and the constructor argument it sets; one builder calls the
+constructor with the keys a file gives, so defaults live in the
+constructors.  Unit annotations are mandatory for dimensioned keys and are
+validated against the key's family, so a bare number where a frequency or
+time belongs is a schema error with a line diagnostic (this is the guard
+against the MHz/angular mixups centralized in the ensemble module).
+Parsing also builds the physics, the ensemble and every product, so a
+missing key or a value that a constructor rejects is a config error naming
+its section's line.  Multiple ``[protocol name]`` sections yield one data
+product per section; an optional ``[scan]`` section sweeps one protocol
+parameter, turning each product into a two-axis (long format) scan.  Every
+scanned product must take the scan parameter as a key; the Rabi Q scan, the
+polarization map and the CPT spectrum ignore the scan."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import fitting, models, sequences
-from .ensemble import DEFAULT_NODES, EnsembleSpec
+from . import fitting, models
+from .ensemble import EnsembleSpec
 from .errors import ConfigError, UsageError
 from .models import CptParams, FaradayParams
 from .sequences import (
@@ -30,6 +37,7 @@ from .sequences import (
     Protocol,
     ScanResult,
     TwoLevelPhysics,
+    cpt_spectrum_protocol,
     hahn_echo_protocol,
     polarization_map_protocol,
     rabi_protocol,
@@ -49,130 +57,118 @@ _RATE_PERNS = {"1/ns": 1.0}
 _ANGLE_DEG = {"deg": 1.0}
 _BARE = None  # dimensionless: unit token forbidden
 
-_PHYSICS_KEYS = {
-    "two_level": {
-        "kind": ("str", None),
-        "gamma1": ("float", _FREQ_MHZ),
-        "gamma2": ("float", _FREQ_MHZ),
-        "epsilon_init": ("float", _BARE),
-    },
-    "faraday": {
-        "kind": ("str", None),
-        "omega_e": ("float", _FREQ_GHZ),
-        "omega_h": ("float", _FREQ_GHZ),
-        "delta": ("float", _FREQ_GHZ),
-        "cyclicity": ("float", _BARE),
-        "gamma1": ("float", _FREQ_MHZ),
-        "big_gamma1": ("float", _FREQ_MHZ),
-        "big_gamma2": ("float", _FREQ_MHZ),
-        "handedness": ("str", None),
-    },
-    "cpt": {
-        "kind": ("str", None),
-        "omega_e0": ("float", _FREQ_GHZ),
-        "delta": ("float", _FREQ_GHZ),
-        "omega_down": ("float", _RATE_PERNS),
-        "omega_up": ("float", _RATE_PERNS),
-        "gamma2": ("float", _RATE_PERNS),
-        "gamma1_inv": ("float", _TIME_NS),
-        "trion_lifetime": ("float", _TIME_NS),
-        "spin_flip_time": ("float", _TIME_NS),
-    },
+# Section tables: kind -> (constructor, {config key: (type, unit family,
+# constructor argument[, default])}).  A "grid" key ``x_*`` stands for
+# x_start, x_stop and x_points and sets its argument to their linspace.  A
+# default appears only where the constructor has none; a key whose argument
+# is None is not the constructor's.
+_PHYSICS = {
+    "two_level": (TwoLevelPhysics, {
+        "gamma1": ("float", _FREQ_MHZ, "gamma1_mhz"),
+        "gamma2": ("float", _FREQ_MHZ, "gamma2_mhz"),
+        "epsilon_init": ("float", _BARE, "epsilon_init"),
+    }),
+    "faraday": (FaradayParams, {
+        "omega_e": ("float", _FREQ_GHZ, "omega_e_ghz"),
+        "omega_h": ("float", _FREQ_GHZ, "omega_h_ghz"),
+        "delta": ("float", _FREQ_GHZ, "delta_ghz", 0.0),
+        "cyclicity": ("float", _BARE, "cyclicity"),
+        "gamma1": ("float", _FREQ_MHZ, "gamma1_mhz"),
+        "big_gamma1": ("float", _FREQ_MHZ, "bigGamma1_mhz"),
+        "big_gamma2": ("float", _FREQ_MHZ, "bigGamma2_mhz"),
+        "handedness": ("str", None, None),  # passed to simulate_protocol
+    }),
+    "cpt": (CptParams, {
+        "omega_e0": ("float", _FREQ_GHZ, "omega_e0_ghz"),
+        "delta": ("float", _FREQ_GHZ, "delta_ghz"),
+        "omega_down": ("float", _RATE_PERNS, "omega_down"),
+        "omega_up": ("float", _RATE_PERNS, "omega_up"),
+        "gamma2": ("float", _RATE_PERNS, "gamma2"),
+        "gamma1_inv": ("float", _TIME_NS, "gamma1_inv_ns"),
+        "trion_lifetime": ("float", _TIME_NS, "trion_lifetime_ns"),
+        "spin_flip_time": ("float", _TIME_NS, "spin_flip_time_ns"),
+    }),
 }
 
-_ENSEMBLE_KEYS = {
-    "t2star": ("float", _TIME_NS),
-    "nodes": ("int", _BARE),
-    "di_over_i": ("float", _BARE),
-    "stark_ratio": ("float", _BARE),
-    "omega": ("float", _FREQ_MHZ),
+_ENSEMBLE = (EnsembleSpec, {
+    "t2star": ("float", _TIME_NS, "t2star_ns"),
+    "nodes": ("int", _BARE, "nodes"),
+    "di_over_i": ("float", _BARE, "di_over_i"),
+    "stark_ratio": ("float", _BARE, "stark_ratio"),
+    "omega": ("float", _FREQ_MHZ, "omega_mhz"),
+})
+
+
+def _raman_cooled(make):
+    """``make`` with its cooling stage given as ``cooling_t2star_ns``, the T2*
+    that Raman cooling leaves (no cooling when absent or 0).  It keeps
+    ``make``'s signature, from which the builder reads the required keys."""
+    @functools.wraps(make)
+    def build(cooling_t2star_ns=0.0, **kwargs):
+        if cooling_t2star_ns:
+            kwargs["cooling"] = CoolingSpec(method="raman", resulting_t2star_ns=cooling_t2star_ns)
+        return make(**kwargs)
+    return build
+
+
+_PROTOCOLS = {
+    "rabi": (rabi_protocol, {
+        "omega": ("float", _FREQ_MHZ, "omega_mhz"),
+        "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
+        "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
+    }),
+    "esr_scan": (esr_scan_protocol, {
+        "omega": ("float", _FREQ_MHZ, "omega_mhz"),
+        "tau": ("float", _TIME_NS, "tau_ns", None),
+        "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
+        "stark_ratio": ("float", _BARE, "stark_ratio"),
+        "omega_e0": ("float", _FREQ_GHZ, "omega_e0_ghz"),
+    }),
+    "ramsey": (_raman_cooled(ramsey_protocol), {
+        "omega": ("float", _FREQ_MHZ, "omega_mhz"),
+        "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
+        "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
+        "f_serr": ("float", _FREQ_MHZ, "f_serr_mhz"),
+        "balanced": ("bool", _BARE, "balanced"),
+        "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
+    }),
+    "hahn_echo": (_raman_cooled(hahn_echo_protocol), {
+        "omega": ("float", _FREQ_MHZ, "omega_mhz"),
+        "t_*": ("grid", _TIME_NS, "total_delay_grid_ns"),
+        "t2he": ("float", _TIME_NS, "t2he_ns"),
+        "mod_amp": ("float", _FREQ_MHZ, "modulation_amp_mhz"),
+        "mod_freq": ("float", _FREQ_MHZ, "modulation_freq_mhz"),
+        "mod_phases": ("int", _BARE, "modulation_phases"),
+        "mod_mode": ("str", None, "modulation_mode"),
+        "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
+    }),
+    "spin_pumping": (spin_pumping_protocol, {
+        "s": ("float", _BARE, "s"),
+        "duration": ("float", _TIME_NS, "duration_ns"),
+        "points": ("int", _BARE, "points"),
+    }),
+    "t1": (t1_protocol, {
+        "delay_*": ("grid", _TIME_NS, "delay_grid_ns"),
+    }),
+    "rabi_q": (rabi_q_protocol, {
+        "omega_values": ("floatlist", _FREQ_MHZ, "omega_grid_mhz"),
+        "di_values": ("floatlist", _BARE, "di_over_i_grid"),
+        "gamma2": ("float", _FREQ_MHZ, "gamma2_mhz"),
+        "gamma1_per_omega": ("float", _BARE, "gamma1_per_omega"),
+        "stark_ratio": ("float", _BARE, "stark_ratio"),
+        "t2star": ("float", _TIME_NS, "t2star_ns"),
+    }),
+    "polarization_map": (polarization_map_protocol, {
+        "hwp_*": ("grid", _ANGLE_DEG, "hwp_grid_deg"),
+        "qwp_*": ("grid", _ANGLE_DEG, "qwp_grid_deg"),
+    }),
+    "cpt_spectrum": (cpt_spectrum_protocol, {
+        "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
+    }),
 }
 
-_PROTOCOL_KEYS = {
-    "rabi": {
-        "kind": ("str", None),
-        "omega": ("float", _FREQ_MHZ),
-        "delta": ("float", _FREQ_MHZ),
-        "tau_start": ("float", _TIME_NS),
-        "tau_stop": ("float", _TIME_NS),
-        "tau_points": ("int", _BARE),
-    },
-    "esr_scan": {
-        "kind": ("str", None),
-        "omega": ("float", _FREQ_MHZ),
-        "tau": ("float", _TIME_NS),
-        "omega_start": ("float", _FREQ_GHZ),
-        "omega_stop": ("float", _FREQ_GHZ),
-        "omega_points": ("int", _BARE),
-        "stark_ratio": ("float", _BARE),
-        "omega_e0": ("float", _FREQ_GHZ),
-    },
-    "ramsey": {
-        "kind": ("str", None),
-        "omega": ("float", _FREQ_MHZ),
-        "delta": ("float", _FREQ_MHZ),
-        "tau_start": ("float", _TIME_NS),
-        "tau_stop": ("float", _TIME_NS),
-        "tau_points": ("int", _BARE),
-        "f_serr": ("float", _FREQ_MHZ),
-        "balanced": ("bool", _BARE),
-        "cooling_t2star": ("float", _TIME_NS),
-    },
-    "hahn_echo": {
-        "kind": ("str", None),
-        "omega": ("float", _FREQ_MHZ),
-        "t_start": ("float", _TIME_NS),
-        "t_stop": ("float", _TIME_NS),
-        "t_points": ("int", _BARE),
-        "t2he": ("float", _TIME_NS),
-        "mod_amp": ("float", _FREQ_MHZ),
-        "mod_freq": ("float", _FREQ_MHZ),
-        "mod_phases": ("int", _BARE),
-        "mod_mode": ("str", None),
-        "cooling_t2star": ("float", _TIME_NS),
-    },
-    "spin_pumping": {
-        "kind": ("str", None),
-        "s": ("float", _BARE),
-        "duration": ("float", _TIME_NS),
-        "points": ("int", _BARE),
-    },
-    "t1": {
-        "kind": ("str", None),
-        "delay_start": ("float", _TIME_NS),
-        "delay_stop": ("float", _TIME_NS),
-        "delay_points": ("int", _BARE),
-    },
-    "rabi_q": {
-        "kind": ("str", None),
-        "omega_values": ("floatlist", _FREQ_MHZ),
-        "di_values": ("floatlist", _BARE),
-        "gamma2": ("float", _FREQ_MHZ),
-        "gamma1_per_omega": ("float", _BARE),
-        "stark_ratio": ("float", _BARE),
-        "t2star": ("float", _TIME_NS),
-    },
-    "polarization_map": {
-        "kind": ("str", None),
-        "hwp_start": ("float", _ANGLE_DEG),
-        "hwp_stop": ("float", _ANGLE_DEG),
-        "hwp_points": ("int", _BARE),
-        "qwp_start": ("float", _ANGLE_DEG),
-        "qwp_stop": ("float", _ANGLE_DEG),
-        "qwp_points": ("int", _BARE),
-    },
-    "cpt_spectrum": {
-        "kind": ("str", None),
-        "omega_start": ("float", _FREQ_GHZ),
-        "omega_stop": ("float", _FREQ_GHZ),
-        "omega_points": ("int", _BARE),
-    },
-}
-
-_SCAN_KEYS = {
-    "parameter": ("str", None),
-    "values": ("floatlist", "by-parameter"),
-}
+# products that ignore the scenario scan
+_UNSCANNED = ("rabi_q", "polarization_map", "cpt_spectrum")
 
 _OUTPUT_KEYS = {
     "signal": ("str", None),
@@ -222,10 +218,8 @@ def _parse_value(key, raw, kind, family, lineno):
         if family is _BARE:
             tokens, unit = parts, None
         else:
-            if len(parts) < 2 or parts[-1] not in (family or {}):
-                raise ConfigError(
-                    f"key {key!r} requires a unit from {sorted((family or {}))}", lineno
-                )
+            if len(parts) < 2 or parts[-1] not in family:
+                raise ConfigError(f"key {key!r} requires a unit from {sorted(family)}", lineno)
             tokens, unit = parts[:-1], parts[-1]
         joined = " ".join(tokens).replace(",", " ").split()
         try:
@@ -312,30 +306,25 @@ def parse_scenario(text: str) -> Scenario:
         if section == "scenario":
             name = entries.get("name", ("unnamed", lineno))[0]
         elif section == "physics":
-            kind = entries.get("kind", (None, lineno))[0]
-            if kind not in _PHYSICS_KEYS:
-                raise ConfigError(f"physics kind must be one of {sorted(_PHYSICS_KEYS)}", lineno)
-            physics = _check_section(entries, _PHYSICS_KEYS[kind], "physics")
+            physics = _parse_kind(entries, _PHYSICS, "physics", lineno)
             lines["physics"] = lineno
         elif section == "ensemble":
-            ensemble = _check_section(entries, _ENSEMBLE_KEYS, "ensemble")
+            ensemble = _parse_section(entries, _ENSEMBLE[1], "ensemble")
             lines["ensemble"] = lineno
         elif section == "protocol":
-            kind = entries.get("kind", (None, lineno))[0]
-            if kind not in _PROTOCOL_KEYS:
-                raise ConfigError(f"protocol kind must be one of {sorted(_PROTOCOL_KEYS)}", lineno)
-            parsed = _check_section(entries, _PROTOCOL_KEYS[kind], "protocol")
-            protocols.append((label or kind, parsed))
+            params = _parse_kind(entries, _PROTOCOLS, "protocol", lineno)
+            protocols.append((label or params["kind"], params))
             protocol_lines.append(lineno)
         elif section == "scan":
             param = entries.get("parameter", (None, lineno))[0]
             if param not in _SCAN_PARAM_UNITS:
                 raise ConfigError(f"scan parameter must be one of {sorted(_SCAN_PARAM_UNITS)}", lineno)
-            raw_vals, vl = entries["values"]
-            vals = _parse_value("values", raw_vals, "floatlist", _SCAN_PARAM_UNITS[param], vl)
-            scan = {"parameter": param, "values": vals}
+            if "values" not in entries:
+                raise ConfigError("missing key 'values' in [scan]", lineno)
+            scan = _parse_section(entries, {"parameter": ("str", None),
+                                            "values": ("floatlist", _SCAN_PARAM_UNITS[param])}, "scan")
         elif section == "output":
-            output = _check_section(entries, _OUTPUT_KEYS, "output")
+            output = _parse_section(entries, _OUTPUT_KEYS, "output")
         else:
             raise ConfigError(f"unknown section [{section}]", lineno)
 
@@ -360,8 +349,7 @@ def parse_scenario(text: str) -> Scenario:
     builds = [(functools.partial(build_physics, sc), "physics", lines.get("physics")),
               (functools.partial(build_ensemble, sc), "ensemble", lines.get("ensemble"))]
     builds += [(functools.partial(_protocols, params, scan), "protocol", lineno)
-               for (_, params), lineno in zip(protocols, protocol_lines)
-               if params["kind"] != "cpt_spectrum"]
+               for (_, params), lineno in zip(protocols, protocol_lines)]
     for build, section, lineno in builds:
         try:
             build()
@@ -372,14 +360,33 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _check_section(entries: dict, schema: dict, section: str) -> dict:
+def _parse_kind(entries: dict, table: dict, section: str, lineno: int) -> dict:
+    """Parse a section whose ``kind`` picks its row of ``table``."""
+    kind = entries.get("kind", (None, lineno))[0]
+    if kind not in table:
+        raise ConfigError(f"{section} kind must be one of {sorted(table)}", lineno)
+    return _parse_section(entries, {"kind": ("str", None), **table[kind][1]}, section)
+
+
+def _parse_section(entries: dict, keys: dict, section: str) -> dict:
+    schema = {}
+    for key, (kind, family, *_) in keys.items():
+        if kind == "grid":
+            start, stop, points = _grid_keys(key)
+            schema |= {start: ("float", family), stop: ("float", family), points: ("int", _BARE)}
+        else:
+            schema[key] = (kind, family)
     out = {}
     for key, (raw, lineno) in entries.items():
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
-        kind, family = schema[key]
-        out[key] = _parse_value(key, raw, kind, family, lineno)
+        out[key] = _parse_value(key, raw, *schema[key], lineno)
     return out
+
+
+def _grid_keys(key: str) -> list[str]:
+    """The start, stop and points keys that a grid key ``x_*`` stands for."""
+    return [key.replace("*", end) for end in ("start", "stop", "points")]
 
 
 def load_scenario(path) -> Scenario:
@@ -388,125 +395,55 @@ def load_scenario(path) -> Scenario:
 
 # --- runner ---------------------------------------------------------------------
 
+def _build(make, keys: dict, values: dict):
+    """Call a table row's constructor ``make`` with the arguments that the
+    parsed section ``values`` sets.  A KeyError names a missing key."""
+    required = {name for name, par in inspect.signature(make).parameters.items()
+                if par.default is par.empty}
+    kwargs = {}
+    for key, (kind, _, arg, *default) in keys.items():
+        if arg is None:
+            continue
+        names = _grid_keys(key) if kind == "grid" else [key]
+        if any(n in values for n in names) or (arg in required and not default):
+            given = [values[n] for n in names]
+            kwargs[arg] = np.linspace(*given) if kind == "grid" else given[0]
+        elif default:
+            kwargs[arg] = default[0]
+    return make(**kwargs)
+
+
 def build_physics(sc: Scenario):
     p = sc.physics
-    kind = p["kind"]
-    if kind == "two_level":
-        return TwoLevelPhysics(
-            gamma1_mhz=p.get("gamma1", 0.0),
-            gamma2_mhz=p.get("gamma2", 0.0),
-            epsilon_init=p.get("epsilon_init", 0.0),
-        )
-    if kind == "faraday":
-        if p.get("handedness", "sigma-") not in models.HANDEDNESS:
-            raise UsageError(f"handedness must be one of {models.HANDEDNESS}")
-        return FaradayParams(
-            omega_e_ghz=p["omega_e"],
-            omega_h_ghz=p["omega_h"],
-            delta_ghz=p.get("delta", 0.0),
-            cyclicity=p["cyclicity"],
-            gamma1_mhz=p["gamma1"],
-            bigGamma1_mhz=p.get("big_gamma1", 0.0),
-            bigGamma2_mhz=p.get("big_gamma2", 0.0),
-        )
-    if kind == "cpt":
-        return CptParams(
-            omega_e0_ghz=p["omega_e0"],
-            delta_ghz=p.get("delta", 0.0),
-            omega_down=p["omega_down"],
-            omega_up=p["omega_up"],
-            gamma1_inv_ns=p.get("gamma1_inv", 45000.0),
-            gamma2=p["gamma2"],
-            trion_lifetime_ns=p.get("trion_lifetime", 0.25),
-            spin_flip_time_ns=p.get("spin_flip_time", 100.0),
-        )
-    return None
+    if p["kind"] == "none":  # a polarization map needs no physics
+        return None
+    if "handedness" in p and p["handedness"] not in models.HANDEDNESS:
+        raise UsageError(f"handedness must be one of {models.HANDEDNESS}")
+    return _build(*_PHYSICS[p["kind"]], p)
 
 
 def build_ensemble(sc: Scenario) -> EnsembleSpec | None:
-    if sc.ensemble is None:
-        return None
-    e = sc.ensemble
-    return EnsembleSpec(
-        t2star_ns=e["t2star"],
-        stark_ratio=e.get("stark_ratio", 0.0),
-        omega_mhz=e.get("omega", 0.0),
-        di_over_i=e.get("di_over_i", 0.0),
-        nodes=e.get("nodes", DEFAULT_NODES),
-    )
-
-
-def _grid(p: dict, prefix: str) -> np.ndarray:
-    return np.linspace(p[f"{prefix}_start"], p[f"{prefix}_stop"], p[f"{prefix}_points"])
-
-
-def _cooling(p: dict) -> CoolingSpec | None:
-    t2s = p.get("cooling_t2star")
-    return CoolingSpec(method="raman", resulting_t2star_ns=t2s) if t2s else None
+    return None if sc.ensemble is None else _build(*_ENSEMBLE, sc.ensemble)
 
 
 def build_protocol(kind: str, p: dict) -> Protocol:
-    if kind == "rabi":
-        return rabi_protocol(p["omega"], p.get("delta", 0.0), _grid(p, "tau"))
-    if kind == "esr_scan":
-        return esr_scan_protocol(p["omega"], p.get("tau"), _grid(p, "omega"),
-                                 p["stark_ratio"], p["omega_e0"])
-    if kind == "ramsey":
-        return ramsey_protocol(p["omega"], p.get("delta", 0.0), _grid(p, "tau"),
-                               f_serr_mhz=p.get("f_serr", 0.0),
-                               balanced=p.get("balanced", True),
-                               cooling=_cooling(p))
-    if kind == "hahn_echo":
-        return hahn_echo_protocol(p["omega"], _grid(p, "t"),
-                                  t2he_ns=p.get("t2he"),
-                                  modulation_amp_mhz=p.get("mod_amp", 0.0),
-                                  modulation_freq_mhz=p.get("mod_freq", 0.0),
-                                  modulation_phases=p.get("mod_phases", 1),
-                                  modulation_mode=p.get("mod_mode", "refocus"),
-                                  cooling=_cooling(p))
-    if kind == "spin_pumping":
-        return spin_pumping_protocol(p["s"], p["duration"], p.get("points", 161))
-    if kind == "t1":
-        return t1_protocol(_grid(p, "delay"))
-    if kind == "rabi_q":
-        return rabi_q_protocol(p["omega_values"], p["di_values"],
-                               gamma2_mhz=p.get("gamma2", 4.2),
-                               gamma1_per_omega=p.get("gamma1_per_omega", 0.0048),
-                               stark_ratio=p.get("stark_ratio", -7.4),
-                               t2star_ns=p.get("t2star", 34.0))
-    if kind == "polarization_map":
-        return polarization_map_protocol(_grid(p, "hwp"), _grid(p, "qwp"))
-    raise UsageError(f"cannot build protocol kind {kind!r}")
+    return _build(*_PROTOCOLS[kind], p)
 
 
 def run_product(sc: Scenario, product_name: str, params: dict,
                 seed: int | None = None) -> ScanResult:
     """Simulate one protocol product, applying the scenario-level scan if any."""
-    kind = params["kind"]
     out = sc.output
     if seed is None:
         seed = out.get("seed")
-
-    if kind == "cpt_spectrum":
-        cpt = build_physics(sc)
-        if not isinstance(cpt, CptParams):
-            raise ConfigError("cpt_spectrum requires [physics] kind = cpt")
-        grid = _grid(params, "omega")
-        signal = models.cpt_spectrum(cpt, grid)
-        return ScanResult((("omega_ghz", grid),), signal, name=product_name)
+    kwargs = {key: out[key] for key in ("ideal_pulses", "counts_per_shot") if key in out}
+    if "handedness" in sc.physics:
+        kwargs["handedness"] = sc.physics["handedness"]
 
     physics = build_physics(sc)
     ensemble = build_ensemble(sc)
-    kwargs = dict(
-        ideal_pulses=out.get("ideal_pulses", False),
-        counts_per_shot=out.get("counts_per_shot", 0.0),
-        seed=seed,
-    )
-    if sc.physics.get("kind") == "faraday":
-        kwargs["handedness"] = sc.physics.get("handedness", "sigma-")
-
     scanned, protocols = _protocols(params, sc.scan)
-    results = [simulate_protocol(p, physics, ensemble, **kwargs) for p in protocols]
+    results = [simulate_protocol(p, physics, ensemble, seed=seed, **kwargs) for p in protocols]
     if not scanned:
         return replace(results[0], name=product_name)
     signal = np.stack([res.signal for res in results])
@@ -515,11 +452,13 @@ def run_product(sc: Scenario, product_name: str, params: dict,
 
 
 def _protocols(params: dict, scan: dict | None) -> tuple[bool, list[Protocol]]:
-    """Whether the scenario scan applies to a product, and its protocols:
-    one per scan value, or one (the Q scan and polarization map ignore it)."""
+    """Whether the scenario scan applies to a product, and its protocols: one
+    per scan value, or one.  A scanned product must take the scan parameter."""
     kind = params["kind"]
-    if scan is None or kind in ("rabi_q", "polarization_map"):
+    if scan is None or kind in _UNSCANNED:
         return False, [build_protocol(kind, params)]
+    if scan["parameter"] not in _PROTOCOLS[kind][1]:
+        raise UsageError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan")
     return True, [build_protocol(kind, {**params, scan["parameter"]: v}) for v in scan["values"]]
 
 

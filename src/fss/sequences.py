@@ -1,5 +1,6 @@
-"""Pulse protocols (Rabi, ESR scan, Ramsey, Hahn echo, spin pumping, T1) and
-their simulation against the two-level or four-level physics models.
+"""Pulse protocols (Rabi, ESR scan, Ramsey, Hahn echo, spin pumping, T1, CPT
+spectrum) and their simulation against the two-, three- or four-level
+physics models.
 
 A Protocol is pure data (kind + parameters + scan axes) so it can round-trip
 through the scenario config format.  ``simulate_protocol`` binds a protocol
@@ -37,7 +38,7 @@ from .ensemble import (
     weighted_average,
 )
 from .errors import UsageError
-from .models import FaradayParams, TwoToneDrive, build_two_level
+from .models import CptParams, FaradayParams, TwoToneDrive, build_two_level
 from .raman import s3_map
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -57,6 +58,7 @@ PROTOCOL_KINDS = (
     "t1",
     "rabi_q",
     "polarization_map",
+    "cpt_spectrum",
 )
 
 
@@ -355,6 +357,19 @@ def polarization_map_protocol(hwp_grid_deg, qwp_grid_deg) -> Protocol:
     )
 
 
+def cpt_spectrum_protocol(omega_grid_ghz) -> Protocol:
+    """Steady-state two-laser CPT fluorescence versus probe frequency."""
+    grid = np.asarray(omega_grid_ghz, dtype=float)
+    if grid.size == 0:
+        raise UsageError("frequency grid must be non-empty")
+    return Protocol(
+        kind="cpt_spectrum",
+        params={},
+        axes=(("omega_ghz", grid),),
+        signal="fluorescence",
+    )
+
+
 def _shots_for(p: Protocol, point: dict, ideal_pulses: bool = False) -> list[PulseSequence]:
     """Shots of the two-level families at one scan point.  ``ideal_pulses``
     replaces the finite Ramsey and echo pulses with instantaneous rotations
@@ -587,10 +602,11 @@ def simulate_protocol(
 ) -> ScanResult:
     """Simulate a protocol, returning the signal per scan point.
 
-    ``physics`` is a TwoLevelPhysics (Rabi/Ramsey/echo/ESR/T1 families) or a
-    FaradayParams (spin pumping, four-level Rabi).  Four-level Rabi runs the
-    shots like the two-level families, on a drive calibrated once (its
-    resonant Delta_RF is in ``extras``) and at most 9 ensemble nodes.
+    ``physics`` is a TwoLevelPhysics (Rabi/Ramsey/echo/ESR/T1 families), a
+    FaradayParams (spin pumping, four-level Rabi) or a CptParams (the CPT
+    spectrum).  Four-level Rabi runs the shots like the two-level families,
+    on a drive calibrated once (its resonant Delta_RF is in ``extras``) and
+    at most 9 ensemble nodes.
     Deterministic for fixed inputs; when ``counts_per_shot`` > 0 a seeded
     generator draws Poisson counts per shot (``seed`` is then required).
     """
@@ -608,6 +624,10 @@ def simulate_protocol(
         if not isinstance(physics, TwoLevelPhysics):
             raise UsageError("the intensity-noise Q scan runs on the two-level model")
         return _simulate_rabi_q(protocol, physics, ensemble)
+    if protocol.kind == "cpt_spectrum":
+        if not isinstance(physics, CptParams):
+            raise UsageError("the CPT spectrum requires CptParams physics")
+        return ScanResult(protocol.axes, models.cpt_spectrum(physics, protocol.axis("omega_ghz")))
 
     four_level = isinstance(physics, FaradayParams)
     if four_level and protocol.kind != "rabi":

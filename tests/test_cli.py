@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ kind = spin_pumping
 s = 15
 duration = 2500 ns
 points = 0
+"""
+
+CPT_SCENARIO = """\
+[scenario]
+name = cpt
+
+[physics]
+kind = cpt
+omega_e0 = 2.6 GHz
+omega_down = 9.3 1/ns
+omega_up = 0.19 1/ns
+gamma2 = 0.53 1/ns
+
+[protocol spectrum]
+kind = cpt_spectrum
+omega_start = 2.5 GHz
+omega_stop = 2.7 GHz
+omega_points = 5
 """
 
 
@@ -129,6 +148,20 @@ class TestValidate:
         text = (SMALL_SCENARIO.replace("kind = rabi", "kind = ramsey")
                 + "\n[scan]\nparameter = omega\nvalues = 100, 0 MHz\n")
         self._rejected_at(text, "[protocol", tmp_path)
+
+    def test_scan_parameter_the_product_lacks_rejected(self, tmp_path):
+        text = SMALL_SCENARIO + "\n[scan]\nparameter = f_serr\nvalues = 0, 5 MHz\n"
+        self._rejected_at(text, "[protocol", tmp_path)
+        parse_scenario(text.replace("kind = rabi", "kind = ramsey"))
+
+    def test_scan_without_values_rejected(self, tmp_path):
+        self._rejected_at(SMALL_SCENARIO + "\n[scan]\nparameter = omega\n", "[scan]", tmp_path)
+
+    @pytest.mark.parametrize("old,new", [("omega_points = 5\n", ""),
+                                         ("omega_points = 5", "omega_points = 0")])
+    def test_cpt_probe_grid_rejected(self, old, new, tmp_path):
+        parse_scenario(CPT_SCENARIO)
+        self._rejected_at(CPT_SCENARIO.replace(old, new), "[protocol", tmp_path)
 
     def test_missing_protocol_key_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO.replace("omega = 100 MHz\n", ""), "[protocol", tmp_path)
@@ -323,8 +356,10 @@ class TestScenarioParsing:
 
         names = bundled_scenarios()
         assert len(names) >= 12
-        for name in names:
-            sc = load_scenario(_resolve_scenario_path(name))
+        benchmark = sorted((Path(__file__).parents[1] / "benchmarks" / "scenarios").glob("*.scenario"))
+        assert {"fig2ef_small", "fig4abc_small"} <= {p.stem for p in benchmark}
+        for path in [_resolve_scenario_path(name) for name in names] + benchmark:
+            sc = load_scenario(path)
             assert sc.protocols
 
 

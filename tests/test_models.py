@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fss.core import DensityMatrix, evolve, expectation, steady_state
-from fss.errors import DomainError, UsageError
+from fss.errors import DomainError
 from fss.fitting import MODEL_LIBRARY, FitModel, fit
 from fss.models import (
     CptParams,
@@ -258,16 +258,3 @@ class TestPiContrast:
         f = np.linspace(0.52, 0.999, 40)
         q = [pi_contrast_and_q(x).q for x in f]
         assert np.all(np.diff(q) > 0)
-
-    def test_from_trajectory(self):
-        model = build_two_level(100.0, 0.0, 0.0, 0.0)
-        t = np.linspace(0, 6, 121)
-        traj = evolve(model, DensityMatrix.pure(2, 1), t)
-        r = pi_contrast_and_q(traj, omega_mhz=100.0)
-        assert r.f_pi == pytest.approx(1.0, abs=1e-6)
-
-    def test_trace_too_short(self):
-        model = build_two_level(100.0, 0.0, 0.0, 0.0)
-        traj = evolve(model, DensityMatrix.pure(2, 1), np.linspace(0, 2, 5))
-        with pytest.raises(UsageError):
-            pi_contrast_and_q(traj, omega_mhz=100.0)

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -38,19 +39,20 @@ SMALL_FOUR_LEVEL = FaradayParams(omega_e_ghz=2.6, omega_h_ghz=6.0, delta_ghz=4.0
                                  gamma1_mhz=589.463, bigGamma1_mhz=0.2, bigGamma2_mhz=1.0)
 
 
+_refined_calibration = functools.cache(models.calibrate_faraday_drive)
+
+
 @pytest.fixture
 def quick_calibration(monkeypatch):
-    """Replace the refined four-level drive calibration by its perturbative
-    estimate (the refinement costs seconds) and record each call's Rabi
-    frequency."""
+    """Share each four-level drive calibration (a fraction of a second each)
+    across this module's tests and record each call's Rabi frequency."""
     calls = []
-    original = models.calibrate_faraday_drive
 
-    def estimate(p, omega_mhz, handedness="sigma-"):
+    def cached(p, omega_mhz, handedness="sigma-"):
         calls.append(omega_mhz)
-        return original(p, omega_mhz, handedness, refine=False)
+        return _refined_calibration(p, omega_mhz, handedness)
 
-    monkeypatch.setattr(models, "calibrate_faraday_drive", estimate)
+    monkeypatch.setattr(models, "calibrate_faraday_drive", cached)
     return calls
 
 
