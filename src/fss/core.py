@@ -337,7 +337,10 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
 
     ``rho`` and ``hamiltonian`` may also be (..., d, d) stacks that
     broadcast against each other.  The result is traceless and keeps
-    rho + dt * rhs Hermitian to first order.
+    rho + dt * rhs Hermitian to first order.  The channels enter as one
+    stack of sqrt(g) L: the jump terms g L rho L^+ of all channels are one
+    d^2 x d^2 superoperator, applied to the whole state stack by one matrix
+    product, and the anticommutator terms share one sum of g L^+ L.
     """
     r = _as_matrix(rho)
     h = np.asarray(hamiltonian, dtype=complex)
@@ -347,16 +350,15 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
     if h.shape[-2:] != (dim, dim):
         raise UsageError("rho and Hamiltonian dimensions differ")
     _require_hermitian(h, "Hamiltonian")
+    if any(ch.operator.shape[0] != dim for ch in channels):
+        raise UsageError("channel operator dimension mismatch")
     out = -1j * (h @ r - r @ h)
-    for ch in channels:
-        if ch.operator.shape[0] != dim:
-            raise UsageError("channel operator dimension mismatch")
-        g = ch.rate_angular
-        if g == 0.0:
-            continue
-        L = ch.operator
-        LdL = L.conj().T @ L
-        out += g * (L @ r @ L.conj().T - 0.5 * (LdL @ r + r @ LdL))
+    if channels:
+        ops = np.stack([math.sqrt(ch.rate_angular) * ch.operator for ch in channels])  # sqrt(g) L
+        decay = np.einsum("cji,cjk->ik", ops.conj(), ops)
+        # vec(rho) @ jumps = vec(sum of g L rho L^+), with the row-major vec below
+        jumps = np.einsum("cij,clk->jkil", ops, ops.conj()).reshape(dim * dim, dim * dim)
+        out += (r.reshape(*r.shape[:-2], dim * dim) @ jumps).reshape(r.shape) - 0.5 * (decay @ r + r @ decay)
     return out
 
 

@@ -388,8 +388,11 @@ def fit_rabi_master_equation(
     T2* and Gamma1 enter as fixed priors.  The model counts = scale * P(tau;
     Omega, Gamma2) + offset, with Omega >= 0 and Gamma2 >= 0, goes through
     :func:`fit`'s bounded least squares; scale and offset start from a linear
-    solve at the guessed (Omega, Gamma2).  Returns the fit plus the pi
-    contrast and quality factor of the noiseless readout model at the optimum.
+    solve at the guessed (Omega, Gamma2).  Each distinct (Omega, Gamma2) is
+    simulated on ``tau_ns`` once per call: the scale and offset columns of
+    every Jacobian, the first residual and the re-evaluated optimum reuse it.
+    Returns the fit plus the pi contrast and quality factor of the noiseless
+    readout model at the optimum.
     """
     from . import models
     from .ensemble import EnsembleSpec
@@ -416,12 +419,21 @@ def fit_rabi_master_equation(
         physics = TwoLevelPhysics(gamma1_mhz=gamma1_mhz, gamma2_mhz=gamma2_mhz)
         return simulate_protocol(rabi_protocol(omega_mhz, delta_mhz, times), physics, ensemble).signal
 
+    on_tau: dict[tuple[float, float], np.ndarray] = {}
+
+    def population_on_tau(omega_mhz, gamma2_mhz) -> np.ndarray:
+        key = (float(omega_mhz), float(gamma2_mhz))
+        if key not in on_tau:
+            on_tau[key] = population(tau, *key)
+        return on_tau[key]
+
+    # fit evaluates the model on tau alone
     model = FitModel(
         "rabi_master_equation", ("omega_mhz", "gamma2_mhz", "scale", "offset"),
-        lambda t, omega, gamma2, scale, offset: scale * population(t, omega, gamma2) + offset,
+        lambda t, omega, gamma2, scale, offset: scale * population_on_tau(omega, gamma2) + offset,
         bounds=(np.array([0.0, 0.0, -np.inf, -np.inf]), np.full(4, np.inf)),
     )
-    s0 = population(tau, omega0_mhz, gamma2_0_mhz)
+    s0 = population_on_tau(omega0_mhz, gamma2_0_mhz)
     (scale0, offset0), *_ = np.linalg.lstsq(np.stack([s0, np.ones_like(s0)], axis=1), y, rcond=None)
     result = fit(model, tau, y, [omega0_mhz, gamma2_0_mhz, scale0, offset0])
     # evaluate the noiseless readout model exactly at the pi time

@@ -254,14 +254,19 @@ class JonesVector:
         return np.array([self.h, self.v], dtype=complex)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _rotation(theta) -> np.ndarray:
+    """Rotations by ``theta`` radians, as a (..., 2, 2) stack over its shape."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2).astype(complex)
 
 
-def retarder_matrix(theta_deg: float, retardance: float) -> np.ndarray:
-    """Waveplate with fast axis at theta from horizontal, given retardance."""
-    th = math.radians(theta_deg)
+def retarder_matrix(theta_deg, retardance: float) -> np.ndarray:
+    """Waveplate with fast axis at theta from horizontal, given retardance.
+
+    ``theta_deg`` may be an array of angles; the result is then the
+    (..., 2, 2) stack of one waveplate per angle.
+    """
+    th = np.radians(theta_deg)
     core = np.array([[1.0, 0.0], [0.0, np.exp(-1j * retardance)]], dtype=complex)
     return _rotation(th) @ core @ _rotation(-th)
 
@@ -299,12 +304,14 @@ def stokes(state: JonesVector) -> StokesVector:
 def s3_map(hwp_grid_deg, qwp_grid_deg, state: JonesVector | None = None) -> np.ndarray:
     """Degree of circular polarization over a waveplate-angle grid.
 
-    Returns an array of shape (len(hwp_grid), len(qwp_grid)).
+    Returns an array of shape (len(hwp_grid), len(qwp_grid)): entry (i, j)
+    is ``stokes(jones_through_waveplates(state, hwp[i], qwp[j])).s3``, from
+    one stack of half-wave and one of quarter-wave plates applied to
+    ``state`` (default horizontal) over the whole grid at once.
     """
     if state is None:
         state = JonesVector.horizontal()
-    out = np.empty((len(hwp_grid_deg), len(qwp_grid_deg)))
-    for i, hw in enumerate(hwp_grid_deg):
-        for j, qw in enumerate(qwp_grid_deg):
-            out[i, j] = stokes(jones_through_waveplates(state, hw, qw)).s3
-    return out
+    after_hwp = hwp_matrix(hwp_grid_deg) @ state.as_array()
+    out = np.einsum("qij,hj->hqi", qwp_matrix(qwp_grid_deg), after_hwp)
+    h, v = out[..., 0], out[..., 1]
+    return 2.0 * (np.conj(h) * v).imag / (np.abs(h) ** 2 + np.abs(v) ** 2)

@@ -11,11 +11,13 @@ time belongs is a schema error with a line diagnostic (this is the guard
 against the MHz/angular mixups centralized in the ensemble module).
 Parsing also builds the physics, the ensemble and every product, so a
 missing key or a value that a constructor rejects is a config error naming
-its section's line.  Multiple ``[protocol name]`` sections yield one data
-product per section; an optional ``[scan]`` section sweeps one protocol
-parameter, turning each product into a two-axis (long format) scan.  Every
-scanned product must take the scan parameter as a key; the Rabi Q scan, the
-polarization map and the CPT spectrum ignore the scan."""
+its section's line, and so is a product whose table row does not list the
+``[physics]`` kind among those it runs on.  Multiple ``[protocol name]``
+sections yield one data product per section; an optional ``[scan]`` section
+sweeps one protocol parameter, turning each product into a two-axis (long
+format) scan.  Every scanned product must take the scan parameter as a key;
+the Rabi Q scan, the polarization map and the CPT spectrum ignore the
+scan."""
 
 from __future__ import annotations
 
@@ -58,7 +60,8 @@ _ANGLE_DEG = {"deg": 1.0}
 _BARE = None  # dimensionless: unit token forbidden
 
 # Section tables: kind -> (constructor, {config key: (type, unit family,
-# constructor argument[, default])}).  A "grid" key ``x_*`` stands for
+# constructor argument[, default])}); a protocol row also names the physics
+# kinds it runs on, after its constructor.  A "grid" key ``x_*`` stands for
 # x_start, x_stop and x_points and sets its argument to their linspace.  A
 # default appears only where the constructor has none; a key whose argument
 # is None is not the constructor's.
@@ -112,19 +115,19 @@ def _raman_cooled(make):
 
 
 _PROTOCOLS = {
-    "rabi": (rabi_protocol, {
+    "rabi": (rabi_protocol, ("two_level", "faraday"), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
         "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
     }),
-    "esr_scan": (esr_scan_protocol, {
+    "esr_scan": (esr_scan_protocol, ("two_level",), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "tau": ("float", _TIME_NS, "tau_ns", None),
         "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
         "stark_ratio": ("float", _BARE, "stark_ratio"),
         "omega_e0": ("float", _FREQ_GHZ, "omega_e0_ghz"),
     }),
-    "ramsey": (_raman_cooled(ramsey_protocol), {
+    "ramsey": (_raman_cooled(ramsey_protocol), ("two_level",), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
         "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
@@ -132,7 +135,7 @@ _PROTOCOLS = {
         "balanced": ("bool", _BARE, "balanced"),
         "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
     }),
-    "hahn_echo": (_raman_cooled(hahn_echo_protocol), {
+    "hahn_echo": (_raman_cooled(hahn_echo_protocol), ("two_level",), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "t_*": ("grid", _TIME_NS, "total_delay_grid_ns"),
         "t2he": ("float", _TIME_NS, "t2he_ns"),
@@ -142,15 +145,15 @@ _PROTOCOLS = {
         "mod_mode": ("str", None, "modulation_mode"),
         "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
     }),
-    "spin_pumping": (spin_pumping_protocol, {
+    "spin_pumping": (spin_pumping_protocol, ("faraday",), {
         "s": ("float", _BARE, "s"),
         "duration": ("float", _TIME_NS, "duration_ns"),
         "points": ("int", _BARE, "points"),
     }),
-    "t1": (t1_protocol, {
+    "t1": (t1_protocol, ("two_level",), {
         "delay_*": ("grid", _TIME_NS, "delay_grid_ns"),
     }),
-    "rabi_q": (rabi_q_protocol, {
+    "rabi_q": (rabi_q_protocol, ("two_level",), {
         "omega_values": ("floatlist", _FREQ_MHZ, "omega_grid_mhz"),
         "di_values": ("floatlist", _BARE, "di_over_i_grid"),
         "gamma2": ("float", _FREQ_MHZ, "gamma2_mhz"),
@@ -158,17 +161,19 @@ _PROTOCOLS = {
         "stark_ratio": ("float", _BARE, "stark_ratio"),
         "t2star": ("float", _TIME_NS, "t2star_ns"),
     }),
-    "polarization_map": (polarization_map_protocol, {
+    "polarization_map": (polarization_map_protocol, tuple(_PHYSICS), {
         "hwp_*": ("grid", _ANGLE_DEG, "hwp_grid_deg"),
         "qwp_*": ("grid", _ANGLE_DEG, "qwp_grid_deg"),
     }),
-    "cpt_spectrum": (cpt_spectrum_protocol, {
+    "cpt_spectrum": (cpt_spectrum_protocol, ("cpt",), {
         "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
     }),
 }
 
 # products that ignore the scenario scan
 _UNSCANNED = ("rabi_q", "polarization_map", "cpt_spectrum")
+
+_SCENARIO_KEYS = {"name": ("str", None)}
 
 _OUTPUT_KEYS = {
     "signal": ("str", None),
@@ -304,7 +309,7 @@ def parse_scenario(text: str) -> Scenario:
 
     for section, label, lineno, entries in sections:
         if section == "scenario":
-            name = entries.get("name", ("unnamed", lineno))[0]
+            name = _parse_section(entries, _SCENARIO_KEYS, "scenario").get("name", "unnamed")
         elif section == "physics":
             physics = _parse_kind(entries, _PHYSICS, "physics", lineno)
             lines["physics"] = lineno
@@ -332,6 +337,11 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("missing [physics] section")
     if not protocols:
         raise ConfigError("no [protocol] section")
+    for (_, params), lineno in zip(protocols, protocol_lines):
+        runs_on = _PROTOCOLS[params["kind"]][1]
+        if physics is not None and physics["kind"] not in runs_on:
+            raise ConfigError(f"protocol kind {params['kind']!r} runs on {' or '.join(runs_on)} physics, "
+                              f"not {physics['kind']!r}", lineno)
     if output.get("counts_per_shot", 0) > 0 and "seed" not in output:
         raise ConfigError("shot noise enabled: [output] seed is required")
     sc = Scenario(
@@ -365,7 +375,7 @@ def _parse_kind(entries: dict, table: dict, section: str, lineno: int) -> dict:
     kind = entries.get("kind", (None, lineno))[0]
     if kind not in table:
         raise ConfigError(f"{section} kind must be one of {sorted(table)}", lineno)
-    return _parse_section(entries, {"kind": ("str", None), **table[kind][1]}, section)
+    return _parse_section(entries, {"kind": ("str", None), **table[kind][-1]}, section)
 
 
 def _parse_section(entries: dict, keys: dict, section: str) -> dict:
@@ -427,7 +437,8 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec | None:
 
 
 def build_protocol(kind: str, p: dict) -> Protocol:
-    return _build(*_PROTOCOLS[kind], p)
+    make, _, keys = _PROTOCOLS[kind]
+    return _build(make, keys, p)
 
 
 def run_product(sc: Scenario, product_name: str, params: dict,
@@ -457,7 +468,7 @@ def _protocols(params: dict, scan: dict | None) -> tuple[bool, list[Protocol]]:
     kind = params["kind"]
     if scan is None or kind in _UNSCANNED:
         return False, [build_protocol(kind, params)]
-    if scan["parameter"] not in _PROTOCOLS[kind][1]:
+    if scan["parameter"] not in _PROTOCOLS[kind][-1]:
         raise UsageError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan")
     return True, [build_protocol(kind, {**params, scan["parameter"]: v}) for v in scan["values"]]
 

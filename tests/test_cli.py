@@ -84,6 +84,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _block(text, header):
+    """The section of a scenario ``text`` that opens with ``header``, up to the next blank line."""
+    return text[text.index(header):].split("\n\n")[0] + "\n"
+
+
 class TestValidate:
     def test_bundled_scenario_ok(self, capsys):
         assert run(["validate", "fig2b"]) == 0
@@ -162,6 +167,17 @@ class TestValidate:
     def test_cpt_probe_grid_rejected(self, old, new, tmp_path):
         parse_scenario(CPT_SCENARIO)
         self._rejected_at(CPT_SCENARIO.replace(old, new), "[protocol", tmp_path)
+
+    @pytest.mark.parametrize("product, physics", [(PUMPING_SCENARIO, SMALL_SCENARIO),
+                                                  (CPT_SCENARIO, PUMPING_SCENARIO)],
+                             ids=["spin_pumping-on-two_level", "cpt_spectrum-on-faraday"])
+    def test_product_on_physics_it_cannot_run_rejected(self, product, physics, tmp_path):
+        parse_scenario(product)
+        text = "[scenario]\nname = mixed\n" + _block(physics, "[physics]") + _block(product, "[protocol")
+        self._rejected_at(text, "[protocol", tmp_path)
+
+    def test_misspelt_scenario_key_rejected(self, tmp_path):
+        self._rejected_at(SMALL_SCENARIO.replace("name = smoke", "nmae = smoke"), "nmae", tmp_path)
 
     def test_missing_protocol_key_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO.replace("omega = 100 MHz\n", ""), "[protocol", tmp_path)

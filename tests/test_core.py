@@ -266,6 +266,38 @@ class TestLindbladRhs:
         with pytest.raises(UsageError):
             lindblad_rhs(DensityMatrix.pure(2, 0), np.zeros((3, 3)), [])
 
+    def test_channel_dimension_mismatch(self):
+        with pytest.raises(UsageError, match="channel"):
+            lindblad_rhs(DensityMatrix.pure(2, 0), np.zeros((2, 2)), [CollapseChannel(1.0, np.eye(3))])
+
+    def test_stack_matches_per_channel_sum(self):
+        rng = np.random.default_rng(11)
+        b, d = 5, 3
+
+        def random_ops(*shape):
+            return rng.normal(size=(*shape, d, d)) + 1j * rng.normal(size=(*shape, d, d))
+
+        a = random_ops(b)
+        hs = a + np.conj(np.swapaxes(a, -1, -2))
+        m = random_ops(b)
+        rhos = m @ np.conj(np.swapaxes(m, -1, -2))
+        rhos /= np.trace(rhos, axis1=-2, axis2=-1)[:, None, None]
+        channels = [CollapseChannel(rate, op) for rate, op in zip((3.0, 0.0, 0.7), random_ops(3))]
+        expected = np.empty_like(rhos)
+        for k, (h, r) in enumerate(zip(hs, rhos)):
+            out = -1j * (h @ r - r @ h)
+            for ch in channels:
+                g, L = ch.rate_angular, ch.operator
+                Ld = L.conj().T
+                out = out + g * (L @ r @ Ld - 0.5 * (Ld @ L @ r + r @ Ld @ L))
+            expected[k] = out
+        got = lindblad_rhs(rhos, hs, channels)
+        assert got.shape == (b, d, d)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # one Hamiltonian broadcast over the state stack
+        assert np.allclose(lindblad_rhs(rhos, hs[0], channels),
+                           [lindblad_rhs(r, hs[0], channels) for r in rhos], rtol=0, atol=1e-12)
+
 
 class TestEvolve:
     def test_identity_evolution(self):

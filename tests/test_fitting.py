@@ -298,6 +298,26 @@ class TestRabiMasterEquationFit:
             assert abs(r[name] - value) <= 0.05 * r.error(name), name
         assert r.n_eval < 60  # a derivative-free walk takes over 100
 
+    def test_each_distinct_point_is_simulated_once(self, monkeypatch):
+        import fss.sequences
+
+        simulate = fss.sequences.simulate_protocol
+        on_tau, other = [], []
+
+        def counting(protocol, physics, *args, **kwargs):
+            grid = protocol.axes[0][1]
+            point = (protocol.params["omega_mhz"], physics.gamma2_mhz)
+            (on_tau if np.array_equal(grid, _TAU) else other).append(point)
+            return simulate(protocol, physics, *args, **kwargs)
+
+        monkeypatch.setattr(fss.sequences, "simulate_protocol", counting)
+        r, _ = fit_rabi_master_equation(_TAU, _COUNTS, omega0_mhz=60.0, gamma2_0_mhz=3.0,
+                                        t2star_ns=34.0, gamma1_mhz=0.4, nodes=9)
+        assert len(on_tau) == len(set(on_tau))
+        # every Jacobian has two columns (scale, offset) that need no new simulation
+        assert len(on_tau) < r.n_eval
+        assert other == [(r["omega_mhz"], r["gamma2_mhz"])]  # the pi-time readout
+
     @pytest.mark.parametrize("field, bad", [
         ("counts", {"counts": np.r_[_COUNTS[:3], np.nan, _COUNTS[4:]]}),
         ("counts", {"counts": _COUNTS[:-1]}),

@@ -216,6 +216,26 @@ class TestWaveplates:
         s = stokes(JonesVector(0.6, 0.8j))
         assert s.s1**2 + s.s2**2 + s.s3**2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("state", [JonesVector.horizontal(), JonesVector.diagonal(),
+                                       JonesVector(0.8, 0.3 + 0.5j)], ids=["H", "D", "elliptical"])
+    def test_s3_map_matches_per_point_stokes(self, state):
+        rng = np.random.default_rng(5)
+        hwp = np.sort(rng.uniform(-200, 200, 13))
+        qwp = np.sort(rng.uniform(-200, 200, 11))
+        m = s3_map(hwp, qwp, state)
+        expected = [[stokes(jones_through_waveplates(state, h, q)).s3 for q in qwp] for h in hwp]
+        assert m.shape == (13, 11)
+        assert np.max(np.abs(m - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("hwp, qwp", [([], [0.0, 45.0]), ([0.0, 45.0], []), ([], []),
+                                          ([22.5], [45.0])])
+    def test_s3_map_degenerate_axes_keep_shape(self, hwp, qwp):
+        m = s3_map(hwp, qwp)
+        assert m.shape == (len(hwp), len(qwp))
+        if m.size:
+            assert m[0, 0] == pytest.approx(stokes(jones_through_waveplates(JonesVector.horizontal(),
+                                                                            hwp[0], qwp[0])).s3, abs=1e-12)
+
     def test_s3_map_extrema_structure(self):
         # two |S3| = 1 islands per 180 deg period in each angle
         hwp = np.arange(0, 180, 2.5)
