@@ -173,7 +173,7 @@ _PROTOCOLS = {
 # products that ignore the scenario scan
 _UNSCANNED = ("rabi_q", "polarization_map", "cpt_spectrum")
 
-_SCENARIO_KEYS = {"name": ("str", None)}
+_SCENARIO_KEYS = {"name": ("text", None)}
 
 _OUTPUT_KEYS = {
     "signal": ("str", None),
@@ -209,6 +209,8 @@ class Scenario:
 
 
 def _parse_value(key, raw, kind, family, lineno):
+    if kind == "text":  # the whole value, spaces and all
+        return raw
     parts = raw.split()
     if kind == "str":
         if len(parts) != 1:

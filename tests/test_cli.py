@@ -179,6 +179,13 @@ class TestValidate:
     def test_misspelt_scenario_key_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO.replace("name = smoke", "nmae = smoke"), "nmae", tmp_path)
 
+    def test_scenario_name_keeps_its_spaces(self, tmp_path):
+        text = SMALL_SCENARIO.replace("name = smoke", "name = fig 3a  smoke")
+        assert parse_scenario(text).name == "fig 3a  smoke"
+        path = tmp_path / "spaced.scenario"
+        path.write_text(text, encoding="utf-8")
+        assert run(["validate", path]) == 0
+
     def test_missing_protocol_key_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO.replace("omega = 100 MHz\n", ""), "[protocol", tmp_path)
 

@@ -1,17 +1,18 @@
 """Alternating base/change pairs of the fss benchmark.
 
-    python3 tools/bench_pairs.py --workload fit --seed 0 --pairs 10
-    python3 tools/bench_pairs.py --workload fit --seed 0 --base HEAD~1 --change HEAD
+    python3 tools/bench_pairs.py --workload fit --seed 0 --pairs 10 --base HEAD~1
 
-Exports two trees with ``git archive`` into a scratch directory: ``--base``
-(default HEAD) and ``--change`` (default the working tree: what ``git add
--A`` would stage, built in a throwaway index, so the real index is left
-alone).  It then runs ``benchmarks/run.py`` in each tree, one after the
-other, for ``--pairs`` pairs; the base runs first in odd pairs and the
-change in even pairs, so neither always runs first.  For each end-to-end
-metric of BENCHMARK.json it prints both medians, the base's quartiles and
-the number of pairs in which the change was better, then the failed item
-runs of each tree.  Standard library only.
+Exports two trees with ``git archive`` into a new temporary directory: the
+``--base`` revision (default HEAD) and the working tree (what ``git add -A``
+would stage, built in a throwaway index, so the real index is left alone).
+It stops with an error when both are the same tree, as they are once a
+change is committed and ``--base`` still names it.  It then runs
+``benchmarks/run.py`` in each tree for BENCHMARK.json's ``run_seconds``, one
+tree after the other, for ``--pairs`` pairs; the base runs first in odd
+pairs and the change in even pairs, so neither always runs first.  For each
+end-to-end metric of BENCHMARK.json it prints both medians, the base's
+quartiles and the number of pairs in which the change was better, then the
+failed item runs of each tree.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ def working_tree() -> str:
 
 def export(rev: str, dest: Path) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
-        tar.extractall(dest, filter="data")
+        # the extraction filters arrived in 3.10.12 and 3.11.4
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -81,39 +86,33 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                        help="run.py's --seconds for every run")
     parser.add_argument("--base", default="HEAD", help="git revision of the base")
-    parser.add_argument("--change", default=None,
-                        help="git revision of the change (default: the working tree)")
-    parser.add_argument("--scratch", type=Path, default=None,
-                        help="directory for the two exported trees (default: a new temporary one, "
-                             "removed at the end); must not exist yet")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    if args.scratch is not None and args.scratch.exists():
-        parser.error(f"--scratch {args.scratch} exists already")
 
-    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="fss-pairs-"))
+    revs = {"base": git("rev-parse", f"{args.base}^{{tree}}").decode().strip(), "change": working_tree()}
+    if revs["base"] == revs["change"]:
+        parser.error(f"base {args.base} and the working tree are the same tree; "
+                     "pass --base <parent revision>")
+    scratch = Path(tempfile.mkdtemp(prefix="fss-pairs-"))
     # equal-length paths: peak RSS moves by about 0.2 MB with the length of the checkout path
     trees = {"base": scratch / "old", "change": scratch / "new"}
     try:
-        revs = {"base": args.base, "change": args.change or working_tree()}
         for label, rev in revs.items():
             export(rev, trees[label])
-            print(f"{label}: {rev} -> {trees[label]}", flush=True)
+            print(f"{label}: tree {rev} -> {trees[label]}", flush=True)
         runs = {"base": [], "change": []}
         for k in range(args.pairs):
             order = ("base", "change") if k % 2 == 0 else ("change", "base")
             for label in order:
-                runs[label].append(run_benchmark(trees[label], args.workload, args.seed, args.seconds))
+                runs[label].append(run_benchmark(trees[label], args.workload, args.seed,
+                                                 spec["run_seconds"]))
             print(f"pair {k + 1}: " + ", ".join(
                 f"{label} " + " ".join(f"{m['name']} {runs[label][-1]['metrics'][m['name']]['value']:.4g}"
                                        for m in spec["end_to_end"]) for label in order), flush=True)
     finally:
-        if args.scratch is None:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     for line in summarize(spec["end_to_end"], runs["base"], runs["change"]):
         print(line)
     for label, results in runs.items():
