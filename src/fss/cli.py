@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -208,7 +209,10 @@ def _cmd_list_models(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and shared by all
+    later ones (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="fss",
         description="Simulation and fitting toolkit for optically driven quantum-dot spins in Faraday geometry.",
@@ -280,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

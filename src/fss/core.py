@@ -85,7 +85,7 @@ def _require_square(m: np.ndarray, what: str) -> int:
 
 def _require_finite(m, what: str):
     if not np.all(np.isfinite(m)):
-        raise UsageError(f"{what} has non-finite entries")
+        raise UsageError(f"{what} must be finite")
 
 
 def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL):
@@ -110,8 +110,11 @@ def _guard(rhos, times=None) -> np.ndarray:
     state raises UsageError.
 
     Only the states whose lowest eigenvalue (:func:`_lowest_eigenvalues`)
-    is below zero go through ``eigh``: a clamped state is rebuilt from its
-    eigenvectors and clipped eigenvalues.
+    is below zero are rebuilt.  A clamped 2 x 2 state [[a, b], [b*, c]] is
+    the projector onto its upper eigenvector, [[r + h, b], [b*, r - h]] / 2r
+    with h = (a - c)/2 and r = hypot(h, |b|), exactly Hermitian and with
+    trace 1 to rounding; a larger one goes through ``eigh`` and is rebuilt
+    from its eigenvectors and clipped eigenvalues.
     """
     m = np.asarray(rhos, dtype=complex)
 
@@ -129,7 +132,17 @@ def _guard(rhos, times=None) -> np.ndarray:
     low = _lowest_eigenvalues(m)
     check(low < EIGENVALUE_FLOOR, "density matrix has negative eigenvalue {:.3e}", low)
     neg = low < 0.0
-    if np.any(neg):
+    if not np.any(neg):
+        return m
+    if m.shape[-1] == 2:
+        p = m[neg]
+        h = 0.5 * (p[:, 0, 0].real - p[:, 1, 1].real)
+        r = np.hypot(h, np.abs(p[:, 0, 1]))
+        p[:, 0, 0], p[:, 1, 1] = (r + h) / (2 * r), (r - h) / (2 * r)
+        p[:, 0, 1] /= 2 * r
+        p[:, 1, 0] = p[:, 0, 1].conj()
+        m[neg] = p
+    else:
         evals, vecs = np.linalg.eigh(m[neg])
         clamped = (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ _dagger(vecs)
         m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]

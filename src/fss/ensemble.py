@@ -39,6 +39,8 @@ class EnsembleSpec:
     correlated_rabi_jitter: bool = False  # also scale Omega by (1 + dI/I) per node
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t2star_ns, self.stark_ratio, self.omega_mhz, self.di_over_i))):
+            raise UsageError("T2*, stark_ratio, omega_mhz and dI/I must be finite")
         if self.t2star_ns <= 0:
             raise UsageError("T2* must be > 0")
         if self.di_over_i < 0:

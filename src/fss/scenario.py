@@ -11,8 +11,8 @@ time belongs is a schema error with a line diagnostic (this is the guard
 against the MHz/angular mixups centralized in the ensemble module).
 Parsing also builds the physics, the ensemble and every product, so a
 missing key or a value that a constructor rejects is a config error naming
-its section's line, and so is a product whose table row does not list the
-``[physics]`` kind among those it runs on.  Multiple ``[protocol name]``
+its section's line, and so is a product on a ``[physics]`` kind whose class
+``fss.sequences.RUNS_ON`` does not list for it.  Multiple ``[protocol name]``
 sections yield one data product per section; an optional ``[scan]`` section
 sweeps one protocol parameter, turning each product into a two-axis (long
 format) scan.  Every scanned product must take the scan parameter as a key;
@@ -35,6 +35,7 @@ from .ensemble import EnsembleSpec
 from .errors import ConfigError, UsageError
 from .models import CptParams, FaradayParams
 from .sequences import (
+    RUNS_ON,
     CoolingSpec,
     Protocol,
     ScanResult,
@@ -60,8 +61,7 @@ _ANGLE_DEG = {"deg": 1.0}
 _BARE = None  # dimensionless: unit token forbidden
 
 # Section tables: kind -> (constructor, {config key: (type, unit family,
-# constructor argument[, default])}); a protocol row also names the physics
-# kinds it runs on, after its constructor.  A "grid" key ``x_*`` stands for
+# constructor argument[, default])}).  A "grid" key ``x_*`` stands for
 # x_start, x_stop and x_points and sets its argument to their linspace.  A
 # default appears only where the constructor has none; a key whose argument
 # is None is not the constructor's.
@@ -115,19 +115,19 @@ def _raman_cooled(make):
 
 
 _PROTOCOLS = {
-    "rabi": (rabi_protocol, ("two_level", "faraday"), {
+    "rabi": (rabi_protocol, {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
         "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
     }),
-    "esr_scan": (esr_scan_protocol, ("two_level",), {
+    "esr_scan": (esr_scan_protocol, {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "tau": ("float", _TIME_NS, "tau_ns", None),
         "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
         "stark_ratio": ("float", _BARE, "stark_ratio"),
         "omega_e0": ("float", _FREQ_GHZ, "omega_e0_ghz"),
     }),
-    "ramsey": (_raman_cooled(ramsey_protocol), ("two_level",), {
+    "ramsey": (_raman_cooled(ramsey_protocol), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
         "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
@@ -135,7 +135,7 @@ _PROTOCOLS = {
         "balanced": ("bool", _BARE, "balanced"),
         "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
     }),
-    "hahn_echo": (_raman_cooled(hahn_echo_protocol), ("two_level",), {
+    "hahn_echo": (_raman_cooled(hahn_echo_protocol), {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "t_*": ("grid", _TIME_NS, "total_delay_grid_ns"),
         "t2he": ("float", _TIME_NS, "t2he_ns"),
@@ -145,15 +145,15 @@ _PROTOCOLS = {
         "mod_mode": ("str", None, "modulation_mode"),
         "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
     }),
-    "spin_pumping": (spin_pumping_protocol, ("faraday",), {
+    "spin_pumping": (spin_pumping_protocol, {
         "s": ("float", _BARE, "s"),
         "duration": ("float", _TIME_NS, "duration_ns"),
         "points": ("int", _BARE, "points"),
     }),
-    "t1": (t1_protocol, ("two_level",), {
+    "t1": (t1_protocol, {
         "delay_*": ("grid", _TIME_NS, "delay_grid_ns"),
     }),
-    "rabi_q": (rabi_q_protocol, ("two_level",), {
+    "rabi_q": (rabi_q_protocol, {
         "omega_values": ("floatlist", _FREQ_MHZ, "omega_grid_mhz"),
         "di_values": ("floatlist", _BARE, "di_over_i_grid"),
         "gamma2": ("float", _FREQ_MHZ, "gamma2_mhz"),
@@ -161,11 +161,11 @@ _PROTOCOLS = {
         "stark_ratio": ("float", _BARE, "stark_ratio"),
         "t2star": ("float", _TIME_NS, "t2star_ns"),
     }),
-    "polarization_map": (polarization_map_protocol, tuple(_PHYSICS), {
+    "polarization_map": (polarization_map_protocol, {
         "hwp_*": ("grid", _ANGLE_DEG, "hwp_grid_deg"),
         "qwp_*": ("grid", _ANGLE_DEG, "qwp_grid_deg"),
     }),
-    "cpt_spectrum": (cpt_spectrum_protocol, ("cpt",), {
+    "cpt_spectrum": (cpt_spectrum_protocol, {
         "omega_*": ("grid", _FREQ_GHZ, "omega_grid_ghz"),
     }),
 }
@@ -340,7 +340,7 @@ def parse_scenario(text: str) -> Scenario:
     if not protocols:
         raise ConfigError("no [protocol] section")
     for (_, params), lineno in zip(protocols, protocol_lines):
-        runs_on = _PROTOCOLS[params["kind"]][1]
+        runs_on = [kind for kind, (cls, _) in _PHYSICS.items() if issubclass(cls, RUNS_ON[params["kind"]])]
         if physics is not None and physics["kind"] not in runs_on:
             raise ConfigError(f"protocol kind {params['kind']!r} runs on {' or '.join(runs_on)} physics, "
                               f"not {physics['kind']!r}", lineno)
@@ -439,8 +439,7 @@ def build_ensemble(sc: Scenario) -> EnsembleSpec | None:
 
 
 def build_protocol(kind: str, p: dict) -> Protocol:
-    make, _, keys = _PROTOCOLS[kind]
-    return _build(make, keys, p)
+    return _build(*_PROTOCOLS[kind], p)
 
 
 def run_product(sc: Scenario, product_name: str, params: dict,

@@ -28,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate, liouvillian
+from .core import (DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate,
+                   _require_finite, liouvillian)
 from .ensemble import (
     DEFAULT_NODES,
     EnsembleSpec,
@@ -48,19 +49,6 @@ from .units import ghz_to_angular, mhz_to_angular
 # pure sine of the delay as in the serrodyne fringe fits.
 _SERR_SIGN = -1.0
 _SERR_REFERENCE = -math.pi / 2
-
-PROTOCOL_KINDS = (
-    "rabi",
-    "esr_scan",
-    "ramsey",
-    "hahn_echo",
-    "spin_pumping",
-    "t1",
-    "rabi_q",
-    "polarization_map",
-    "cpt_spectrum",
-)
-
 
 @dataclass(frozen=True)
 class PulseSegment:
@@ -114,6 +102,8 @@ class CoolingSpec:
     def __post_init__(self):
         if self.method not in ("raman", "rabi", "algorithmic", "modified-algorithmic"):
             raise UsageError(f"unknown cooling method {self.method!r}")
+        if not all(map(math.isfinite, (self.resulting_t2star_ns, self.omega_cool_mhz, self.omega_cool_ghz))):
+            raise UsageError("cooling parameters must be finite")
         if self.resulting_t2star_ns <= 0:
             raise UsageError("resulting T2* must be > 0")
 
@@ -129,7 +119,7 @@ class Protocol:
     cooling: CoolingSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
+        if self.kind not in RUNS_ON:
             raise UsageError(f"unknown protocol kind {self.kind!r}")
         axes = tuple((name, np.asarray(vals, dtype=float)) for name, vals in self.axes)
         object.__setattr__(self, "axes", axes)
@@ -160,6 +150,21 @@ class TwoLevelPhysics:
             raise UsageError("rates must be >= 0")
         if not 0 <= self.epsilon_init < 1:
             raise UsageError("initialization infidelity must be in [0, 1)")
+
+
+# The protocol kinds, each with the physics classes it runs on; a polarization
+# map runs on any physics or on none.
+RUNS_ON: dict[str, tuple[type, ...]] = {
+    "rabi": (TwoLevelPhysics, FaradayParams),
+    "esr_scan": (TwoLevelPhysics,),
+    "ramsey": (TwoLevelPhysics,),
+    "hahn_echo": (TwoLevelPhysics,),
+    "spin_pumping": (FaradayParams,),
+    "t1": (TwoLevelPhysics,),
+    "rabi_q": (TwoLevelPhysics,),
+    "polarization_map": (object,),
+    "cpt_spectrum": (CptParams,),
+}
 
 
 @dataclass
@@ -232,9 +237,10 @@ def ramsey_protocol(
     A nonzero serrodyne frequency advances the second pulse phase linearly in
     tau, shifting the fringe frequency to delta + f_serr.
     """
+    tau = np.asarray(tau_grid_ns, dtype=float)
+    _require_finite(np.append(tau, [omega_mhz, delta_mhz, f_serr_mhz]), "Ramsey delays, omega, delta and f_serr")
     if omega_mhz <= 0:
         raise UsageError(f"pi/2 pulses need omega_mhz > 0, got {omega_mhz}")
-    tau = np.asarray(tau_grid_ns, dtype=float)
     return Protocol(
         kind="ramsey",
         params={
@@ -271,13 +277,15 @@ def hahn_echo_protocol(
     ``modulation_phases`` initial phases, which dephases the echo at even
     orders only (spectral weight at half the modulation frequency).
     """
+    grid = np.asarray(total_delay_grid_ns, dtype=float)
+    _require_finite(np.append(grid, [omega_mhz, t2he_ns or 0.0, modulation_amp_mhz, modulation_freq_mhz]),
+                    "echo delays, omega, T2HE and modulation")
     if omega_mhz <= 0:
         raise UsageError(f"echo pulses need omega_mhz > 0, got {omega_mhz}")
     if modulation_mode not in ("refocus", "free"):
         raise UsageError("modulation_mode must be 'refocus' or 'free'")
     if modulation_amp_mhz != 0 and modulation_phases < 1:
         raise UsageError("a detuning modulation needs modulation_phases >= 1")
-    grid = np.asarray(total_delay_grid_ns, dtype=float)
     return Protocol(
         kind="hahn_echo",
         params={
@@ -433,11 +441,6 @@ def _shots_for(p: Protocol, point: dict, ideal_pulses: bool = False) -> list[Pul
 _LEVELS = ("down", "up")  # basis order of build_two_level
 
 
-def _rotation_unitary(theta: float, phase: float) -> np.ndarray:
-    axis = math.cos(phase) * models.SIGMA_X + math.sin(phase) * models.SIGMA_Y
-    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
-
-
 def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[float, int]:
     if ensemble is not None:
         return combined_sigma(ensemble), ensemble.nodes
@@ -484,8 +487,6 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
                         readout={t: np.eye(2)[k] for k, t in enumerate(_LEVELS)},
                         model=functools.partial(_segment_model, phys=physics),
                         offset=models.SIGMA_Z / 2)
-    if not isinstance(physics, FaradayParams):
-        raise UsageError("physics must be TwoLevelPhysics or FaradayParams")
     calibrated = functools.cache(
         lambda omega_mhz: models.calibrate_faraday_drive(physics, omega_mhz, handedness))
 
@@ -516,6 +517,7 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
     readout = np.empty((offsets.size, len(seqs)))
     frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
+    zeroed: dict[PulseSegment, PulseSegment] = {}
     depth = 0
     while frontier:
         items = []
@@ -525,7 +527,7 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
                 split.setdefault(seqs[m][depth], []).append(m)
             items += [(states, seg, shared) for seg, shared in split.items()]
         frontier = []
-        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding)):
+        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, zeroed)):
             if seg.kind == "readout":
                 readout[:, shared] = out[:, None]
             else:
@@ -535,38 +537,55 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     return pops.reshape(values.size, -1)
 
 
-def _advance(items, offsets: np.ndarray, binding: _Binding) -> list[np.ndarray]:
+def _advance(items, offsets: np.ndarray, binding: _Binding, zeroed: dict) -> list[np.ndarray]:
     """Apply each item's segment to its (nodes, d, d) states.
 
-    Rotations are one batched product, guarded as one stack.  A drive or wait
-    builds its one model, whose (nodes, d^2, d^2) generator stack is
-    L(0) + offset * L_offset.  The items that evolve from the same states
-    under segments that differ only in duration form a group, one block of
-    nodes in a stack of generators and initial states.  All static groups are
-    one _propagate call over the union of their durations, and all groups of
-    one driven segment are one call with that segment's drives; each item
-    reads its own duration's grid row on its group's block.
-    A readout yields its target's (nodes,) weighted populations.
+    The rotations are one product of the superoperators U (x) U* of their
+    closed-form 2 x 2 unitaries with the row-major vectorized states,
+    guarded as one stack.  The readouts are one contraction of the stacked
+    populations with their targets' weights, a (nodes,) array per item.  A
+    drive or wait builds its one model, whose (nodes, d^2, d^2) generator
+    stack is L(0) + offset * L_offset.  The items that evolve from the same
+    states under segments that differ only in duration (``zeroed`` holds
+    each segment's duration-free copy for the run) form a group, one block
+    of nodes in a stack of generators and initial states.  All static groups
+    are one _propagate call over the union of their durations, and all
+    groups of one driven segment are one call with that segment's drives;
+    each item reads its own duration's grid row on its group's block.
     """
     out: list = [None] * len(items)
-    rotations, evolving = [], {}
+    rotations, readouts, evolving = [], [], {}
     for i, (states, seg, _) in enumerate(items):
         if seg.kind == "initialize":
             out[i] = np.repeat(binding.initial[seg.target].matrix[None], offsets.size, 0)
         elif seg.kind == "readout":
-            out[i] = (np.diagonal(states, axis1=1, axis2=2).real * binding.readout[seg.target]).sum(1)
+            readouts.append(i)
         elif seg.kind == "rotation":
             rotations.append(i)
         elif seg.duration_ns == 0.0:
             out[i] = states
         else:
-            evolving.setdefault((id(states), replace(seg, duration_ns=0.0)), []).append(i)
+            key = zeroed.get(seg)
+            if key is None:
+                key = zeroed[seg] = replace(seg, duration_ns=0.0)
+            evolving.setdefault((id(states), key), []).append(i)
 
     if rotations:
-        us = np.stack([_rotation_unitary(items[i][1].angle, items[i][1].phase) for i in rotations])
-        rhos = np.stack([items[i][0] for i in rotations])
-        for i, block in zip(rotations, _guard(np.einsum("rij,rnjk,rlk->rnil", us, rhos, us.conj()))):
+        # U = cos(angle/2) I - i sin(angle/2) (cos(phase) sigma_x + sin(phase) sigma_y)
+        half, phase = np.array([(0.5 * items[i][1].angle, items[i][1].phase) for i in rotations]).T
+        c, off = np.cos(half), -1j * np.sin(half) * np.exp(-1j * phase)
+        u = np.moveaxis(np.array([[c, off], [-off.conj(), c]]), -1, 0)
+        sup = np.einsum("rik,rjl->rijkl", u, u.conj()).reshape(-1, 4, 4)
+        rhos = np.array([items[i][0] for i in rotations]).reshape(len(rotations), offsets.size, 4)
+        rotated = _guard(np.einsum("rab,rnb->rna", sup, rhos).reshape(len(rotations), offsets.size, 2, 2))
+        for i, block in zip(rotations, rotated):
             out[i] = block
+
+    if readouts:
+        pops = np.diagonal(np.array([items[i][0] for i in readouts]), axis1=2, axis2=3).real
+        weights = np.array([binding.readout[items[i][1].target] for i in readouts])
+        for i, values in zip(readouts, np.einsum("knd,kd->kn", pops, weights)):
+            out[i] = values
 
     # per segment: its generator stack over the nodes, and its model's drives
     gens: dict[PulseSegment, tuple[np.ndarray, tuple[Drive, ...]]] = {}
@@ -612,26 +631,21 @@ def simulate_protocol(
     """
     if counts_per_shot > 0 and seed is None:
         raise UsageError("shot-noise sampling requires a seed")
+    if not isinstance(physics, RUNS_ON[protocol.kind]):
+        names = " or ".join(cls.__name__ for cls in RUNS_ON[protocol.kind])
+        raise UsageError(f"protocol kind {protocol.kind!r} runs on {names}, not {type(physics).__name__}")
     rng = np.random.default_rng(seed) if counts_per_shot > 0 else None
 
     if protocol.kind == "polarization_map":
         return ScanResult(protocol.axes, s3_map(protocol.axis("hwp_deg"), protocol.axis("qwp_deg")))
     if protocol.kind == "spin_pumping":
-        if not isinstance(physics, FaradayParams):
-            raise UsageError("spin pumping requires FaradayParams physics")
         return _simulate_spin_pumping(protocol, physics, handedness)
     if protocol.kind == "rabi_q":
-        if not isinstance(physics, TwoLevelPhysics):
-            raise UsageError("the intensity-noise Q scan runs on the two-level model")
         return _simulate_rabi_q(protocol, physics, ensemble)
     if protocol.kind == "cpt_spectrum":
-        if not isinstance(physics, CptParams):
-            raise UsageError("the CPT spectrum requires CptParams physics")
         return ScanResult(protocol.axes, models.cpt_spectrum(physics, protocol.axis("omega_ghz")))
 
     four_level = isinstance(physics, FaradayParams)
-    if four_level and protocol.kind != "rabi":
-        raise UsageError(f"four-level physics supports rabi/spin_pumping, not {protocol.kind}")
     binding = _bind(physics, handedness)
     if protocol.axes[0][1].size == 0:
         return ScanResult(protocol.axes, np.empty(0))

@@ -305,6 +305,17 @@ class TestFitCommand:
         path.write_text("x,y\n0,1\n1,0.5\n2,0.25\n", encoding="utf-8")
         assert run(["fit", "exp_decay", path, "-p", "amplitude=1"]) == 2
 
+    def test_calls_share_one_parser_and_no_values(self, tmp_path, capsys):
+        from fss import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n0,1\n1,0.5\n2,0.25\n3,0.125\n", encoding="utf-8")
+        assert run(["fit", "exp_decay", path, "-p", "amplitude=1", "-p", "tau=1", "-p", "offset=0"]) == 0
+        # the repeated -p values of the last call do not carry over
+        assert run(["fit", "exp_decay", path, "-p", "amplitude=1"]) == 2
+        assert "missing initial values for: tau, offset" in capsys.readouterr().err
+
 
 class TestCalc:
     def test_cyclicity(self, capsys):

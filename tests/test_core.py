@@ -171,6 +171,31 @@ class TestGuard:
             m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]
         return m
 
+    @staticmethod
+    def _two_level_states(lows, offs) -> np.ndarray:
+        """Unit-trace states [[a, b], [b*, c]] with lowest eigenvalue ``low``
+        and off-diagonal ``b``, for every (low, b) pair, b fastest."""
+        low, b = (x.ravel() for x in np.meshgrid(lows, np.asarray(offs, dtype=complex), indexing="ij"))
+        h = np.sqrt((0.5 - low) ** 2 - np.abs(b) ** 2)
+        m = np.empty((low.size, 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 1, 1], m[:, 0, 1], m[:, 1, 0] = 0.5 + h, 0.5 - h, b, b.conj()
+        return m
+
+    def test_two_level_clamp_is_the_eigh_reconstruction(self):
+        offs = [0.0, 0.3, -0.45, 0.2 - 0.25j, 1e-3j]
+        rhos = self._two_level_states([-0.99e-8, -1e-9, -1e-11, -1e-13], offs)
+        assert np.all(_lowest_eigenvalues(rhos) < 0.0)
+        out = _guard(rhos)
+        assert np.abs(out - self._full_eigh_guard(rhos)).max() <= 1e-12
+        assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
+        # the projector's eigenvalues are 1 and 0 up to rounding, and
+        # exactly so for a diagonal state
+        assert np.linalg.eigvalsh(out).min() >= -1e-15
+        diagonal = out[::len(offs)]
+        assert np.array_equal(diagonal, np.broadcast_to(np.diag([1.0, 0.0]), diagonal.shape))
+        with pytest.raises(NumericalFailure, match="negative eigenvalue"):
+            _guard(self._two_level_states([-1.01e-8], [0.2 - 0.25j]))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(["general", "diagonal", "near-degenerate"]),
            st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 2 * np.pi), st.floats(-12.0, -4.0))

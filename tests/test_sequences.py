@@ -6,21 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from fss import models, sequences
 from fss.core import DensityMatrix, _commutator_superop, evolve, expectation, liouvillian
 from fss.ensemble import EnsembleSpec, gaussian_sigma, quadrature_nodes, weighted_average
 from fss.errors import UsageError
 from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
-from fss.models import FaradayParams
+from fss.models import CptParams, FaradayParams
 from fss.sequences import (
+    RUNS_ON,
     CoolingSpec,
     Protocol,
     PulseSegment,
     PulseSequence,
     TwoLevelPhysics,
+    cpt_spectrum_protocol,
     esr_scan_protocol,
     hahn_echo_protocol,
+    polarization_map_protocol,
     rabi_protocol,
     rabi_q_protocol,
     ramsey_protocol,
@@ -387,6 +391,67 @@ class TestSimulateProtocolContract:
         with pytest.raises(UsageError):
             PulseSegment("sleep")
 
+    # valid arguments, and one non-finite replacement each
+    VALID = {
+        EnsembleSpec: dict(t2star_ns=34.0),
+        CoolingSpec: dict(method="raman", resulting_t2star_ns=50.0),
+        ramsey_protocol: dict(omega_mhz=125.0, delta_mhz=10.0, tau_grid_ns=[0.0, 5.0]),
+        hahn_echo_protocol: dict(omega_mhz=125.0, total_delay_grid_ns=[0.0, 100.0],
+                                 modulation_amp_mhz=4.0, modulation_freq_mhz=20.0),
+    }
+    NON_FINITE = [
+        (EnsembleSpec, "t2star_ns", math.nan),
+        (EnsembleSpec, "di_over_i", math.inf),
+        (EnsembleSpec, "stark_ratio", math.nan),
+        (EnsembleSpec, "omega_mhz", -math.inf),
+        (CoolingSpec, "resulting_t2star_ns", math.nan),
+        (ramsey_protocol, "omega_mhz", math.nan),
+        (ramsey_protocol, "delta_mhz", math.inf),
+        (ramsey_protocol, "f_serr_mhz", math.inf),
+        (ramsey_protocol, "tau_grid_ns", [0.0, math.nan]),
+        (hahn_echo_protocol, "omega_mhz", math.inf),
+        (hahn_echo_protocol, "t2he_ns", math.nan),
+        (hahn_echo_protocol, "modulation_amp_mhz", math.nan),
+        (hahn_echo_protocol, "modulation_freq_mhz", math.inf),
+        (hahn_echo_protocol, "total_delay_grid_ns", [0.0, math.inf]),
+    ]
+
+    @pytest.mark.parametrize("make, key, value", NON_FINITE,
+                             ids=[f"{make.__name__}-{key}" for make, key, _ in NON_FINITE])
+    def test_non_finite_number_rejected(self, make, key, value):
+        # a NaN fails no "<= 0" check: a NaN T2* used to run with no ensemble
+        make(**self.VALID[make])
+        with pytest.raises(UsageError, match="must be finite"):
+            make(**{**self.VALID[make], key: value})
+
+
+# one protocol of each kind, and physics of every class (or none)
+EXAMPLE_PROTOCOLS = {
+    "rabi": rabi_protocol(100.0, 0.0, [1.0]),
+    "esr_scan": esr_scan_protocol(100.0, None, [2.6], 0.0, 2.6),
+    "ramsey": ramsey_protocol(125.0, 10.0, [0.0, 5.0]),
+    "hahn_echo": hahn_echo_protocol(125.0, [0.0, 100.0]),
+    "spin_pumping": spin_pumping_protocol(1.0, 10.0, 5),
+    "t1": t1_protocol([0.0, 10.0]),
+    "rabi_q": rabi_q_protocol([100.0], [0.0]),
+    "polarization_map": polarization_map_protocol([0.0], [0.0]),
+    "cpt_spectrum": cpt_spectrum_protocol([2.6]),
+}
+PHYSICS = [TwoLevelPhysics(), SMALL_FOUR_LEVEL, CptParams(), None]
+OUTSIDE = [(kind, physics) for kind in RUNS_ON for physics in PHYSICS
+           if not isinstance(physics, RUNS_ON[kind])]
+
+
+def test_every_protocol_kind_has_a_physics_entry():
+    assert set(EXAMPLE_PROTOCOLS) == set(RUNS_ON)
+
+
+@pytest.mark.parametrize("kind, physics", OUTSIDE,
+                         ids=[f"{kind}-on-{type(physics).__name__}" for kind, physics in OUTSIDE])
+def test_protocol_kind_rejects_physics_outside_its_entry(kind, physics):
+    with pytest.raises(UsageError, match=f"protocol kind {kind!r} runs on"):
+        simulate_protocol(EXAMPLE_PROTOCOLS[kind], physics)
+
 
 class TestShotExecutor:
     def test_simulation_runs_the_shots(self, monkeypatch):
@@ -434,6 +499,77 @@ class TestShotExecutor:
                     for k, seg in enumerate(shot.segments)
                     if seg.kind == "rotation" or (seg.kind in ("drive", "wait") and seg.duration_ns > 0)}
         assert sum(guarded) == 9 * len(prefixes) + 2
+
+    @staticmethod
+    def _node_readouts(monkeypatch, prot, physics, ensemble) -> np.ndarray:
+        """The executor's (nodes, points x shots) readouts of the ideal-pulse
+        shots, taken where they are averaged over the nodes."""
+        seen = []
+
+        def spy(weights, traces):
+            seen.append(np.array(traces))
+            return weighted_average(weights, traces)
+
+        monkeypatch.setattr(sequences, "weighted_average", spy)
+        simulate_protocol(prot, physics, ensemble, ideal_pulses=True)
+        (readouts,) = seen
+        return readouts
+
+    @staticmethod
+    def _oracle(prot, physics, offsets) -> np.ndarray:
+        """The same readouts, one node and one shot at a time: written-out
+        rotations U rho U^+ and the exponential of each node's Liouvillian.
+        A modulated wait adds the modulation's mean detuning over the wait,
+        which is exact when the channels commute with sigma_z (no Gamma1)."""
+        ((name, values),) = prot.axes
+        out = []
+        for d in offsets:
+            row = []
+            for x in values:
+                for shot in prot.shots(ideal_pulses=True, **{name: x}):
+                    for seg in shot.segments:
+                        if seg.kind == "initialize":  # |up>
+                            rho = np.diag([physics.epsilon_init, 1.0 - physics.epsilon_init]).astype(complex)
+                        elif seg.kind == "rotation":
+                            axis = math.cos(seg.phase) * models.SIGMA_X + math.sin(seg.phase) * models.SIGMA_Y
+                            u = math.cos(seg.angle / 2) * np.eye(2) - 1j * math.sin(seg.angle / 2) * axis
+                            rho = u @ rho @ u.conj().T
+                        elif seg.kind == "wait":
+                            delta, tau = seg.delta_mhz + d, seg.duration_ns
+                            if seg.mod_amp_mhz and tau:
+                                f = mhz_to_angular(seg.mod_freq_mhz)
+                                area = (mhz_to_angular(seg.mod_amp_mhz) / f
+                                        * (math.sin(f * tau + seg.phase) - math.sin(seg.phase)))
+                                delta += area / tau / mhz_to_angular(1.0)
+                            gen = liouvillian(models.build_two_level(0.0, delta, physics.gamma1_mhz,
+                                                                     physics.gamma2_mhz))
+                            rho = (expm(gen * tau) @ rho.reshape(4)).reshape(2, 2)
+                        else:  # readout of |down>
+                            row.append(rho[0, 0].real)
+            out.append(row)
+        return np.array(out)
+
+    def test_serrodyne_ramsey_matches_per_shot_oracle(self, monkeypatch):
+        prot = ramsey_protocol(125.0, 30.0, np.linspace(0.0, 40.0, 9), f_serr_mhz=80.0)
+        physics = TwoLevelPhysics(gamma1_mhz=0.3, gamma2_mhz=1.5, epsilon_init=0.02)
+        ens = EnsembleSpec(t2star_ns=30.0, nodes=9)
+        got = self._node_readouts(monkeypatch, prot, physics, ens)
+        oracle = self._oracle(prot, physics, quadrature_nodes(gaussian_sigma(30.0), 9)[0])
+        assert got.shape == oracle.shape == (9, 18)
+        assert np.abs(got - oracle).max() <= 1e-12
+
+    def test_modulated_free_echo_matches_per_shot_oracle(self, monkeypatch):
+        prot = hahn_echo_protocol(125.0, np.linspace(0.0, 300.0, 7), modulation_amp_mhz=6.0,
+                                  modulation_freq_mhz=17.0, modulation_phases=3, modulation_mode="free")
+        physics = TwoLevelPhysics(gamma2_mhz=1.5, epsilon_init=0.02)
+        ens = EnsembleSpec(t2star_ns=30.0, nodes=9)
+        got = self._node_readouts(monkeypatch, prot, physics, ens)
+        oracle = self._oracle(prot, physics, quadrature_nodes(gaussian_sigma(30.0), 9)[0])
+        assert got.shape == oracle.shape == (9, 7 * 6)
+        # the rotations and readouts are exact, as in the Ramsey case; the
+        # modulated waits are CFM4 tables (see fss.core._CFM4_TOL), here
+        # within 7e-11 of the exact exponential
+        assert np.abs(got - oracle).max() <= 1e-9
 
     def test_ideal_pulses_are_rotations_in_the_shots(self):
         prot = hahn_echo_protocol(125.0, [0.0, 100.0])

@@ -11,8 +11,10 @@ change is committed and ``--base`` still names it.  It then runs
 tree after the other, for ``--pairs`` pairs; the base runs first in odd
 pairs and the change in even pairs, so neither always runs first.  For each
 end-to-end metric of BENCHMARK.json it prints both medians, the base's
-quartiles and the number of pairs in which the change was better, then the
-failed item runs of each tree.  Standard library only.
+quartiles and the number of pairs in which the change was better; then, for
+each item, the medians of its per-run item medians (``run.py``'s ``item
+median seconds`` line) and the pairs in which the change was faster; then
+the failed item runs of each tree.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ITEM_MEDIANS = "item median seconds (untraced): "
 
 
 def git(*args: str, env: dict | None = None) -> bytes:
@@ -55,18 +58,23 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last line of ``benchmarks/run.py``'s output, parsed."""
+    """The last line of ``benchmarks/run.py``'s output, parsed, with its item
+    medians as ``items``: {item name: seconds}."""
     proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"benchmarks/run.py failed in {tree}:\n{proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    medians = next(line for line in lines if line.startswith(ITEM_MEDIANS))[len(ITEM_MEDIANS):]
+    items = (entry.rsplit(" ", 1) for entry in medians.split(", ") if entry)
+    return {**json.loads(lines[-1]), "items": {name: float(value) for name, value in items}}
 
 
 def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list[str]:
     """One line per metric: medians, the base's quartiles and the change's
-    wins, for runs given as ``benchmarks/run.py`` results in pair order."""
+    wins, then one line per item: medians and wins, for runs given as
+    :func:`run_benchmark` results in pair order."""
     lines = []
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -77,6 +85,12 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list
         lines.append(f"{name}: base median {statistics.median(b):.4g} {metric['unit']} "
                      f"(quartiles {q1:.4g}-{q3:.4g}), change median {statistics.median(c):.4g} "
                      f"{metric['unit']}, change better in {wins}/{len(b)} pairs")
+    for name in (n for n in base[0]["items"] if n in change[0]["items"]):
+        b = [run["items"][name] for run in base]
+        c = [run["items"][name] for run in change]
+        wins = sum(y < x for x, y in zip(b, c))
+        lines.append(f"item {name}: base median {statistics.median(b):.4g} s, change median "
+                     f"{statistics.median(c):.4g} s, change faster in {wins}/{len(b)} pairs")
     return lines
 
 
