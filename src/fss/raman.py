@@ -243,10 +243,6 @@ class JonesVector:
         return cls(1.0, 0.0)
 
     @classmethod
-    def vertical(cls) -> "JonesVector":
-        return cls(0.0, 1.0)
-
-    @classmethod
     def diagonal(cls) -> "JonesVector":
         return cls(1.0, 1.0)
 

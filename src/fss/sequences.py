@@ -336,18 +336,16 @@ def rabi_q_protocol(
     t2star_ns: float = 34.0,
 ) -> Protocol:
     """Quality factor of Rabi oscillations versus drive and intensity noise."""
+    omegas, noises = np.asarray(omega_grid_mhz, dtype=float), np.asarray(di_over_i_grid, dtype=float)
+    _require_finite(np.concatenate([omegas, noises, [gamma2_mhz, gamma1_per_omega, stark_ratio, t2star_ns]]),
+                    "Rabi frequencies, dI/I values, rates, stark_ratio and T2*")
+    if np.any(omegas <= 0) or np.any(noises < 0):
+        raise UsageError(f"Rabi frequencies must be > 0 and dI/I values >= 0, got {omegas} and {noises}")
     return Protocol(
         kind="rabi_q",
-        params={
-            "gamma2_mhz": gamma2_mhz,
-            "gamma1_per_omega": gamma1_per_omega,
-            "stark_ratio": stark_ratio,
-            "t2star_ns": t2star_ns,
-        },
-        axes=(
-            ("omega_mhz", np.asarray(omega_grid_mhz, dtype=float)),
-            ("di_over_i", np.asarray(di_over_i_grid, dtype=float)),
-        ),
+        params=dict(gamma2_mhz=gamma2_mhz, gamma1_per_omega=gamma1_per_omega, stark_ratio=stark_ratio,
+                    t2star_ns=t2star_ns),
+        axes=(("omega_mhz", omegas), ("di_over_i", noises)),
         signal="qfactor",
     )
 
@@ -728,51 +726,57 @@ def two_level_pi_contrast(
     sigma_mhz: float | None = None,
     nodes: int = DEFAULT_NODES,
 ) -> models.PiContrast:
-    """Pi contrast of the driven two-level model under a static detuning ensemble."""
+    """Pi contrast of the driven two-level model under a static detuning ensemble: one _pi_readouts row."""
+    if not (math.isfinite(omega_mhz) and omega_mhz > 0):
+        raise UsageError(f"the Rabi frequency must be finite and > 0, got {omega_mhz}")
     if sigma_mhz is None:
         sigma_mhz = gaussian_sigma(t2star_ns) if t2star_ns else 0.0
-    binding = _bind(TwoLevelPhysics(gamma1_mhz, gamma2_mhz))
-    f_pi = _pi_population(omega_mhz, 0.0, 1e3 / (2 * omega_mhz), binding, sigma_mhz, nodes)
-    return models.pi_contrast_and_q(f_pi)
+    f_pi = _pi_readouts([omega_mhz], [0.0], [gamma1_mhz], gamma2_mhz, [1e3 / (2 * omega_mhz)], [sigma_mhz],
+                        nodes if sigma_mhz > 0 else 1)
+    return models.pi_contrast_and_q(f_pi[0])
 
 
-def _pi_population(omega_mhz, delta_mhz, t_pi, binding: _Binding, sigma_mhz, nodes) -> float:
-    """Ensemble-averaged readout of one Rabi shot of duration ``t_pi``."""
-    shot = rabi_protocol(omega_mhz, delta_mhz, [t_pi])
-    return float(_run_shots(shot, binding, sigma_mhz, nodes, False)[0, 0])
+def _pi_readouts(omega, delta, gamma1, gamma2_mhz: float, t_pi, sigma, nodes: int) -> np.ndarray:
+    """Readout of |down> after a drive of duration t_pi from |up> per row,
+    Neumaier-averaged over detuning offsets of spread sigma on ``nodes``
+    nodes.  Every (row, node) is a member (L + offset * L_offset) * t_pi of
+    one stack advanced over [0, 1] by one _propagate call; L is built once
+    per distinct (omega, delta, gamma1)."""
+    keys = list(zip(omega, delta, gamma1))
+    bases = {key: liouvillian(build_two_level(*key, gamma2_mhz)) for key in dict.fromkeys(keys)}
+    offsets, weights = quadrature_nodes(np.asarray(sigma, dtype=float)[:, None], nodes)
+    shift = mhz_to_angular(offsets)[..., None, None] * _commutator_superop(models.SIGMA_Z / 2)
+    gens = ((np.array([bases[k] for k in keys]).reshape(-1, 1, 4, 4) + shift)
+            * np.asarray(t_pi, dtype=float)[:, None, None, None]).reshape(-1, 4, 4)
+    up = DensityMatrix.pure(2, _LEVELS.index("up")).matrix
+    states = _propagate(gens, np.broadcast_to(up, (len(gens), 2, 2)), [0.0, 1.0], at=(1, np.arange(len(gens))))
+    return weighted_average(weights, states[:, 0, 0].real.reshape(-1, nodes).T)
 
 
 def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
-    omegas = protocol.axis("omega_mhz")
-    noises = protocol.axis("di_over_i")
+    """f_pi and Q per (omega, dI/I) point, all rows of one _pi_readouts call:
+    a point is one row with the combined Overhauser and laser spread, or,
+    with correlated Rabi jitter and dI/I > 0, 9 rows over the intensity
+    nodes eps (drive omega (1 + eps), detuning stark_ratio omega eps, the
+    nominal pi time, the Overhauser spread) averaged over eps."""
+    omegas, noises = protocol.axis("omega_mhz"), protocol.axis("di_over_i")
     q = protocol.params
-    base_nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES
-    jitter = ensemble.correlated_rabi_jitter if ensemble is not None else False
-
-    def point(w: float, di: float) -> float:
-        gamma1 = q["gamma1_per_omega"] * w
-        spec = EnsembleSpec(t2star_ns=q["t2star_ns"], stark_ratio=q["stark_ratio"],
-                            omega_mhz=w, di_over_i=di, nodes=base_nodes)
-        if jitter and di > 0:
-            return _f_pi_with_rabi_jitter(w, gamma1, q["gamma2_mhz"], spec)
-        return two_level_pi_contrast(w, gamma1, q["gamma2_mhz"],
-                                     sigma_mhz=combined_sigma(spec), nodes=base_nodes).f_pi
-
-    f_pi = np.array([point(float(w), float(di)) for w in omegas for di in noises])
-    qual = np.array([models.pi_contrast_and_q(f).q for f in f_pi])
-    shape = (omegas.size, noises.size)
-    return ScanResult(protocol.axes, qual.reshape(shape), extras={"f_pi": f_pi.reshape(shape)})
-
-
-def _f_pi_with_rabi_jitter(omega_mhz, gamma1_mhz, gamma2_mhz, spec: EnsembleSpec) -> float:
-    """Sensitivity variant: intensity fluctuations co-vary with the Rabi amplitude."""
-    t_pi = 1e3 / (2 * omega_mhz)
-    eps_nodes, eps_w = quadrature_nodes(spec.di_over_i, 9)
-    binding = _bind(TwoLevelPhysics(gamma1_mhz, gamma2_mhz))
-    sigma = gaussian_sigma(spec.t2star_ns)
-    pops = [_pi_population(omega_mhz * (1.0 + eps), spec.stark_ratio * omega_mhz * eps,
-                           t_pi, binding, sigma, spec.nodes) for eps in eps_nodes]
-    return float(weighted_average(eps_w, pops))
+    nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES
+    w, di = np.repeat(omegas, noises.size), np.tile(noises, omegas.size)
+    jittered = (di > 0) & (ensemble is not None and ensemble.correlated_rabi_jitter)
+    plain = np.flatnonzero(~jittered)
+    eps, eps_w = quadrature_nodes(di[jittered, None], 9)
+    point = np.concatenate([plain, np.repeat(np.flatnonzero(jittered), 9)])
+    eps = np.concatenate([np.zeros(plain.size), eps.ravel()])
+    sigma = [combined_sigma(EnsembleSpec(q["t2star_ns"], q["stark_ratio"], w[k], di[k], nodes)) for k in plain]
+    sigma += [gaussian_sigma(q["t2star_ns"])] * (eps.size - plain.size)
+    rows = _pi_readouts(w[point] * (1.0 + eps), q["stark_ratio"] * w[point] * eps, q["gamma1_per_omega"] * w[point],
+                        q["gamma2_mhz"], 1e3 / (2 * w[point]), sigma, nodes)
+    f_pi = np.empty(w.size)
+    f_pi[plain] = rows[:plain.size]
+    f_pi[jittered] = weighted_average(eps_w, rows[plain.size:].reshape(-1, 9).T)
+    qual = np.array([models.pi_contrast_and_q(f).q for f in f_pi]).reshape(omegas.size, noises.size)
+    return ScanResult(protocol.axes, qual, extras={"f_pi": f_pi.reshape(qual.shape)})
 
 
 # --- spin-pumping analysis --------------------------------------------------------

@@ -132,6 +132,15 @@ class TestValidate:
                "kind = rabi_q\nomega_values = 60, inf MHz\ndi_values = 0, 0.01\n")
         self._rejected_at(bad, "omega_values", tmp_path)
 
+    @pytest.mark.parametrize("omegas, noises", [("0, 60", "0, 0.01"), ("-60, 60", "0"), ("60", "0, -0.01")])
+    def test_rabi_q_non_positive_omega_or_negative_noise_rejected(self, omegas, noises, tmp_path):
+        # a Rabi frequency of 0 used to end in a ZeroDivisionError at run time
+        text = ("[scenario]\nname = q\n[physics]\nkind = two_level\n[protocol q]\n"
+                f"kind = rabi_q\nomega_values = {omegas} MHz\ndi_values = {noises}\n")
+        self._rejected_at(text, "[protocol", tmp_path)
+        parse_scenario(text.replace(f"omega_values = {omegas}", "omega_values = 60, 225")
+                       .replace(f"di_values = {noises}", "di_values = 0, 0.01"))
+
     def test_negative_point_count_rejected(self, tmp_path):
         bad = SMALL_SCENARIO.replace("tau_points = 21", "tau_points = -3")
         self._rejected_at(bad, "tau_points", tmp_path)

@@ -33,17 +33,25 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 # out directly; shares no code with fss.core) ---------------------------------
 
 def _oracle_liouvillian(h, channels_angular):
-    dim = h.shape[0]
+    return _oracle_commutator(h) + _oracle_dissipator(channels_angular, h.shape[0])
+
+
+def _oracle_commutator(h):
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def _oracle_dissipator(channels_angular, dim):
     eye = np.eye(dim)
-    L = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    D = np.zeros((dim * dim, dim * dim), dtype=complex)
     for rate, op in channels_angular:
         ldl = op.conj().T @ op
-        L += rate * (
+        D += rate * (
             np.kron(op, op.conj())
             - 0.5 * np.kron(ldl, eye)
             - 0.5 * np.kron(eye, ldl.T)
         )
-    return L
+    return D
 
 
 def expm_stepping_oracle(model, rho0, t_final, dt):
@@ -52,13 +60,14 @@ def expm_stepping_oracle(model, rho0, t_final, dt):
     from scipy.linalg import expm
 
     channels = [(c.rate_angular, c.operator) for c in model.channels]
+    dissipator = _oracle_dissipator(channels, model.dim)  # time-independent: built once
     vec = rho0.matrix.reshape(-1).astype(complex)
     n = int(round(t_final / dt))
     cache = {}
     for k in range(n):
         t_mid = (k + 0.5) * dt
         if model.time_dependent:
-            L = _oracle_liouvillian(model.hamiltonian(t_mid), channels)
+            L = _oracle_commutator(model.hamiltonian(t_mid)) + dissipator
             step = expm(L * dt)
         else:
             if "static" not in cache:

@@ -425,6 +425,85 @@ class TestSimulateProtocolContract:
             make(**{**self.VALID[make], key: value})
 
 
+class TestRabiQuality:
+    T2STAR, STARK, NODES = 34.0, -7.4, 9
+
+    def _oracle(self, omega, di, jitter):
+        """f_pi of one (omega, dI/I) point as Rabi scans of the pi time, one
+        per point or, with correlated jitter and dI/I > 0, one per intensity
+        node, averaged over the nodes; rabi_q_protocol's default rates."""
+        t_pi = 1e3 / (2 * omega)
+        physics = TwoLevelPhysics(0.0048 * omega, 4.2)
+        if not (jitter and di > 0):
+            ens = EnsembleSpec(self.T2STAR, self.STARK, omega, di, nodes=self.NODES)
+            return simulate_protocol(rabi_protocol(omega, 0.0, [t_pi]), physics, ens).signal[0]
+        eps, weights = quadrature_nodes(di, 9)
+        ens = EnsembleSpec(self.T2STAR, nodes=self.NODES)
+        return weighted_average(weights, [
+            simulate_protocol(rabi_protocol(omega * (1 + e), self.STARK * omega * e, [t_pi]), physics, ens).signal
+            for e in eps])[0]
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_matches_per_point_rabi_scans(self, jitter):
+        # 60 and 225 MHz in one stack: _expm scales it by its largest norm
+        omegas, noises = [60.0, 225.0], [0.0, 0.01, 0.04]
+        prot = rabi_q_protocol(omegas, noises, stark_ratio=self.STARK, t2star_ns=self.T2STAR)
+        ens = EnsembleSpec(self.T2STAR, nodes=self.NODES, correlated_rabi_jitter=jitter)
+        res = simulate_protocol(prot, TwoLevelPhysics(), ens)
+        oracle = [[self._oracle(w, di, jitter) for di in noises] for w in omegas]
+        assert np.abs(res.extras["f_pi"] - oracle).max() <= 1e-14
+        q = np.array([[models.pi_contrast_and_q(f).q for f in row] for row in oracle])
+        assert res.signal == pytest.approx(q, rel=1e-12)
+
+    def test_pi_contrast_is_the_one_point_case(self):
+        pc = sequences.two_level_pi_contrast(60.0, 0.3, 4.2, sigma_mhz=5.0, nodes=9)
+        oracle = simulate_protocol(rabi_protocol(60.0, 0.0, [1e3 / 120.0]), TwoLevelPhysics(0.3, 4.2),
+                                   EnsembleSpec(t2star_ns=math.sqrt(2) * 1e3 / (2 * math.pi * 5.0), nodes=9))
+        assert abs(pc.f_pi - oracle.signal[0]) <= 1e-14
+        lossless = sequences.two_level_pi_contrast(100.0, 0.0, 0.0)
+        assert lossless.f_pi == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("jitter, rows", [(False, 6), (True, 3 + 3 * 9)])
+    def test_one_propagation_call_per_product(self, monkeypatch, jitter, rows):
+        # a row per point, or 9 per jittered point; dI/I = 0 is never jittered
+        stacks = []
+        real = sequences._propagate
+
+        def spy(gens, *args, **kwargs):
+            stacks.append(len(gens))
+            return real(gens, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "_propagate", spy)
+        simulate_protocol(rabi_q_protocol([60.0, 125.0, 225.0], [0.0, 0.02]), TwoLevelPhysics(),
+                          EnsembleSpec(self.T2STAR, nodes=self.NODES, correlated_rabi_jitter=jitter))
+        assert stacks == [rows * self.NODES]
+
+    @pytest.mark.parametrize("omegas, noises, shape", [([], [0.0, 0.01], (0, 2)), ([60.0], [], (1, 0))])
+    def test_empty_grid_keeps_its_shape(self, omegas, noises, shape):
+        res = simulate_protocol(rabi_q_protocol(omegas, noises), TwoLevelPhysics())
+        assert res.signal.shape == res.extras["f_pi"].shape == shape
+
+    @pytest.mark.parametrize("omega", [0.0, -60.0, math.nan, math.inf])
+    def test_non_positive_rabi_frequency_rejected(self, omega):
+        # 0 used to end in a ZeroDivisionError, and -60 in an unrelated message
+        with pytest.raises(UsageError, match="Rabi frequencies"):
+            rabi_q_protocol([omega, 60.0], [0.0])
+        with pytest.raises(UsageError, match="Rabi frequency must be finite and > 0"):
+            sequences.two_level_pi_contrast(omega, 0.3, 4.2, t2star_ns=34.0)
+
+    def test_negative_intensity_noise_rejected(self):
+        with pytest.raises(UsageError, match="dI/I values >= 0"):
+            rabi_q_protocol([60.0], [0.0, -0.01])
+
+    @pytest.mark.parametrize("key, value", [("omega_grid_mhz", [60.0, math.inf]), ("di_over_i_grid", [0.0, math.nan]),
+                                            ("stark_ratio", math.nan), ("t2star_ns", math.inf)])
+    def test_non_finite_value_rejected(self, key, value):
+        valid = dict(omega_grid_mhz=[60.0, 225.0], di_over_i_grid=[0.0, 0.01])
+        rabi_q_protocol(**valid)
+        with pytest.raises(UsageError, match="must be finite"):
+            rabi_q_protocol(**{**valid, key: value})
+
+
 # one protocol of each kind, and physics of every class (or none)
 EXAMPLE_PROTOCOLS = {
     "rabi": rabi_protocol(100.0, 0.0, [1.0]),
