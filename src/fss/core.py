@@ -478,7 +478,11 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
     n = len(gens)
     if len(rhos) != n:
         raise UsageError("need one initial state per generator")
-    if any(np.shape(r) != (dim, dim) for r in rhos) or any(dr.operator.shape != (dim, dim) for dr in drives):
+    try:
+        init = np.asarray(rhos, dtype=complex)
+    except (TypeError, ValueError):  # a ragged list, or not matrices
+        init = None
+    if init is None or init.shape != (n, dim, dim) or any(dr.operator.shape != (dim, dim) for dr in drives):
         raise UsageError("initial state or drive dimension does not match the generators")
     rows, cols = (np.arange(t.size)[:, None], np.arange(n)[None, :]) if at is None else at
     try:
@@ -487,7 +491,7 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
         raise UsageError("the grid and member indices of at do not broadcast together") from None
     if np.any((rows < 0) | (rows >= t.size)) or np.any((cols < 0) | (cols >= n)):
         raise UsageError("at must name points on the grid and members of the stack")
-    init = np.asarray(rhos, dtype=complex).reshape(n, dim * dim)
+    init = init.reshape(n, dim * dim)
     if not np.isfinite(gens).all():
         raise NumericalFailure("generator stack has non-finite entries")
 

@@ -8,10 +8,14 @@ to a physics description and an inhomogeneous ensemble and returns one signal
 value per scan point, always assembled in scan order.
 
 The pulse-sequence families (Rabi on either model, ESR scan, Ramsey, Hahn
-echo, T1) run their pulse sequences: the shots that ``Protocol.shots``
-returns are exactly what one executor propagates, batched over scan points,
-shots and ensemble nodes, through a small binding to the physics model; the
-per-kind code only forms the signal from the shots' readouts.
+echo, T1) run one shot table per protocol, built once over the scan axis:
+per depth of the shots, one segment kind, one target and a column array of
+the segments' parameters, one row per (scan point, shot).  One executor
+runs it depth by depth through a small binding to the physics model,
+sharing the states of equal prefixes (found by np.unique) across scan
+points, shots and ensemble nodes; ``Protocol.shots`` returns one point's
+rows of the same table as PulseSegment views, and the per-kind code only
+forms the signal from the shots' readouts.
 
 Nuclear-spin cooling stages are not simulated dynamically; a CoolingSpec
 carries the cooling parameters as metadata and contributes only its resulting
@@ -52,7 +56,8 @@ _SERR_REFERENCE = -math.pi / 2
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One step of a shot on the spin (levels "down", "up").
+    """One step of a shot on the spin (levels "down", "up"): one row of a
+    protocol's shot table, as ``Protocol.shots`` returns it.
 
     ``initialize`` prepares ``target`` up to the physics' initialization
     infidelity; ``drive`` and ``wait`` evolve for ``duration_ns`` at Rabi
@@ -82,6 +87,10 @@ class PulseSegment:
             raise UsageError("segment duration must be >= 0")
         if self.kind == "wait" and self.omega_mhz != 0:
             raise UsageError("wait segments carry no drive")
+
+
+# the parameter columns of a shot table, in this order
+_COLUMNS = ("omega_mhz", "delta_mhz", "phase", "duration_ns", "angle", "mod_amp_mhz", "mod_freq_mhz")
 
 
 @dataclass(frozen=True)
@@ -135,8 +144,13 @@ class Protocol:
         raise UsageError(f"protocol has no axis {name!r}")
 
     def shots(self, ideal_pulses: bool = False, **point) -> list[PulseSequence]:
-        """The pulse sequences that ``simulate_protocol`` runs at one scan point."""
-        return _shots_for(self, point, ideal_pulses)
+        """The pulse sequences that ``simulate_protocol`` runs at one scan
+        point: that point's rows of the protocol's shot table (see
+        :func:`_shot_table`), one PulseSegment view per depth."""
+        name, values = self.axes[0]
+        table = _shot_table(self, [point[name] if name in point else values[0]], ideal_pulses)
+        return [PulseSequence(tuple(_segment(kind, target, cols[k]) for kind, target, cols in table))
+                for k in range(len(table[0][2]))]
 
 
 @dataclass(frozen=True)
@@ -376,62 +390,74 @@ def cpt_spectrum_protocol(omega_grid_ghz) -> Protocol:
     )
 
 
-def _shots_for(p: Protocol, point: dict, ideal_pulses: bool = False) -> list[PulseSequence]:
-    """Shots of the two-level families at one scan point.  ``ideal_pulses``
-    replaces the finite Ramsey and echo pulses with instantaneous rotations
-    of the same angle and phase."""
+def _shot_table(p: Protocol, x, ideal_pulses: bool) -> list[tuple[str, str | None, np.ndarray]]:
+    """The shots of a two-level family at the scan values ``x``, one
+    (kind, target, columns) entry per depth: all shots have the same segment
+    kind and target at a depth, and ``columns`` holds the segments' _COLUMNS
+    as a (points x shots per point, 7) array, point-major in shot order.
+    ``ideal_pulses`` replaces the finite Ramsey and echo pulses with
+    instantaneous rotations of the same angle and phase."""
     if p.kind not in ("rabi", "esr_scan", "ramsey", "hahn_echo", "t1"):
         raise UsageError(f"protocol kind {p.kind!r} has no sequence representation")
-    q = p.params
-    ((name, values),) = p.axes
-    x = float(point.get(name, values[0]))
-    init = PulseSegment("initialize", target="up")
-    readout = PulseSegment("readout", target="down")
-    if p.kind == "rabi":
-        drive = PulseSegment("drive", q["omega_mhz"], q["delta_mhz"], 0.0, x)
-        return [PulseSequence((init, drive, readout))]
-    if p.kind == "esr_scan":
-        delta = (x - (q["omega_e0_ghz"] + q["stark_ratio"] * q["omega_mhz"] * 1e-3)) * 1e3
-        drive = PulseSegment("drive", q["omega_mhz"], delta, 0.0, q["tau_ns"])
-        return [PulseSequence((init, drive, readout))]
-    if p.kind == "t1":
-        return [PulseSequence((init, PulseSegment("wait", duration_ns=x), readout))]
+    q, x = p.params, np.asarray(x, dtype=float)[:, None]  # points down, shots across
 
-    t_half = 1e3 / (4.0 * q["omega_mhz"])
+    def seg(kind: str, target: str | None = None, **columns) -> tuple:
+        return kind, target, columns
 
-    def pulse(quarters: int, phase: float, delta: float = 0.0) -> PulseSegment:
+    def pulse(quarters: int, phase, delta: float = 0.0) -> tuple:
         """A pi/2 (quarters=1) or pi (quarters=2) pulse."""
         if ideal_pulses:
-            return PulseSegment("rotation", phase=phase, angle=quarters * math.pi / 2)
-        return PulseSegment("drive", q["omega_mhz"], delta, phase, quarters * t_half)
+            return seg("rotation", phase=phase, angle=quarters * math.pi / 2)
+        return seg("drive", omega_mhz=q["omega_mhz"], delta_mhz=delta, phase=phase,
+                   duration_ns=quarters * (1e3 / (4.0 * q["omega_mhz"])))
 
-    if p.kind == "ramsey":
-        delta = q["delta_mhz"]
+    shots, init, readout = 1, seg("initialize", "up"), seg("readout", "down")
+    if p.kind == "rabi":
+        depths = [init, seg("drive", omega_mhz=q["omega_mhz"], delta_mhz=q["delta_mhz"], duration_ns=x), readout]
+    elif p.kind == "esr_scan":
+        delta = (x - (q["omega_e0_ghz"] + q["stark_ratio"] * q["omega_mhz"] * 1e-3)) * 1e3
+        depths = [init, seg("drive", omega_mhz=q["omega_mhz"], delta_mhz=delta, duration_ns=q["tau_ns"]), readout]
+    elif p.kind == "t1":
+        depths = [init, seg("wait", duration_ns=x), readout]
+    elif p.kind == "ramsey":
+        delta, extra = q["delta_mhz"], np.array([0.0, math.pi] if q["balanced"] else [0.0])
         serr = _SERR_SIGN * (2.0 * math.pi * q["f_serr_mhz"] * 1e-3 * x
                              + (_SERR_REFERENCE if q["f_serr_mhz"] else 0.0))
-        wait = PulseSegment("wait", 0.0, delta, 0.0, x)
-        return [PulseSequence((init, pulse(1, 0.0, delta), wait, pulse(1, serr + extra, delta), readout))
-                for extra in ((0.0, math.pi) if q["balanced"] else (0.0,))]
+        depths = [init, pulse(1, 0.0, delta), seg("wait", delta_mhz=delta, duration_ns=x),
+                  pulse(1, serr + extra, delta), readout]
+        shots = extra.size
+    else:
+        # Hahn echo, a (phi, phi + pi) pair per modulation phase: "refocus"
+        # starts the modulation at the pi pulse, "free" runs it from the first
+        # wait; either way the pulses take no modulation time
+        amp, freq = q["modulation_amp_mhz"], q["modulation_freq_mhz"]
+        n_phases = int(q["modulation_phases"]) if amp else 1
+        ph = np.repeat(2.0 * math.pi * np.arange(n_phases) / n_phases, 2)
+        locked = q["modulation_mode"] == "refocus"
 
-    # Hahn echo: "refocus" starts the modulation at the pi pulse, "free" runs
-    # it from the first wait; either way the pulses take no modulation time
-    amp, freq = q["modulation_amp_mhz"], q["modulation_freq_mhz"]
-    n_phases = int(q["modulation_phases"]) if amp else 1
-    locked = q["modulation_mode"] == "refocus"
+        def wait(phase, modulated: bool) -> tuple:
+            if not (modulated and amp):
+                return seg("wait", duration_ns=x / 2)
+            return seg("wait", phase=phase, duration_ns=x / 2, mod_amp_mhz=amp, mod_freq_mhz=freq)
 
-    def wait(phase: float, modulated: bool) -> PulseSegment:
-        if not (modulated and amp):
-            return PulseSegment("wait", duration_ns=x / 2)
-        return PulseSegment("wait", phase=phase, duration_ns=x / 2, mod_amp_mhz=amp, mod_freq_mhz=freq)
+        depths = [init, pulse(1, 0.0), wait(ph, not locked), pulse(2, math.pi / 2),
+                  wait(ph if locked else ph + mhz_to_angular(freq) * x / 2, True),
+                  pulse(1, np.tile([0.0, math.pi], n_phases)), readout]
+        shots = ph.size
+    table = []
+    for kind, target, columns in depths:
+        cols = np.zeros((x.shape[0], shots, len(_COLUMNS)))
+        for name, values in columns.items():
+            cols[..., _COLUMNS.index(name)] = values
+        table.append((kind, target, cols.reshape(-1, len(_COLUMNS))))
+    if any(np.any(cols[:, 3] < 0) for _, _, cols in table):
+        raise UsageError("segment duration must be >= 0")
+    return table
 
-    shots = []
-    for ph in 2.0 * math.pi * np.arange(n_phases) / n_phases:
-        first = wait(ph, not locked)
-        second = wait(ph if locked else ph + mhz_to_angular(freq) * x / 2, True)
-        shots += [PulseSequence((init, pulse(1, 0.0), first, pulse(2, math.pi / 2), second,
-                                 pulse(1, extra), readout))
-                  for extra in (0.0, math.pi)]
-    return shots
+
+def _segment(kind: str, target: str | None, row: np.ndarray) -> PulseSegment:
+    """The PulseSegment view of one row of a _shot_table depth."""
+    return PulseSegment(kind, target=target, **dict(zip(_COLUMNS, row.tolist())))
 
 
 # --- simulation -----------------------------------------------------------------
@@ -500,112 +526,80 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
                     offset=-np.diag([0.0, 1.0, 0.0, 0.0]), calibrated=calibrated)
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array and each row's index among them, like
+    np.unique(a, axis=0, return_inverse=True) but in another order: np.unique
+    compares each row as one block of bytes (after -0.0 + 0.0 = 0.0), about
+    8 times faster on 1,200 rows than its field-by-field compare of rows."""
+    a = np.ascontiguousarray(a + 0.0)
+    rows, inverse = np.unique(a.view(f"V{a.shape[1] * a.itemsize}")[:, 0], return_inverse=True)
+    return rows.view(a.dtype).reshape(-1, a.shape[1]), inverse
+
+
 def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
                ideal_pulses: bool) -> np.ndarray:
     """Ensemble-averaged readout of every shot at every scan point, as a
     (points, shots) array.
 
-    The shots are advanced one segment index at a time.  Shots that share a
-    prefix share its states, held as one (nodes, d, d) stack; every segment's
-    detuning gets the node offset.
+    The protocol's shot table (:func:`_shot_table`) runs one depth at a
+    time.  A row's state is set by its parent's state and its parameter
+    columns, so each depth holds one (nodes, d, d) stack per distinct
+    (columns, parent) pair, found by one np.unique (:func:`_unique_rows`);
+    every segment's detuning gets the node offset.  A rotation depth is one
+    product of the superoperators U (x) U* of the closed-form 2 x 2
+    unitaries with the row-major vectorized states, guarded as one stack; a
+    readout is one contraction of the populations with the target's
+    weights.  A drive or wait depth builds one model (``binding.model`` of a
+    PulseSegment view) per distinct duration-free row, whose (nodes, d^2,
+    d^2) generator stack is L(0) + offset * L_offset; each (parent, model)
+    pair with nonzero durations is one block of nodes in a stack of
+    generators and initial states.  All static blocks are one _propagate
+    call over the union of their durations, and the blocks of each driven
+    model one call with its drives; a zero duration carries its parent's
+    states through unguarded.
     """
-    ((name, values),) = protocol.axes
-    seqs = [shot.segments for v in values
-            for shot in _shots_for(protocol, {name: v}, ideal_pulses)]
+    ((_, values),) = protocol.axes
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
-    readout = np.empty((offsets.size, len(seqs)))
-    frontier = [(None, list(range(len(seqs))))]  # (states, indices of the shots sharing them)
-    zeroed: dict[PulseSegment, PulseSegment] = {}
-    depth = 0
-    while frontier:
-        items = []
-        for states, members in frontier:
-            split: dict[PulseSegment, list[int]] = {}
-            for m in members:
-                split.setdefault(seqs[m][depth], []).append(m)
-            items += [(states, seg, shared) for seg, shared in split.items()]
-        frontier = []
-        for (_, seg, shared), out in zip(items, _advance(items, offsets, binding, zeroed)):
-            if seg.kind == "readout":
-                readout[:, shared] = out[:, None]
-            else:
-                frontier.append((out, shared))
-        depth += 1
+    n = offsets.size
+    shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
+    for kind, target, cols in _shot_table(protocol, values, ideal_pulses):
+        if kind == "initialize":
+            states, parent = np.repeat(binding.initial[target].matrix[None, None], n, 1), np.zeros(len(cols))
+            continue
+        rows, parent = _unique_rows(np.column_stack([cols, parent]))  # _COLUMNS, then the parent
+        parents, states = states, states[rows[:, -1].astype(int)]
+        if kind == "readout":
+            pops = np.diagonal(states, axis1=2, axis2=3).real
+            readout = np.einsum("knd,d->kn", pops, binding.readout[target])[parent].T
+        elif kind == "rotation":
+            # U = cos(angle/2) I - i sin(angle/2) (cos(phase) sigma_x + sin(phase) sigma_y)
+            half, phase = 0.5 * rows[:, 4], rows[:, 2]  # angle and phase
+            c, off = np.cos(half), -1j * np.sin(half) * np.exp(-1j * phase)
+            u = np.moveaxis(np.array([[c, off], [-off.conj(), c]]), -1, 0)
+            sup = np.einsum("rik,rjl->rijkl", u, u.conj()).reshape(-1, 4, 4)
+            states = _guard(np.einsum("rab,rnb->rna", sup, states.reshape(len(rows), n, 4)).reshape(states.shape))
+        else:
+            moving = np.flatnonzero(rows[:, 3] != 0.0)  # nonzero durations
+            free = rows[moving, :-1].copy()
+            free[:, 3] = 0.0
+            free, model = _unique_rows(free)
+            built = [binding.model(_segment(kind, target, row)) for row in free]
+            gens = [liouvillian(m) + shift for m in built]
+            blocks, block = _unique_rows(np.column_stack([rows[moving, -1], model]))
+            blocks = blocks.astype(int)
+            calls: dict = {}  # None: every static block; a driven model: its blocks
+            for b, m in enumerate(blocks[:, 1]):
+                calls.setdefault(m if built[m].drives else None, []).append(b)
+            for members in calls.values():
+                items = np.flatnonzero(np.isin(block, members))
+                grid, at = np.unique(np.append(0.0, rows[moving[items], 3]), return_inverse=True)
+                local = np.searchsorted(members, block[items])
+                states[moving[items]] = _propagate(
+                    np.concatenate([gens[m] for m in blocks[members, 1]]),
+                    np.concatenate(parents[blocks[members, 0]]), grid, built[blocks[members[0], 1]].drives,
+                    at=(at[1:, None], local[:, None] * n + np.arange(n)))
     pops = readout[0] if weights is None else weighted_average(weights, readout)
     return pops.reshape(values.size, -1)
-
-
-def _advance(items, offsets: np.ndarray, binding: _Binding, zeroed: dict) -> list[np.ndarray]:
-    """Apply each item's segment to its (nodes, d, d) states.
-
-    The rotations are one product of the superoperators U (x) U* of their
-    closed-form 2 x 2 unitaries with the row-major vectorized states,
-    guarded as one stack.  The readouts are one contraction of the stacked
-    populations with their targets' weights, a (nodes,) array per item.  A
-    drive or wait builds its one model, whose (nodes, d^2, d^2) generator
-    stack is L(0) + offset * L_offset.  The items that evolve from the same
-    states under segments that differ only in duration (``zeroed`` holds
-    each segment's duration-free copy for the run) form a group, one block
-    of nodes in a stack of generators and initial states.  All static groups
-    are one _propagate call over the union of their durations, and all
-    groups of one driven segment are one call with that segment's drives;
-    each item reads its own duration's grid row on its group's block.
-    """
-    out: list = [None] * len(items)
-    rotations, readouts, evolving = [], [], {}
-    for i, (states, seg, _) in enumerate(items):
-        if seg.kind == "initialize":
-            out[i] = np.repeat(binding.initial[seg.target].matrix[None], offsets.size, 0)
-        elif seg.kind == "readout":
-            readouts.append(i)
-        elif seg.kind == "rotation":
-            rotations.append(i)
-        elif seg.duration_ns == 0.0:
-            out[i] = states
-        else:
-            key = zeroed.get(seg)
-            if key is None:
-                key = zeroed[seg] = replace(seg, duration_ns=0.0)
-            evolving.setdefault((id(states), key), []).append(i)
-
-    if rotations:
-        # U = cos(angle/2) I - i sin(angle/2) (cos(phase) sigma_x + sin(phase) sigma_y)
-        half, phase = np.array([(0.5 * items[i][1].angle, items[i][1].phase) for i in rotations]).T
-        c, off = np.cos(half), -1j * np.sin(half) * np.exp(-1j * phase)
-        u = np.moveaxis(np.array([[c, off], [-off.conj(), c]]), -1, 0)
-        sup = np.einsum("rik,rjl->rijkl", u, u.conj()).reshape(-1, 4, 4)
-        rhos = np.array([items[i][0] for i in rotations]).reshape(len(rotations), offsets.size, 4)
-        rotated = _guard(np.einsum("rab,rnb->rna", sup, rhos).reshape(len(rotations), offsets.size, 2, 2))
-        for i, block in zip(rotations, rotated):
-            out[i] = block
-
-    if readouts:
-        pops = np.diagonal(np.array([items[i][0] for i in readouts]), axis1=2, axis2=3).real
-        weights = np.array([binding.readout[items[i][1].target] for i in readouts])
-        for i, values in zip(readouts, np.einsum("knd,kd->kn", pops, weights)):
-            out[i] = values
-
-    # per segment: its generator stack over the nodes, and its model's drives
-    gens: dict[PulseSegment, tuple[np.ndarray, tuple[Drive, ...]]] = {}
-    shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
-    calls: dict = {}  # None: every static group; a driven segment: its groups
-    for (_, seg), idx in evolving.items():
-        if seg not in gens:
-            model = binding.model(seg)
-            gens[seg] = liouvillian(model) + shift, model.drives
-        calls.setdefault(seg if gens[seg][1] else None, []).append((seg, idx))
-
-    for groups in calls.values():
-        idx = [i for _, group in groups for i in group]
-        grid, rows = np.unique([0.0] + [items[i][1].duration_ns for i in idx], return_inverse=True)
-        block = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
-        states = _propagate(np.concatenate([gens[seg][0] for seg, _ in groups]),
-                            np.concatenate([items[group[0]][0] for _, group in groups]),
-                            grid, gens[groups[0][0]][1],
-                            at=(rows[1:, None], block[:, None] * offsets.size + np.arange(offsets.size)))
-        for i, s in zip(idx, states):
-            out[i] = s
-    return out
 
 
 def simulate_protocol(

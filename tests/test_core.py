@@ -480,6 +480,17 @@ class TestExactPropagation:
         with pytest.raises(UsageError):
             _propagate(gens, [DensityMatrix.pure(2, 1).matrix, DensityMatrix.pure(3, 0).matrix], [0.0, 1.0])
 
+    @pytest.mark.parametrize("rhos", [
+        [np.eye(2) / 2, np.eye(3) / 3],  # ragged
+        [np.eye(2) / 2, [[1.0, 0.0]]],  # ragged, one state not square
+        [np.eye(3) / 3] * 2,  # every state of the wrong d
+        np.full((2, 2, 3), 0.25),  # an array of non-square states
+    ], ids=["ragged", "ragged-row", "wrong-d", "non-square"])
+    def test_batch_rejects_states_of_the_wrong_shape(self, rhos):
+        gens = np.stack([liouvillian(self._two_level(0.0))] * 2)
+        with pytest.raises(UsageError, match="dimension does not match"):
+            _propagate(gens, rhos, [0.0, 1.0])
+
     def test_static_pumping_against_direct_expm(self):
         # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points
         from scipy.linalg import expm

@@ -532,6 +532,21 @@ def test_protocol_kind_rejects_physics_outside_its_entry(kind, physics):
         simulate_protocol(EXAMPLE_PROTOCOLS[kind], physics)
 
 
+def _lengthened(table, kind: str, x: float, duration_ns: float):
+    """``table`` (a _shot_table) with the duration of every ``kind`` segment
+    of the shots at scan value ``x`` set to ``duration_ns``."""
+
+    def lengthened(p, values, ideal_pulses):
+        depths = table(p, values, ideal_pulses)
+        at = np.repeat(np.asarray(values) == x, len(depths[0][2]) // len(values))
+        for k, _, cols in depths:
+            if k == kind:
+                cols[at, sequences._COLUMNS.index("duration_ns")] = duration_ns
+        return depths
+
+    return lengthened
+
+
 class TestShotExecutor:
     def test_simulation_runs_the_shots(self, monkeypatch):
         # lengthen the wait of the tau = 10 ns shots to 20 ns: that point must
@@ -539,16 +554,7 @@ class TestShotExecutor:
         prot = ramsey_protocol(125.0, 30.0, [0.0, 10.0, 20.0])
         ens = EnsembleSpec(t2star_ns=34.0, nodes=9)
         base = simulate_protocol(prot, TwoLevelPhysics(), ens, **IDEAL).signal
-        original = sequences._shots_for
-
-        def lengthened(p, point, ideal_pulses=False):
-            shots = original(p, point, ideal_pulses)
-            if point["tau_ns"] != 10.0:
-                return shots
-            return [PulseSequence(tuple(replace(seg, duration_ns=20.0) if seg.kind == "wait" else seg
-                                        for seg in shot.segments)) for shot in shots]
-
-        monkeypatch.setattr(sequences, "_shots_for", lengthened)
+        monkeypatch.setattr(sequences, "_shot_table", _lengthened(sequences._shot_table, "wait", 10.0, 20.0))
         moved = simulate_protocol(prot, TwoLevelPhysics(), ens, **IDEAL).signal
         assert abs(base[1] - base[2]) > 0.1
         assert moved[1] == pytest.approx(base[2], abs=1e-12)
@@ -672,16 +678,7 @@ class TestShotExecutor:
         # then read like tau = 6 ns, because the shots are what runs
         prot = rabi_protocol(60.0, 0.0, [2.0, 4.0, 6.0])
         base = simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
-        original = sequences._shots_for
-
-        def lengthened(p, point, ideal_pulses=False):
-            shots = original(p, point, ideal_pulses)
-            if point["tau_ns"] != 2.0:
-                return shots
-            return [PulseSequence(tuple(replace(seg, duration_ns=6.0) if seg.kind == "drive" else seg
-                                        for seg in shot.segments)) for shot in shots]
-
-        monkeypatch.setattr(sequences, "_shots_for", lengthened)
+        monkeypatch.setattr(sequences, "_shot_table", _lengthened(sequences._shot_table, "drive", 2.0, 6.0))
         moved = simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
         assert abs(base[0] - base[2]) > 0.01
         assert moved[0] == pytest.approx(base[2], abs=1e-12)
@@ -724,6 +721,115 @@ class TestShotExecutor:
                                 counts_per_shot=100, seed=1)
         assert res.signal.shape == (2,)
         assert np.all(res.signal >= 0)
+
+
+# the sequence families, with scan values that include zero
+TABLE_PROTOCOLS = {
+    "rabi": rabi_protocol(100.0, 20.0, [0.0, 3.0, 7.5]),
+    "esr_scan": esr_scan_protocol(110.0, None, [2.55, 2.6, 2.65], -7.4, 2.6),
+    "t1": t1_protocol([0.0, 10.0, 100.0]),
+    "ramsey": ramsey_protocol(125.0, 30.0, [0.0, 5.0, 12.5]),
+    "ramsey-unbalanced": ramsey_protocol(125.0, 30.0, [0.0, 5.0, 12.5], balanced=False),
+    "ramsey-serrodyne": ramsey_protocol(125.0, 30.0, [0.0, 5.0, 12.5], f_serr_mhz=80.0),
+    "echo-refocus": hahn_echo_protocol(125.0, [0.0, 100.0, 250.0], modulation_amp_mhz=4.0,
+                                       modulation_freq_mhz=20.0),
+    "echo-free": hahn_echo_protocol(125.0, [0.0, 100.0, 250.0], modulation_amp_mhz=4.0, modulation_freq_mhz=20.0,
+                                    modulation_phases=3, modulation_mode="free"),
+}
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+@pytest.mark.parametrize("name", TABLE_PROTOCOLS)
+def test_shots_are_the_rows_the_executor_runs(monkeypatch, name, ideal):
+    prot = TABLE_PROTOCOLS[name]
+    tables = []
+    real = sequences._shot_table
+
+    def spy(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(sequences, "_shot_table", spy)
+    simulate_protocol(prot, TwoLevelPhysics(0.3, 1.5), ideal_pulses=ideal)
+    (table,) = tables
+    ((axis, values),) = prot.axes
+    per_point = len(table[0][2]) // values.size
+    for p, x in enumerate(values):
+        shots = prot.shots(ideal, **{axis: x})
+        assert len(shots) == per_point
+        for s, shot in enumerate(shots):
+            assert isinstance(shot, PulseSequence)
+            ran = [(kind, target, *cols[p * per_point + s]) for kind, target, cols in table]
+            assert [(seg.kind, seg.target, seg.omega_mhz, seg.delta_mhz, seg.phase, seg.duration_ns, seg.angle,
+                     seg.mod_amp_mhz, seg.mod_freq_mhz) for seg in shot.segments] == ran
+
+
+def test_shots_at_a_point_off_the_axis():
+    # the axis may be empty: the point's own value builds its rows
+    (shot,) = rabi_protocol(100.0, 0.0, []).shots(tau_ns=1.5)
+    assert [seg.duration_ns for seg in shot.segments] == [0.0, 1.5, 0.0]
+
+
+@pytest.mark.parametrize("name", ["rabi", "t1", "ramsey-serrodyne", "echo-free"])
+@pytest.mark.parametrize("ideal", [False, True])
+def test_repeated_and_zero_scan_values_read_as_their_points(name, ideal):
+    # equal rows of a table share their states; each point still reads its own
+    prot = TABLE_PROTOCOLS[name]
+    ((axis, values),) = prot.axes
+    physics, ens = TwoLevelPhysics(0.3, 1.5, 0.02), EnsembleSpec(t2star_ns=30.0, nodes=9)
+
+    def run(x):
+        return simulate_protocol(replace(prot, axes=((axis, x),)), physics, ens, ideal_pulses=ideal).signal
+
+    got = run([0.0, values[1], values[1], 0.0])
+    assert got[1] == got[2] and got[0] == got[3]
+    assert got[:2] == pytest.approx([run([0.0])[0], run([values[1]])[0]], abs=1e-12)
+
+
+def test_finite_pulse_serrodyne_ramsey_matches_per_shot_oracle(monkeypatch):
+    # the pi/2 pulses are 2 ns drives at 125 MHz and delta = 30 MHz, the
+    # second at the serrodyne phase pi/2 - 2 pi f_serr tau (+ pi for the
+    # second shot of a pair); per node offset d the oracle writes out
+    # H = 2 pi ((omega/2)(cos phase sx + sin phase sy) + ((delta + d)/2) sz)
+    # and exponentiates each segment's Liouvillian
+    omega, delta, f_serr, taus = 125.0, 30.0, 80.0, np.linspace(0.0, 40.0, 9)
+    prot = ramsey_protocol(omega, delta, taus, f_serr_mhz=f_serr)
+    physics = TwoLevelPhysics(gamma1_mhz=0.3, gamma2_mhz=1.5, epsilon_init=0.02)
+    offsets = quadrature_nodes(gaussian_sigma(30.0), 9)[0]
+    seen = []
+
+    def spy(weights, traces):
+        seen.append(np.array(traces))
+        return weighted_average(weights, traces)
+
+    monkeypatch.setattr(sequences, "weighted_average", spy)
+    simulate_protocol(prot, physics, EnsembleSpec(t2star_ns=30.0, nodes=9), ideal_pulses=False)
+    (got,) = seen
+
+    dissipator = liouvillian(models.build_two_level(0.0, 0.0, physics.gamma1_mhz, physics.gamma2_mhz))
+    eye = np.eye(2)
+
+    def step(rho, omega_mhz, delta_mhz, phase, duration_ns):
+        h = mhz_to_angular(1.0) * (omega_mhz / 2 * (math.cos(phase) * models.SIGMA_X
+                                                    + math.sin(phase) * models.SIGMA_Y)
+                                   + delta_mhz / 2 * models.SIGMA_Z)
+        gen = dissipator - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        return (expm(gen * duration_ns) @ rho.reshape(4)).reshape(2, 2)
+
+    oracle = []
+    for d in offsets:
+        row = []
+        for tau in taus:
+            for extra in (0.0, math.pi):
+                rho = np.diag([physics.epsilon_init, 1.0 - physics.epsilon_init]).astype(complex)  # |up>
+                rho = step(rho, omega, delta + d, 0.0, 1e3 / (4 * omega))
+                rho = step(rho, 0.0, delta + d, 0.0, tau)
+                rho = step(rho, omega, delta + d, math.pi / 2 - 2 * math.pi * f_serr * 1e-3 * tau + extra,
+                           1e3 / (4 * omega))
+                row.append(rho[0, 0].real)  # |down>
+        oracle.append(row)
+    assert got.shape == np.shape(oracle) == (9, 18)
+    assert np.abs(got - np.array(oracle)).max() <= 1e-12
 
 
 # A segment's generators over the ensemble are L(0) + offset * L_offset, with

@@ -14,7 +14,10 @@ end-to-end metric of BENCHMARK.json it prints both medians, the base's
 quartiles and the number of pairs in which the change was better; then, for
 each item, the medians of its per-run item medians (``run.py``'s ``item
 median seconds`` line) and the pairs in which the change was faster; then
-the failed item runs of each tree.  Standard library only.
+the failed item runs of each tree.  It exits with status 1, naming the
+tree, when any run of either tree reported wrong outputs (``correct``
+false) or failed item runs, since a faster wrong program is no speedup.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ def summarize(metrics: list[dict], base: list[dict], change: list[dict]) -> list
     return lines
 
 
+def failures(runs: dict[str, list[dict]]) -> list[str]:
+    """One line per tree, for the trees with a run that reported wrong
+    outputs or failed item runs, given :func:`run_benchmark` results by tree."""
+    return [f"{label}: {sum(not r['correct'] for r in results)} of {len(results)} runs reported wrong outputs "
+            f"and {sum(r['failed'] for r in results)} item runs failed"
+            for label, results in runs.items() if any(not r["correct"] or r["failed"] for r in results)]
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description="alternating base/change benchmark pairs")
@@ -132,7 +143,10 @@ def main(argv=None) -> int:
     for label, results in runs.items():
         print(f"{label}: {sum(r['failed'] for r in results)} failed of "
               f"{sum(r['attempted'] for r in results)} item runs")
-    return 0
+    bad = failures(runs)
+    for line in bad:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
