@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -51,13 +52,19 @@ def _scenario_arg(args) -> str:
 
 def _cmd_validate(args) -> int:
     sc = scn.load_scenario(_resolve_scenario_path(_scenario_arg(args)))
-    print(f"ok: scenario {sc.name!r}, {len(sc.protocols)} product(s)")
+    print(f"ok: scenario {sc.name!r}, {len(sc.products)} product(s)")
     return EXIT_OK
 
 
-def _run_and_emit(args, require_two_axes: bool) -> int:
-    path = _resolve_scenario_path(_scenario_arg(args))
-    sc = scn.load_scenario(path)
+def _cmd_simulate(args) -> int:
+    """``fss simulate`` and ``fss scan2d``, which first checks that every
+    product has two axes."""
+    sc = scn.load_scenario(_resolve_scenario_path(_scenario_arg(args)))
+    if args.command == "scan2d":
+        for product in sc.products:
+            if product.ndim != 2:
+                raise ConfigError(f"scan2d requires exactly two scan axes; "
+                                  f"product {product.name!r} has {product.ndim}")
     seed = args.seed if args.seed is not None else sc.output.get("seed")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -65,10 +72,6 @@ def _run_and_emit(args, require_two_axes: bool) -> int:
     results = scn.run_scenario(sc, seed=seed)
     written = []
     for res in results:
-        if require_two_axes and len(res.axes) != 2:
-            raise ConfigError(
-                f"scan2d requires exactly two scan axes; product {res.name!r} has {len(res.axes)}"
-            )
         csv_path = out_dir / f"{sc.name}_{res.name}.csv"
         csv_path.write_text(scn.result_to_csv(sc, res, seed), encoding="utf-8")
         written.append(csv_path)
@@ -93,14 +96,6 @@ def _run_and_emit(args, require_two_axes: bool) -> int:
         for p in written:
             print(p)
     return EXIT_OK
-
-
-def _cmd_simulate(args) -> int:
-    return _run_and_emit(args, require_two_axes=False)
-
-
-def _cmd_scan2d(args) -> int:
-    return _run_and_emit(args, require_two_axes=True)
 
 
 def _parse_params(pairs, model: fitting.FitModel) -> dict:
@@ -153,6 +148,10 @@ def _print_values(values: dict, as_json: bool) -> None:
 
 
 def _cmd_calc(args) -> int:
+    given = [*args.values, *(v for v in vars(args).values() if isinstance(v, float))]
+    bad = [v for v in given if not math.isfinite(v)]
+    if bad:
+        raise UsageError(f"calc takes finite values only, got {', '.join(map(str, bad))}")
     j = args.json
     if args.formula == "cyclicity":
         c = models.cyclicity(args.values[0], args.values[1])
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--config", default=None,
                        help="scenario path (alternative to the positional)")
     common(p_scan)
-    p_scan.set_defaults(func=_cmd_scan2d)
+    p_scan.set_defaults(func=_cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit a library model to a CSV data file")
     p_fit.add_argument("model", help="model name (see list-models)")

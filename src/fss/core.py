@@ -88,10 +88,13 @@ def _require_finite(m, what: str):
         raise UsageError(f"{what} must be finite")
 
 
-def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL):
-    dev = np.max(np.abs(m - _dagger(m)), initial=0.0)
+def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The conjugate transpose of ``m``, which must lie within ``tol`` of ``m``."""
+    dag = _dagger(m)
+    dev = np.max(np.abs(m - dag), initial=0.0)
     if dev > tol:
         raise UsageError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    return dag
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -125,8 +128,7 @@ def _guard(rhos, times=None) -> np.ndarray:
             raise NumericalFailure(message.format(None if values is None else values.flat[k]), t)
 
     check(~np.isfinite(m).all(axis=(-2, -1)), "density matrix has non-finite entries")
-    _require_hermitian(m, "density matrix")
-    m = 0.5 * (m + _dagger(m))
+    m = 0.5 * (m + _require_hermitian(m, "density matrix"))
     off = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
     check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
     low = _lowest_eigenvalues(m)

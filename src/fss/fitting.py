@@ -553,8 +553,8 @@ def linewidth_from_t2star(t2star_ns: float) -> float:
 def read_data_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read an (x, y[, yerr]) CSV with a mandatory one-line header.
 
-    Lines starting with '#' are comments/metadata.  Malformed rows raise
-    :class:`DataError` carrying the row number.
+    Lines starting with '#' are comments/metadata.  Malformed rows and rows
+    with a non-finite field raise :class:`DataError` carrying the row number.
     """
     xs, ys, es = [], [], []
     header_seen = False
@@ -577,6 +577,8 @@ def read_data_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise DataError(f"non-numeric field: {exc}", row=lineno) from None
+            if not all(map(math.isfinite, vals)):
+                raise DataError(f"non-finite field in {line!r}", row=lineno)
             xs.append(vals[0])
             ys.append(vals[1])
             if n_cols == 3:

@@ -9,15 +9,16 @@ constructors.  Unit annotations are mandatory for dimensioned keys and are
 validated against the key's family, so a bare number where a frequency or
 time belongs is a schema error with a line diagnostic (this is the guard
 against the MHz/angular mixups centralized in the ensemble module).
-Parsing also builds the physics, the ensemble and every product, so a
-missing key or a value that a constructor rejects is a config error naming
-its section's line, and so is a product on a ``[physics]`` kind whose class
-``fss.sequences.RUNS_ON`` does not list for it.  Multiple ``[protocol name]``
-sections yield one data product per section; an optional ``[scan]`` section
-sweeps one protocol parameter, turning each product into a two-axis (long
-format) scan.  Every scanned product must take the scan parameter as a key;
-the Rabi Q scan, the polarization map and the CPT spectrum ignore the
-scan."""
+Parsing builds the physics, the ensemble and every product's protocols, and
+the :class:`Scenario` keeps them, so a missing key or a value that a
+constructor rejects is a config error naming its section's line, and so is
+a product on a ``[physics]`` kind (or on none) whose class
+``fss.sequences.RUNS_ON`` does not list for it; the runner only simulates.
+Multiple ``[protocol name]`` sections yield one data product per section;
+an optional ``[scan]`` section sweeps one protocol parameter, turning each
+product into a two-axis (long format) scan.  Every scanned product must
+take the scan parameter as a key; the Rabi Q scan, the polarization map and
+the CPT spectrum ignore the scan."""
 
 from __future__ import annotations
 
@@ -176,7 +177,6 @@ _UNSCANNED = ("rabi_q", "polarization_map", "cpt_spectrum")
 _SCENARIO_KEYS = {"name": ("text", None)}
 
 _OUTPUT_KEYS = {
-    "signal": ("str", None),
     "counts_per_shot": ("float", _BARE),
     "seed": ("int", _BARE),
     "ideal_pulses": ("bool", _BARE),
@@ -194,13 +194,28 @@ _SCAN_PARAM_UNITS = {
 
 
 @dataclass
+class Product:
+    """One ``[protocol]`` section, built: its name, whether the scenario scan
+    applies to it, and its protocols (one per scan value, or one)."""
+    name: str
+    scanned: bool
+    protocols: list[Protocol]
+
+    @property
+    def ndim(self) -> int:
+        """The number of axes of the product's result."""
+        return 2 if self.scanned else len(self.protocols[0].axes)
+
+
+@dataclass
 class Scenario:
     name: str
-    physics: dict
-    protocols: list  # (product name, params dict)
-    ensemble: dict | None = None
+    physics: object  # TwoLevelPhysics, FaradayParams, CptParams or None
+    products: list[Product]
+    ensemble: EnsembleSpec | None = None
     scan: dict | None = None
     output: dict = field(default_factory=dict)
+    handedness: str | None = None  # of a faraday [physics], passed to simulate_protocol
     source_text: str = ""
 
     @property
@@ -301,12 +316,9 @@ def parse_scenario(text: str) -> Scenario:
         current[key] = (raw_value, lineno)
 
     name = ""
-    physics = None
-    ensemble = None
-    scan = None
+    physics = ensemble = scan = None
     output: dict = {}
-    protocols: list = []
-    protocol_lines: list[int] = []
+    protocols: list[tuple[str, dict, int]] = []  # (product name, params, lineno)
     lines: dict[str, int] = {}
 
     for section, label, lineno, entries in sections:
@@ -320,8 +332,7 @@ def parse_scenario(text: str) -> Scenario:
             lines["ensemble"] = lineno
         elif section == "protocol":
             params = _parse_kind(entries, _PROTOCOLS, "protocol", lineno)
-            protocols.append((label or params["kind"], params))
-            protocol_lines.append(lineno)
+            protocols.append((label or params["kind"], params, lineno))
         elif section == "scan":
             param = entries.get("parameter", (None, lineno))[0]
             if param not in _SCAN_PARAM_UNITS:
@@ -335,41 +346,31 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ConfigError(f"unknown section [{section}]", lineno)
 
-    if physics is None and any(p[1]["kind"] != "polarization_map" for p in protocols):
-        raise ConfigError("missing [physics] section")
     if not protocols:
         raise ConfigError("no [protocol] section")
-    for (_, params), lineno in zip(protocols, protocol_lines):
-        runs_on = [kind for kind, (cls, _) in _PHYSICS.items() if issubclass(cls, RUNS_ON[params["kind"]])]
-        if physics is not None and physics["kind"] not in runs_on:
-            raise ConfigError(f"protocol kind {params['kind']!r} runs on {' or '.join(runs_on)} physics, "
-                              f"not {physics['kind']!r}", lineno)
+    physics_cls = _PHYSICS[physics["kind"]][0] if physics else type(None)
+    for _, params, lineno in protocols:
+        runs_on = RUNS_ON[params["kind"]]
+        if not issubclass(physics_cls, runs_on):
+            kinds = " or ".join(kind for kind, (cls, _) in _PHYSICS.items() if issubclass(cls, runs_on))
+            given = repr(physics["kind"]) if physics else "none (no [physics] section)"
+            raise ConfigError(f"protocol kind {params['kind']!r} runs on {kinds} physics, not {given}", lineno)
     if output.get("counts_per_shot", 0) > 0 and "seed" not in output:
         raise ConfigError("shot noise enabled: [output] seed is required")
-    sc = Scenario(
+    handedness = physics.get("handedness") if physics else None
+    if handedness not in (None, *models.HANDEDNESS):
+        raise ConfigError(f"handedness must be one of {models.HANDEDNESS}", lines["physics"])
+    return Scenario(
         name=name,
-        physics=physics or {"kind": "none"},
-        protocols=protocols,
-        ensemble=ensemble,
+        physics=None if physics is None else _build(*_PHYSICS[physics["kind"]], physics, "physics",
+                                                    lines["physics"]),
+        ensemble=None if ensemble is None else _build(*_ENSEMBLE, ensemble, "ensemble", lines["ensemble"]),
+        products=[_product(*section, scan) for section in protocols],
         scan=scan,
         output=output,
+        handedness=handedness,
         source_text=text,
     )
-    # build the physics, the ensemble and every protocol now, so that a value
-    # their constructors reject fails here with its section's line instead
-    # of at run time
-    builds = [(functools.partial(build_physics, sc), "physics", lines.get("physics")),
-              (functools.partial(build_ensemble, sc), "ensemble", lines.get("ensemble"))]
-    builds += [(functools.partial(_protocols, params, scan), "protocol", lineno)
-               for (_, params), lineno in zip(protocols, protocol_lines)]
-    for build, section, lineno in builds:
-        try:
-            build()
-        except UsageError as exc:
-            raise ConfigError(str(exc), lineno) from None
-        except KeyError as exc:
-            raise ConfigError(f"missing key {exc.args[0]!r} in [{section}]", lineno) from None
-    return sc
 
 
 def _parse_kind(entries: dict, table: dict, section: str, lineno: int) -> dict:
@@ -401,82 +402,68 @@ def _grid_keys(key: str) -> list[str]:
     return [key.replace("*", end) for end in ("start", "stop", "points")]
 
 
+def _build(make, keys: dict, values: dict, section: str, lineno: int):
+    """Call a table row's constructor ``make`` with the arguments that the
+    parsed section ``values`` sets.  A missing key, or a value that the
+    constructor rejects, is a ConfigError naming the section's line."""
+    required = {name for name, par in inspect.signature(make).parameters.items()
+                if par.default is par.empty}
+    kwargs = {}
+    try:
+        for key, (kind, _, arg, *default) in keys.items():
+            if arg is None:
+                continue
+            names = _grid_keys(key) if kind == "grid" else [key]
+            if any(n in values for n in names) or (arg in required and not default):
+                given = [values[n] for n in names]
+                kwargs[arg] = np.linspace(*given) if kind == "grid" else given[0]
+            elif default:
+                kwargs[arg] = default[0]
+        return make(**kwargs)
+    except UsageError as exc:
+        raise ConfigError(str(exc), lineno) from None
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc.args[0]!r} in [{section}]", lineno) from None
+
+
+def _product(name: str, params: dict, lineno: int, scan: dict | None) -> Product:
+    """A ``[protocol]`` section's product.  A scanned product must take the
+    scan parameter."""
+    kind = params["kind"]
+    make, keys = _PROTOCOLS[kind]
+    if scan is None or kind in _UNSCANNED:
+        return Product(name, False, [_build(make, keys, params, "protocol", lineno)])
+    if scan["parameter"] not in keys:
+        raise ConfigError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan", lineno)
+    return Product(name, True, [_build(make, keys, {**params, scan["parameter"]: v}, "protocol", lineno)
+                                for v in scan["values"]])
+
+
 def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 # --- runner ---------------------------------------------------------------------
 
-def _build(make, keys: dict, values: dict):
-    """Call a table row's constructor ``make`` with the arguments that the
-    parsed section ``values`` sets.  A KeyError names a missing key."""
-    required = {name for name, par in inspect.signature(make).parameters.items()
-                if par.default is par.empty}
-    kwargs = {}
-    for key, (kind, _, arg, *default) in keys.items():
-        if arg is None:
-            continue
-        names = _grid_keys(key) if kind == "grid" else [key]
-        if any(n in values for n in names) or (arg in required and not default):
-            given = [values[n] for n in names]
-            kwargs[arg] = np.linspace(*given) if kind == "grid" else given[0]
-        elif default:
-            kwargs[arg] = default[0]
-    return make(**kwargs)
-
-
-def build_physics(sc: Scenario):
-    p = sc.physics
-    if p["kind"] == "none":  # a polarization map needs no physics
-        return None
-    if "handedness" in p and p["handedness"] not in models.HANDEDNESS:
-        raise UsageError(f"handedness must be one of {models.HANDEDNESS}")
-    return _build(*_PHYSICS[p["kind"]], p)
-
-
-def build_ensemble(sc: Scenario) -> EnsembleSpec | None:
-    return None if sc.ensemble is None else _build(*_ENSEMBLE, sc.ensemble)
-
-
-def build_protocol(kind: str, p: dict) -> Protocol:
-    return _build(*_PROTOCOLS[kind], p)
-
-
-def run_product(sc: Scenario, product_name: str, params: dict,
-                seed: int | None = None) -> ScanResult:
-    """Simulate one protocol product, applying the scenario-level scan if any."""
+def run_product(sc: Scenario, product: Product, seed: int | None = None) -> ScanResult:
+    """Simulate one product's protocols, stacked along the scenario scan if
+    it applies."""
     out = sc.output
     if seed is None:
         seed = out.get("seed")
     kwargs = {key: out[key] for key in ("ideal_pulses", "counts_per_shot") if key in out}
-    if "handedness" in sc.physics:
-        kwargs["handedness"] = sc.physics["handedness"]
-
-    physics = build_physics(sc)
-    ensemble = build_ensemble(sc)
-    scanned, protocols = _protocols(params, sc.scan)
-    results = [simulate_protocol(p, physics, ensemble, seed=seed, **kwargs) for p in protocols]
-    if not scanned:
-        return replace(results[0], name=product_name)
+    if sc.handedness is not None:
+        kwargs["handedness"] = sc.handedness
+    results = [simulate_protocol(p, sc.physics, sc.ensemble, seed=seed, **kwargs) for p in product.protocols]
+    if not product.scanned:
+        return replace(results[0], name=product.name)
     signal = np.stack([res.signal for res in results])
     axes = ((sc.scan["parameter"], np.asarray(sc.scan["values"], dtype=float)), results[-1].axes[0])
-    return ScanResult(axes, signal, name=product_name)
-
-
-def _protocols(params: dict, scan: dict | None) -> tuple[bool, list[Protocol]]:
-    """Whether the scenario scan applies to a product, and its protocols: one
-    per scan value, or one.  A scanned product must take the scan parameter."""
-    kind = params["kind"]
-    if scan is None or kind in _UNSCANNED:
-        return False, [build_protocol(kind, params)]
-    if scan["parameter"] not in _PROTOCOLS[kind][-1]:
-        raise UsageError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan")
-    return True, [build_protocol(kind, {**params, scan["parameter"]: v}) for v in scan["values"]]
+    return ScanResult(axes, signal, name=product.name)
 
 
 def run_scenario(sc: Scenario, seed: int | None = None) -> list[ScanResult]:
-    return [run_product(sc, pname, params, seed=seed)
-            for pname, params in sc.protocols]
+    return [run_product(sc, product, seed=seed) for product in sc.products]
 
 
 # --- CSV emission -----------------------------------------------------------------
@@ -491,21 +478,12 @@ def result_to_csv(sc: Scenario, res: ScanResult, seed: int | None) -> str:
         f"# meta sha256={sc.sha256}",
         f"# meta seed={'none' if seed is None else seed}",
     ]
-    axis_names = [n for n, _ in res.axes]
-    lines.append(",".join(axis_names + ["signal"]))
-    if len(res.axes) == 1:
-        vals = res.axes[0][1]
-        for x, y in zip(vals, np.atleast_1d(res.signal)):
-            lines.append(f"{format_float(x)},{format_float(y)}")
-    elif len(res.axes) == 2:
-        a0, a1 = res.axes[0][1], res.axes[1][1]
-        for i, x0 in enumerate(a0):
-            for j, x1 in enumerate(a1):
-                lines.append(
-                    f"{format_float(x0)},{format_float(x1)},{format_float(res.signal[i, j])}"
-                )
-    else:
+    if len(res.axes) not in (1, 2):
         raise UsageError("CSV emission supports 1 or 2 axes")
+    lines.append(",".join([n for n, _ in res.axes] + ["signal"]))
+    grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
+    for row in zip(*(g.ravel() for g in grids), np.ravel(res.signal)):
+        lines.append(",".join(map(format_float, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -752,9 +752,22 @@ def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
     a point is one row with the combined Overhauser and laser spread, or,
     with correlated Rabi jitter and dI/I > 0, 9 rows over the intensity
     nodes eps (drive omega (1 + eps), detuning stark_ratio omega eps, the
-    nominal pi time, the Overhauser spread) averaged over eps."""
+    nominal pi time, the Overhauser spread) averaged over eps.  The rates,
+    T2* and Stark ratio come from the protocol and the drives and noise
+    levels from its axes; a physics or ensemble field that would be ignored
+    raises UsageError (the ensemble sets only the node count and the jitter
+    mode)."""
     omegas, noises = protocol.axis("omega_mhz"), protocol.axis("di_over_i")
     q = protocol.params
+    ignored = [f"TwoLevelPhysics.{f.name}" for f in fields(phys) if getattr(phys, f.name) != f.default]
+    if ensemble is not None:
+        ignored += [f"EnsembleSpec.{name}" for name, bad in (
+            ("t2star_ns", ensemble.t2star_ns != q["t2star_ns"]),
+            ("stark_ratio", ensemble.stark_ratio not in (0.0, q["stark_ratio"])),
+            ("omega_mhz", ensemble.omega_mhz != 0.0), ("di_over_i", ensemble.di_over_i != 0.0)) if bad]
+    if ignored:
+        raise UsageError(f"rabi_q would ignore {', '.join(ignored)}: it takes its rates, T2* and Stark ratio "
+                         "from the protocol and its drive and noise from the protocol's axes")
     nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES
     w, di = np.repeat(omegas, noises.size), np.tile(noises, omegas.size)
     jittered = (di > 0) & (ensemble is not None and ensemble.correlated_rabi_jitter)

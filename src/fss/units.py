@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import UsageError
+
 TWO_PI = 2.0 * math.pi
 
 # CODATA 2018
@@ -63,6 +65,6 @@ def rate_mhz_from_lifetime(lifetime_ns: float) -> float:
     The Lindblad rate is 1/lifetime in rad/ns; the API quotes it divided
     by 2pi in MHz.
     """
-    if lifetime_ns <= 0:
-        raise ValueError("lifetime must be positive")
+    if not (math.isfinite(lifetime_ns) and lifetime_ns > 0):
+        raise UsageError(f"lifetime must be finite and > 0, got {lifetime_ns}")
     return angular_to_mhz(1.0 / lifetime_ns)

@@ -94,9 +94,7 @@ TOLERANCES = {
 def run_bundled(name: str, out_dir: Path) -> dict[str, Path]:
     """Run one bundled scenario at seed 0 through the CLI; its CSVs by file name."""
     sc = load_scenario(_resolve_scenario_path(name))
-    verb = "scan2d" if sc.scan is not None or any(
-        p[1]["kind"] in ("rabi_q", "polarization_map") for p in sc.protocols
-    ) else "simulate"
+    verb = "scan2d" if all(product.ndim == 2 for product in sc.products) else "simulate"
     rc = main([verb, name, "--out", str(out_dir), "--seed", "0"])
     assert rc == 0, f"{name} exited with {rc}"
     return {p.name: p for p in Path(out_dir).glob("*.csv")}

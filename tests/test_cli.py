@@ -1,10 +1,13 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fss import scenario
 from fss.cli import main
+from fss.errors import ConfigError
 from fss.scenario import load_scenario, parse_scenario
 
 SMALL_SCENARIO = """\
@@ -78,6 +81,25 @@ omega_start = 2.5 GHz
 omega_stop = 2.7 GHz
 omega_points = 5
 """
+
+
+MAP_SCENARIO = """\
+[scenario]
+name = mixed
+
+[physics]
+kind = two_level
+
+[protocol map]
+kind = polarization_map
+hwp_start = 0 deg
+hwp_stop = 90 deg
+hwp_points = 3
+qwp_start = 0 deg
+qwp_stop = 90 deg
+qwp_points = 3
+
+""" + SMALL_SCENARIO.split("\n\n")[-1]
 
 
 def run(args):
@@ -211,6 +233,18 @@ class TestValidate:
         self._rejected_at(text, "[ensemble]", tmp_path)
         parse_scenario(text.replace("nodes = 8", "nodes = 9"))
 
+    def test_output_signal_key_is_unknown(self, tmp_path):
+        # [output] signal was read by nothing and is no longer a key
+        self._rejected_at(SMALL_SCENARIO + "\n[output]\nsignal = emission\n", "signal", tmp_path)
+
+    def test_product_without_physics_rejected(self, tmp_path):
+        text = SMALL_SCENARIO.replace(_block(SMALL_SCENARIO, "[physics]"), "")
+        self._rejected_at(text, "[protocol", tmp_path)
+        with pytest.raises(ConfigError, match="no \\[physics\\] section"):
+            parse_scenario(text)
+        no_physics = "[scenario]\nname = map\n" + _block(MAP_SCENARIO, "[protocol")
+        assert parse_scenario(no_physics).physics is None
+
     def test_shot_noise_requires_seed(self, tmp_path):
         bad = SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\n"
         path = tmp_path / "noise.scenario"
@@ -277,6 +311,33 @@ class TestSimulate:
         path.write_text(SMALL_SCENARIO, encoding="utf-8")
         assert run(["scan2d", path, "--out", tmp_path / "o"]) == 2
 
+    def test_scan2d_checks_every_product_before_simulating(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(scenario, "simulate_protocol", lambda *a, **k: calls.append(a))
+        path = tmp_path / "mixed.scenario"
+        path.write_text(MAP_SCENARIO, encoding="utf-8")
+        assert run(["scan2d", path, "--out", tmp_path / "o"]) == 2
+        assert "product 'trace' has 1" in capsys.readouterr().err
+        assert calls == []
+
+    def test_run_constructs_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "scanned.scenario"
+        path.write_text(MAP_SCENARIO + "\n[ensemble]\nt2star = 34 ns\nnodes = 9\n"
+                        "[scan]\nparameter = omega\nvalues = 50, 100 MHz\n", encoding="utf-8")
+        sc = load_scenario(path)
+        assert [(p.name, p.scanned, len(p.protocols)) for p in sc.products] == [("map", False, 1), ("trace", True, 2)]
+        calls = []
+        monkeypatch.setattr(scenario, "_build", lambda *a, **k: calls.append(a))
+        scenario.run_scenario(sc, seed=0)
+        assert calls == []
+
+    def test_one_parsed_scenario_runs_twice_to_the_same_bytes(self, tmp_path):
+        text = MAP_SCENARIO + "\n[ensemble]\nt2star = 34 ns\nnodes = 9\n[output]\ncounts_per_shot = 200\nseed = 7\n"
+        sc = parse_scenario(text)
+        first, second = ([scenario.result_to_csv(sc, res, 7) for res in scenario.run_scenario(sc)]
+                         for _ in range(2))
+        assert first == second and len(first) == 2
+
 
 class TestFitCommand:
     def test_bundled_pumping_trace(self, capsys):
@@ -301,6 +362,13 @@ class TestFitCommand:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["parameters"]["delta_mhz"]["value"] == pytest.approx(75.0, rel=1e-6)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_a_data_error(self, value, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text(f"t,counts\n0,1\n1,{value}\n2,0.5\n", encoding="utf-8")
+        assert run(["fit", "exp_decay", path, "-p", "amplitude=1", "-p", "tau=1", "-p", "offset=0"]) == 3
+        assert "row 3" in capsys.readouterr().err
 
     def test_malformed_row_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -364,6 +432,17 @@ class TestCalc:
     def test_domain_error_exit(self, capsys):
         assert run(["calc", "cyclicity", "2.0", "1.0"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["cyclicity", "nan", "111"], ["cyclicity", "0.27", "inf"], ["gfactor", "nan", "6.5"],
+        ["rabi", "6", "nan", "600"], ["larmor", "inf"], ["linewidth", "--fwhm", "nan"],
+        ["linewidth", "--t2star", "inf"], ["stark", "--eta", "nan"], ["stark", "--eta", "20", "--omega", "nan"],
+        ["stark", "--cyclicity", "nan"], ["eta", "--slope", "nan"],
+    ])
+    def test_non_finite_value_rejected(self, args, capsys):
+        assert run(["calc", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
 
 class TestListModels:
     def test_lists_models_and_scenarios(self, capsys):
@@ -392,7 +471,7 @@ class TestScenarioParsing:
     def test_unit_conversion(self, tmp_path):
         text = SMALL_SCENARIO.replace("tau_stop = 20 ns", "tau_stop = 0.02 us")
         sc = parse_scenario(text)
-        assert sc.protocols[0][1]["tau_stop"] == pytest.approx(20.0)
+        assert sc.products[0].protocols[0].axes[0][1][-1] == pytest.approx(20.0)
 
     def test_bundled_scenarios_all_parse(self):
         from fss.cli import bundled_scenarios, _resolve_scenario_path
@@ -403,7 +482,7 @@ class TestScenarioParsing:
         assert {"fig2ef_small", "fig4abc_small"} <= {p.stem for p in benchmark}
         for path in [_resolve_scenario_path(name) for name in names] + benchmark:
             sc = load_scenario(path)
-            assert sc.protocols
+            assert sc.products
 
 
 class TestExitCodes:

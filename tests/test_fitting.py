@@ -441,6 +441,15 @@ class TestDataInterface:
             read_data_csv(path)
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("row", ["3,nan", "nan,6", "3,6,inf"])
+    def test_non_finite_field_reports_row(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        columns = "x,y,yerr" if row.count(",") == 2 else "x,y"
+        path.write_text(f"{columns}\n1,2{',0.1' * (row.count(',') - 1)}\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            read_data_csv(path)
+        assert err.value.row == 3
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only a comment\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fss.core import DensityMatrix, evolve, expectation, steady_state
-from fss.errors import DomainError
+from fss.errors import DomainError, UsageError
 from fss.fitting import MODEL_LIBRARY, FitModel, fit
 from fss.models import (
     CptParams,
@@ -239,6 +239,11 @@ class TestDerivedScalars:
     def test_g_factor_domain(self):
         with pytest.raises(DomainError):
             g_factor(2.6, 0.0)
+
+    @pytest.mark.parametrize("lifetime", [0.0, -0.27, math.nan, math.inf])
+    def test_lifetime_must_be_finite_and_positive(self, lifetime):
+        with pytest.raises(UsageError, match="lifetime"):
+            rate_mhz_from_lifetime(lifetime)
 
 
 class TestPiContrast:

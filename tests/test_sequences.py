@@ -495,6 +495,27 @@ class TestRabiQuality:
         with pytest.raises(UsageError, match="dI/I values >= 0"):
             rabi_q_protocol([60.0], [0.0, -0.01])
 
+    @pytest.mark.parametrize("physics, ensemble, field", [
+        (TwoLevelPhysics(5.0, 20.0, 0.2), None, "TwoLevelPhysics.gamma1_mhz"),
+        (TwoLevelPhysics(gamma2_mhz=4.2), None, "TwoLevelPhysics.gamma2_mhz"),
+        (TwoLevelPhysics(epsilon_init=0.1), None, "TwoLevelPhysics.epsilon_init"),
+        (TwoLevelPhysics(), EnsembleSpec(t2star_ns=5.0), "EnsembleSpec.t2star_ns"),
+        (TwoLevelPhysics(), EnsembleSpec(34.0, stark_ratio=3.0), "EnsembleSpec.stark_ratio"),
+        (TwoLevelPhysics(), EnsembleSpec(34.0, omega_mhz=60.0), "EnsembleSpec.omega_mhz"),
+        (TwoLevelPhysics(), EnsembleSpec(34.0, di_over_i=0.01), "EnsembleSpec.di_over_i"),
+    ])
+    def test_values_it_would_ignore_rejected(self, physics, ensemble, field):
+        # each of these once returned the f_pi of the protocol's own values
+        with pytest.raises(UsageError, match=field.replace(".", r"\.")):
+            simulate_protocol(rabi_q_protocol([60.0], [0.01]), physics, ensemble)
+
+    @pytest.mark.parametrize("stark_ratio", [0.0, -7.4])
+    def test_ensemble_that_repeats_the_protocol_accepted(self, stark_ratio):
+        prot = rabi_q_protocol([60.0], [0.01])
+        ens = EnsembleSpec(34.0, stark_ratio=stark_ratio, nodes=21)
+        assert np.array_equal(simulate_protocol(prot, TwoLevelPhysics(), ens).signal,
+                              simulate_protocol(prot, TwoLevelPhysics()).signal)
+
     @pytest.mark.parametrize("key, value", [("omega_grid_mhz", [60.0, math.inf]), ("di_over_i_grid", [0.0, math.nan]),
                                             ("stark_ratio", math.nan), ("t2star_ns", math.inf)])
     def test_non_finite_value_rejected(self, key, value):
