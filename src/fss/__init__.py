@@ -51,10 +51,7 @@ from .raman import (
     two_photon_rabi,
 )
 from .sequences import (
-    CoolingSpec,
     Protocol,
-    PulseSegment,
-    PulseSequence,
     TwoLevelPhysics,
     hahn_echo_protocol,
     esr_scan_protocol,
@@ -68,8 +65,6 @@ from .fitting import (
     FitModel,
     FitResult,
     MODEL_LIBRARY,
-    NUCLEAR_SPECIES,
-    NuclearSpecies,
     fft_spectrum,
     fit,
     fit_rabi_master_equation,

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,6 +86,13 @@ def _require_square(m: np.ndarray, what: str) -> int:
 def _require_finite(m, what: str):
     if not np.all(np.isfinite(m)):
         raise UsageError(f"{what} must be finite")
+
+
+def _require_finite_fields(record) -> None:
+    """Raise UsageError naming each field of the dataclass ``record`` that is not finite."""
+    bad = [f.name for f in fields(record) if not math.isfinite(getattr(record, f.name))]
+    if bad:
+        raise UsageError(f"{type(record).__name__}.{', '.join(bad)} must be finite")
 
 
 def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
+from .core import _require_finite_fields
 from .errors import UsageError
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -39,8 +40,7 @@ class EnsembleSpec:
     correlated_rabi_jitter: bool = False  # also scale Omega by (1 + dI/I) per node
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.t2star_ns, self.stark_ratio, self.omega_mhz, self.di_over_i))):
-            raise UsageError("T2*, stark_ratio, omega_mhz and dI/I must be finite")
+        _require_finite_fields(self)
         if self.t2star_ns <= 0:
             raise UsageError("T2* must be > 0")
         if self.di_over_i < 0:
@@ -65,8 +65,11 @@ def combined_sigma(spec: EnsembleSpec) -> float:
     return math.hypot(laser_sigma(spec), gaussian_sigma(spec.t2star_ns))
 
 
-def quadrature_nodes(sigma_mhz: float, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite detuning offsets (MHz) and weights for a Gaussian of width sigma."""
+def quadrature_nodes(sigma_mhz, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite detuning offsets (MHz) and weights for a Gaussian of width
+    sigma: a spread gives (nodes,) offsets, and an array of spreads (for
+    example a column) gives the offsets of each, broadcast against the
+    nodes along the last axis."""
     x, w = _hermgauss(nodes)
     return math.sqrt(2.0) * sigma_mhz * x, w / math.sqrt(math.pi)
 
@@ -80,7 +83,7 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weighted_average(weights, traces) -> np.ndarray:
-    """Fixed-order compensated (Neumaier) weighted sum of equally shaped traces."""
+    """Fixed-order compensated (Kahan) weighted sum of equally shaped traces."""
     traces = [np.asarray(tr, dtype=float) for tr in traces]
     acc = np.zeros_like(traces[0])
     comp = np.zeros_like(traces[0])

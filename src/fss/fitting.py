@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -444,18 +444,6 @@ def fit_rabi_master_equation(
 
 # --- spectra and tabulated frequencies ----------------------------------------------
 
-class NuclearSpecies(NamedTuple):
-    """A nuclear species and its gyromagnetic ratio gamma/2pi in MHz/T."""
-
-    name: str
-    gyromagnetic_mhz_per_t: float
-
-
-NUCLEAR_SPECIES: tuple[NuclearSpecies, ...] = tuple(
-    NuclearSpecies(name, ratio) for name, ratio in GYROMAGNETIC_MHZ_PER_T.items()
-)
-
-
 @dataclass(frozen=True)
 class FftSpectrum:
     freq_mhz: np.ndarray
@@ -526,12 +514,11 @@ def larmor_frequencies(b_tesla: float, species: Sequence[str] = ("75As", "69Ga",
     """Nuclear Larmor frequencies gamma_n * B in MHz per species."""
     if b_tesla <= 0:
         raise DomainError("magnetic field must be > 0")
-    known = {sp.name: sp for sp in NUCLEAR_SPECIES}
     out = {}
     for name in species:
-        if name not in known:
-            raise UsageError(f"unknown species {name!r}; have {sorted(known)}")
-        out[name] = known[name].gyromagnetic_mhz_per_t * b_tesla
+        if name not in GYROMAGNETIC_MHZ_PER_T:
+            raise UsageError(f"unknown species {name!r}; have {sorted(GYROMAGNETIC_MHZ_PER_T)}")
+        out[name] = GYROMAGNETIC_MHZ_PER_T[name] * b_tesla
     return out
 
 

@@ -29,6 +29,7 @@ from .core import (
     LindbladModel,
     _commutator_superop,
     _propagate,
+    _require_finite_fields,
     _steady_states,
     liouvillian,
 )
@@ -95,6 +96,8 @@ def build_two_level(
     phase: float = 0.0,
 ) -> LindbladModel:
     """Driven two-level spin: H = (Omega/2)(cos p sx + sin p sy) + (delta/2) sz."""
+    if not all(map(math.isfinite, (omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz, phase))):
+        raise UsageError("two-level drive, detuning, rates and phase must be finite")
     if gamma1_mhz < 0 or gamma2_mhz < 0:
         raise UsageError("rates must be >= 0")
     w = mhz_to_angular(omega_mhz)
@@ -129,6 +132,7 @@ class CptParams:
     spin_flip_time_ns: float = 100.0  # gamma_SP^-1
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("gamma1_inv_ns", "trion_lifetime_ns", "spin_flip_time_ns"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be > 0")
@@ -199,6 +203,7 @@ class FaradayParams:
     bigGamma2_mhz: float = 0.0    # ground dephasing rate / 2pi
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.cyclicity < 1:
             raise UsageError("cyclicity must be >= 1")
         for name in ("gamma1_mhz", "bigGamma1_mhz", "bigGamma2_mhz"):

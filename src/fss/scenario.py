@@ -13,16 +13,17 @@ Parsing builds the physics, the ensemble and every product's protocols, and
 the :class:`Scenario` keeps them, so a missing key or a value that a
 constructor rejects is a config error naming its section's line, and so is
 a product on a ``[physics]`` kind (or on none) whose class
-``fss.sequences.RUNS_ON`` does not list for it; the runner only simulates.
-Multiple ``[protocol name]`` sections yield one data product per section;
-an optional ``[scan]`` section sweeps one protocol parameter, turning each
-product into a two-axis (long format) scan.  Every scanned product must
+``fss.sequences.RUNS_ON`` does not list for it, and a ``rabi_q`` product
+given a physics or ensemble value that it would ignore; the runner only
+simulates.  Multiple ``[protocol name]`` sections yield one data product
+per section; an optional ``[scan]`` section sweeps one protocol parameter
+over a non-empty list of values, turning each product into a two-axis
+(long format) scan.  Every scanned product must
 take the scan parameter as a key; the Rabi Q scan, the polarization map and
 the CPT spectrum ignore the scan."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import inspect
 import math
@@ -37,10 +38,10 @@ from .errors import ConfigError, UsageError
 from .models import CptParams, FaradayParams
 from .sequences import (
     RUNS_ON,
-    CoolingSpec,
     Protocol,
     ScanResult,
     TwoLevelPhysics,
+    check_rabi_q_inputs,
     cpt_spectrum_protocol,
     hahn_echo_protocol,
     polarization_map_protocol,
@@ -103,18 +104,6 @@ _ENSEMBLE = (EnsembleSpec, {
 })
 
 
-def _raman_cooled(make):
-    """``make`` with its cooling stage given as ``cooling_t2star_ns``, the T2*
-    that Raman cooling leaves (no cooling when absent or 0).  It keeps
-    ``make``'s signature, from which the builder reads the required keys."""
-    @functools.wraps(make)
-    def build(cooling_t2star_ns=0.0, **kwargs):
-        if cooling_t2star_ns:
-            kwargs["cooling"] = CoolingSpec(method="raman", resulting_t2star_ns=cooling_t2star_ns)
-        return make(**kwargs)
-    return build
-
-
 _PROTOCOLS = {
     "rabi": (rabi_protocol, {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
@@ -128,7 +117,7 @@ _PROTOCOLS = {
         "stark_ratio": ("float", _BARE, "stark_ratio"),
         "omega_e0": ("float", _FREQ_GHZ, "omega_e0_ghz"),
     }),
-    "ramsey": (_raman_cooled(ramsey_protocol), {
+    "ramsey": (ramsey_protocol, {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "delta": ("float", _FREQ_MHZ, "delta_mhz", 0.0),
         "tau_*": ("grid", _TIME_NS, "tau_grid_ns"),
@@ -136,7 +125,7 @@ _PROTOCOLS = {
         "balanced": ("bool", _BARE, "balanced"),
         "cooling_t2star": ("float", _TIME_NS, "cooling_t2star_ns"),
     }),
-    "hahn_echo": (_raman_cooled(hahn_echo_protocol), {
+    "hahn_echo": (hahn_echo_protocol, {
         "omega": ("float", _FREQ_MHZ, "omega_mhz"),
         "t_*": ("grid", _TIME_NS, "total_delay_grid_ns"),
         "t2he": ("float", _TIME_NS, "t2he_ns"),
@@ -341,6 +330,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ConfigError("missing key 'values' in [scan]", lineno)
             scan = _parse_section(entries, {"parameter": ("str", None),
                                             "values": ("floatlist", _SCAN_PARAM_UNITS[param])}, "scan")
+            if not scan["values"]:
+                raise ConfigError("[scan] values must not be empty", lineno)
         elif section == "output":
             output = _parse_section(entries, _OUTPUT_KEYS, "output")
         else:
@@ -360,12 +351,13 @@ def parse_scenario(text: str) -> Scenario:
     handedness = physics.get("handedness") if physics else None
     if handedness not in (None, *models.HANDEDNESS):
         raise ConfigError(f"handedness must be one of {models.HANDEDNESS}", lines["physics"])
+    physics = None if physics is None else _build(*_PHYSICS[physics["kind"]], physics, "physics", lines["physics"])
+    ensemble = None if ensemble is None else _build(*_ENSEMBLE, ensemble, "ensemble", lines["ensemble"])
     return Scenario(
         name=name,
-        physics=None if physics is None else _build(*_PHYSICS[physics["kind"]], physics, "physics",
-                                                    lines["physics"]),
-        ensemble=None if ensemble is None else _build(*_ENSEMBLE, ensemble, "ensemble", lines["ensemble"]),
-        products=[_product(*section, scan) for section in protocols],
+        physics=physics,
+        ensemble=ensemble,
+        products=[_product(*section, scan, physics, ensemble) for section in protocols],
         scan=scan,
         output=output,
         handedness=handedness,
@@ -426,13 +418,20 @@ def _build(make, keys: dict, values: dict, section: str, lineno: int):
         raise ConfigError(f"missing key {exc.args[0]!r} in [{section}]", lineno) from None
 
 
-def _product(name: str, params: dict, lineno: int, scan: dict | None) -> Product:
+def _product(name: str, params: dict, lineno: int, scan: dict | None, physics, ensemble) -> Product:
     """A ``[protocol]`` section's product.  A scanned product must take the
-    scan parameter."""
+    scan parameter, and a rabi_q product must read every physics and
+    ensemble value that the file gives."""
     kind = params["kind"]
     make, keys = _PROTOCOLS[kind]
     if scan is None or kind in _UNSCANNED:
-        return Product(name, False, [_build(make, keys, params, "protocol", lineno)])
+        protocol = _build(make, keys, params, "protocol", lineno)
+        if kind == "rabi_q":
+            try:
+                check_rabi_q_inputs(protocol, physics, ensemble)
+            except UsageError as exc:
+                raise ConfigError(str(exc), lineno) from None
+        return Product(name, False, [protocol])
     if scan["parameter"] not in keys:
         raise ConfigError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan", lineno)
     return Product(name, True, [_build(make, keys, {**params, scan["parameter"]: v}, "protocol", lineno)

@@ -2,24 +2,24 @@
 spectrum) and their simulation against the two-, three- or four-level
 physics models.
 
-A Protocol is pure data (kind + parameters + scan axes) so it can round-trip
+A Protocol is pure data (kind, parameters, scan axes) so it can round-trip
 through the scenario config format.  ``simulate_protocol`` binds a protocol
 to a physics description and an inhomogeneous ensemble and returns one signal
 value per scan point, always assembled in scan order.
 
 The pulse-sequence families (Rabi on either model, ESR scan, Ramsey, Hahn
-echo, T1) run one shot table per protocol, built once over the scan axis:
-per depth of the shots, one segment kind, one target and a column array of
-the segments' parameters, one row per (scan point, shot).  One executor
-runs it depth by depth through a small binding to the physics model,
-sharing the states of equal prefixes (found by np.unique) across scan
-points, shots and ensemble nodes; ``Protocol.shots`` returns one point's
-rows of the same table as PulseSegment views, and the per-kind code only
+echo, T1) have one pulse-sequence form: the shot table that
+:func:`_shot_table` builds once per protocol over its scan axis.  Per depth
+of the shots it holds one segment kind, one target and a column array of
+the segments' parameters (:data:`_COLUMNS`), one row per (scan point,
+shot).  One executor runs it depth by depth through a small binding to the
+physics model, sharing the states of equal prefixes (found by np.unique)
+across scan points, shots and ensemble nodes, and the per-kind code only
 forms the signal from the shots' readouts.
 
-Nuclear-spin cooling stages are not simulated dynamically; a CoolingSpec
-carries the cooling parameters as metadata and contributes only its resulting
-T2* to the detuning ensemble.
+Nuclear-spin cooling is not simulated dynamically: a Ramsey or echo
+protocol's ``cooling_t2star_ns`` is the T2* that cooling leaves, which sets
+the detuning ensemble when no EnsembleSpec is given.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import models
 from .core import (DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate,
-                   _require_finite, liouvillian)
+                   _require_finite, _require_finite_fields, liouvillian)
 from .ensemble import (
     DEFAULT_NODES,
     EnsembleSpec,
@@ -54,103 +54,41 @@ from .units import ghz_to_angular, mhz_to_angular
 _SERR_SIGN = -1.0
 _SERR_REFERENCE = -math.pi / 2
 
-@dataclass(frozen=True)
-class PulseSegment:
-    """One step of a shot on the spin (levels "down", "up"): one row of a
-    protocol's shot table, as ``Protocol.shots`` returns it.
-
-    ``initialize`` prepares ``target`` up to the physics' initialization
-    infidelity; ``drive`` and ``wait`` evolve for ``duration_ns`` at Rabi
-    frequency ``omega_mhz``, detuning ``delta_mhz`` and drive phase
-    ``phase``; ``rotation`` is an instantaneous ideal pulse of ``angle``
-    about the axis at ``phase``; ``readout`` is the population of ``target``
-    (on the four-level model, with the trion weight that relaxes into it).
-    A wait may carry a sinusoidal detuning modulation of amplitude
-    ``mod_amp_mhz`` and frequency ``mod_freq_mhz``, whose phase at the start
-    of the wait is ``phase``.
-    """
-
-    kind: str  # initialize | drive | wait | rotation | readout
-    omega_mhz: float = 0.0
-    delta_mhz: float = 0.0
-    phase: float = 0.0
-    duration_ns: float = 0.0
-    target: str | None = None
-    angle: float = 0.0
-    mod_amp_mhz: float = 0.0
-    mod_freq_mhz: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("initialize", "drive", "wait", "rotation", "readout"):
-            raise UsageError(f"unknown segment kind {self.kind!r}")
-        if self.duration_ns < 0:
-            raise UsageError("segment duration must be >= 0")
-        if self.kind == "wait" and self.omega_mhz != 0:
-            raise UsageError("wait segments carry no drive")
-
-
-# the parameter columns of a shot table, in this order
+# The parameter columns of a shot table, in this order.  On the spin (levels
+# "down", "up"), ``initialize`` prepares its target up to the physics'
+# initialization infidelity; ``drive`` and ``wait`` evolve for duration_ns at
+# Rabi frequency omega_mhz, detuning delta_mhz and drive phase ``phase`` (a
+# wait has omega_mhz = 0, and may carry a sinusoidal detuning modulation of
+# amplitude mod_amp_mhz and frequency mod_freq_mhz whose phase at the start
+# of the wait is ``phase``); ``rotation`` is an instantaneous ideal pulse of
+# ``angle`` about the axis at ``phase``; ``readout`` is the population of its
+# target (on the four-level model, with the trion weight that relaxes into it).
 _COLUMNS = ("omega_mhz", "delta_mhz", "phase", "duration_ns", "angle", "mod_amp_mhz", "mod_freq_mhz")
 
 
 @dataclass(frozen=True)
-class PulseSequence:
-    segments: tuple[PulseSegment, ...]
-
-
-@dataclass(frozen=True)
-class CoolingSpec:
-    """Nuclear-spin cooling stage; only ``resulting_t2star_ns`` affects simulation."""
-
-    method: str
-    resulting_t2star_ns: float
-    omega_cool_mhz: float = 0.0
-    omega_cool_ghz: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.method not in ("raman", "rabi", "algorithmic", "modified-algorithmic"):
-            raise UsageError(f"unknown cooling method {self.method!r}")
-        if not all(map(math.isfinite, (self.resulting_t2star_ns, self.omega_cool_mhz, self.omega_cool_ghz))):
-            raise UsageError("cooling parameters must be finite")
-        if self.resulting_t2star_ns <= 0:
-            raise UsageError("resulting T2* must be > 0")
-
-
-@dataclass(frozen=True)
 class Protocol:
-    """Scan description: protocol kind, fixed parameters, named scan axes."""
+    """Scan description: protocol kind, fixed parameters, named scan axes and
+    the T2* that nuclear-spin cooling leaves (0: no cooling)."""
 
     kind: str
     params: dict
     axes: tuple[tuple[str, np.ndarray], ...]
-    signal: str
-    cooling: CoolingSpec | None = None
+    cooling_t2star_ns: float = 0.0
 
     def __post_init__(self):
         if self.kind not in RUNS_ON:
             raise UsageError(f"unknown protocol kind {self.kind!r}")
+        if not (math.isfinite(self.cooling_t2star_ns) and self.cooling_t2star_ns >= 0):
+            raise UsageError(f"cooling T2* must be finite and >= 0, got {self.cooling_t2star_ns}")
         axes = tuple((name, np.asarray(vals, dtype=float)) for name, vals in self.axes)
         object.__setattr__(self, "axes", axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(vals) for _, vals in self.axes)
 
     def axis(self, name: str) -> np.ndarray:
         for n, vals in self.axes:
             if n == name:
                 return vals
         raise UsageError(f"protocol has no axis {name!r}")
-
-    def shots(self, ideal_pulses: bool = False, **point) -> list[PulseSequence]:
-        """The pulse sequences that ``simulate_protocol`` runs at one scan
-        point: that point's rows of the protocol's shot table (see
-        :func:`_shot_table`), one PulseSegment view per depth."""
-        name, values = self.axes[0]
-        table = _shot_table(self, [point[name] if name in point else values[0]], ideal_pulses)
-        return [PulseSequence(tuple(_segment(kind, target, cols[k]) for kind, target, cols in table))
-                for k in range(len(table[0][2]))]
 
 
 @dataclass(frozen=True)
@@ -160,6 +98,7 @@ class TwoLevelPhysics:
     epsilon_init: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.gamma1_mhz < 0 or self.gamma2_mhz < 0:
             raise UsageError("rates must be >= 0")
         if not 0 <= self.epsilon_init < 1:
@@ -204,7 +143,6 @@ def rabi_protocol(omega_mhz: float, delta_mhz: float, tau_grid_ns) -> Protocol:
         kind="rabi",
         params={"omega_mhz": omega_mhz, "delta_mhz": delta_mhz},
         axes=(("tau_ns", tau),),
-        signal="population",
     )
 
 
@@ -234,7 +172,6 @@ def esr_scan_protocol(
             "omega_e0_ghz": omega_e0_ghz,
         },
         axes=(("omega_ghz", grid),),
-        signal="population",
     )
 
 
@@ -244,12 +181,13 @@ def ramsey_protocol(
     tau_grid_ns,
     f_serr_mhz: float = 0.0,
     balanced: bool = True,
-    cooling: CoolingSpec | None = None,
+    cooling_t2star_ns: float = 0.0,
 ) -> Protocol:
     """Two pi/2 pulses separated by tau; balanced contrast via a phase-pi pair.
 
     A nonzero serrodyne frequency advances the second pulse phase linearly in
-    tau, shifting the fringe frequency to delta + f_serr.
+    tau, shifting the fringe frequency to delta + f_serr.  A nonzero
+    ``cooling_t2star_ns`` is the T2* that nuclear-spin cooling leaves.
     """
     tau = np.asarray(tau_grid_ns, dtype=float)
     _require_finite(np.append(tau, [omega_mhz, delta_mhz, f_serr_mhz]), "Ramsey delays, omega, delta and f_serr")
@@ -264,8 +202,7 @@ def ramsey_protocol(
             "balanced": balanced,
         },
         axes=(("tau_ns", tau),),
-        signal="contrast" if balanced else "population",
-        cooling=cooling,
+        cooling_t2star_ns=cooling_t2star_ns,
     )
 
 
@@ -277,7 +214,7 @@ def hahn_echo_protocol(
     modulation_freq_mhz: float = 0.0,
     modulation_phases: int = 1,
     modulation_mode: str = "refocus",
-    cooling: CoolingSpec | None = None,
+    cooling_t2star_ns: float = 0.0,
 ) -> Protocol:
     """Ramsey pair with a refocusing pi pulse halfway through the delay T.
 
@@ -289,7 +226,8 @@ def hahn_echo_protocol(
     (the signature of a nuclear mode kicked by the refocusing pulse); "free"
     runs the modulation from sequence start and averages over
     ``modulation_phases`` initial phases, which dephases the echo at even
-    orders only (spectral weight at half the modulation frequency).
+    orders only (spectral weight at half the modulation frequency).  A
+    nonzero ``cooling_t2star_ns`` is the T2* that nuclear-spin cooling leaves.
     """
     grid = np.asarray(total_delay_grid_ns, dtype=float)
     _require_finite(np.append(grid, [omega_mhz, t2he_ns or 0.0, modulation_amp_mhz, modulation_freq_mhz]),
@@ -311,8 +249,7 @@ def hahn_echo_protocol(
             "modulation_mode": modulation_mode,
         },
         axes=(("total_delay_ns", grid),),
-        signal="contrast",
-        cooling=cooling,
+        cooling_t2star_ns=cooling_t2star_ns,
     )
 
 
@@ -326,7 +263,6 @@ def spin_pumping_protocol(s: float, duration_ns: float, points: int = 161) -> Pr
         kind="spin_pumping",
         params={"s": s},
         axes=(("t_ns", np.linspace(0.0, duration_ns, points)),),
-        signal="emission",
     )
 
 
@@ -337,7 +273,6 @@ def t1_protocol(delay_grid_ns) -> Protocol:
         kind="t1",
         params={},
         axes=(("delay_ns", grid),),
-        signal="population",
     )
 
 
@@ -360,7 +295,6 @@ def rabi_q_protocol(
         params=dict(gamma2_mhz=gamma2_mhz, gamma1_per_omega=gamma1_per_omega, stark_ratio=stark_ratio,
                     t2star_ns=t2star_ns),
         axes=(("omega_mhz", omegas), ("di_over_i", noises)),
-        signal="qfactor",
     )
 
 
@@ -373,7 +307,6 @@ def polarization_map_protocol(hwp_grid_deg, qwp_grid_deg) -> Protocol:
             ("hwp_deg", np.asarray(hwp_grid_deg, dtype=float)),
             ("qwp_deg", np.asarray(qwp_grid_deg, dtype=float)),
         ),
-        signal="s3",
     )
 
 
@@ -386,7 +319,6 @@ def cpt_spectrum_protocol(omega_grid_ghz) -> Protocol:
         kind="cpt_spectrum",
         params={},
         axes=(("omega_ghz", grid),),
-        signal="fluorescence",
     )
 
 
@@ -455,11 +387,6 @@ def _shot_table(p: Protocol, x, ideal_pulses: bool) -> list[tuple[str, str | Non
     return table
 
 
-def _segment(kind: str, target: str | None, row: np.ndarray) -> PulseSegment:
-    """The PulseSegment view of one row of a _shot_table depth."""
-    return PulseSegment(kind, target=target, **dict(zip(_COLUMNS, row.tolist())))
-
-
 # --- simulation -----------------------------------------------------------------
 
 _LEVELS = ("down", "up")  # basis order of build_two_level
@@ -468,20 +395,21 @@ _LEVELS = ("down", "up")  # basis order of build_two_level
 def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[float, int]:
     if ensemble is not None:
         return combined_sigma(ensemble), ensemble.nodes
-    if protocol.cooling is not None:
-        return gaussian_sigma(protocol.cooling.resulting_t2star_ns), DEFAULT_NODES
+    if protocol.cooling_t2star_ns:
+        return gaussian_sigma(protocol.cooling_t2star_ns), DEFAULT_NODES
     return 0.0, DEFAULT_NODES
 
 
-def _segment_model(seg: PulseSegment, phys: TwoLevelPhysics) -> LindbladModel:
-    """Two-level model of a drive or wait segment."""
-    model = build_two_level(seg.omega_mhz, seg.delta_mhz, phys.gamma1_mhz, phys.gamma2_mhz, phase=seg.phase)
-    if not seg.mod_amp_mhz:
+def _segment_model(row: np.ndarray, phys: TwoLevelPhysics) -> LindbladModel:
+    """Two-level model of a drive or wait row (_COLUMNS) of a shot table."""
+    omega, delta, phase, _, _, mod_amp, mod_freq = row.tolist()
+    model = build_two_level(omega, delta, phys.gamma1_mhz, phys.gamma2_mhz, phase=phase)
+    if not mod_amp:
         return model
-    w_mod, f_ang = mhz_to_angular(seg.mod_amp_mhz), mhz_to_angular(seg.mod_freq_mhz)
+    w_mod, f_ang = mhz_to_angular(mod_amp), mhz_to_angular(mod_freq)
 
     def env(t: float) -> complex:
-        return 0.5 * w_mod * math.cos(f_ang * t + seg.phase)
+        return 0.5 * w_mod * math.cos(f_ang * t + phase)
 
     period = 2 * math.pi / abs(f_ang) if f_ang else None
     return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, period_ns=period),))
@@ -491,13 +419,14 @@ def _segment_model(seg: PulseSegment, phys: TwoLevelPhysics) -> LindbladModel:
 class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
-    a segment's model; ``offset``, the Hamiltonian term that an ensemble
-    node's detuning offset adds per rad/ns; for four-level physics, the
-    calibrated (drive, resonant Delta_RF) per Rabi frequency."""
+    the model of a drive or wait row (_COLUMNS) of a shot table; ``offset``,
+    the Hamiltonian term that an ensemble node's detuning offset adds per
+    rad/ns; for four-level physics, the calibrated (drive, resonant
+    Delta_RF) per Rabi frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
-    model: Callable[[PulseSegment], LindbladModel]
+    model: Callable[[np.ndarray], LindbladModel]
     offset: np.ndarray
     calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
 
@@ -514,9 +443,10 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
     calibrated = functools.cache(
         lambda omega_mhz: models.calibrate_faraday_drive(physics, omega_mhz, handedness))
 
-    def model(seg: PulseSegment) -> LindbladModel:
-        drive, _ = calibrated(seg.omega_mhz)
-        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + seg.delta_mhz * 1e-3)
+    def model(row: np.ndarray) -> LindbladModel:
+        omega, delta = row.tolist()[:2]
+        drive, _ = calibrated(omega)
+        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + delta * 1e-3)
         return models.build_faraday_four_level(physics, drive, handedness)
 
     # the flipped spin counts the trion weight that relaxes back to |down>
@@ -549,14 +479,13 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     product of the superoperators U (x) U* of the closed-form 2 x 2
     unitaries with the row-major vectorized states, guarded as one stack; a
     readout is one contraction of the populations with the target's
-    weights.  A drive or wait depth builds one model (``binding.model`` of a
-    PulseSegment view) per distinct duration-free row, whose (nodes, d^2,
-    d^2) generator stack is L(0) + offset * L_offset; each (parent, model)
-    pair with nonzero durations is one block of nodes in a stack of
-    generators and initial states.  All static blocks are one _propagate
-    call over the union of their durations, and the blocks of each driven
-    model one call with its drives; a zero duration carries its parent's
-    states through unguarded.
+    weights.  A drive or wait depth builds one model (``binding.model``) per
+    distinct duration-free row, whose (nodes, d^2, d^2) generator stack is
+    L(0) + offset * L_offset; each (parent, model) pair with nonzero
+    durations is one block of nodes in a stack of generators and initial
+    states.  All static blocks are one _propagate call over the union of
+    their durations, and the blocks of each driven model one call with its
+    drives; a zero duration carries its parent's states through unguarded.
     """
     ((_, values),) = protocol.axes
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
@@ -583,7 +512,7 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
             free = rows[moving, :-1].copy()
             free[:, 3] = 0.0
             free, model = _unique_rows(free)
-            built = [binding.model(_segment(kind, target, row)) for row in free]
+            built = [binding.model(row) for row in free]
             gens = [liouvillian(m) + shift for m in built]
             blocks, block = _unique_rows(np.column_stack([rows[moving, -1], model]))
             blocks = blocks.astype(int)
@@ -732,7 +661,7 @@ def two_level_pi_contrast(
 
 def _pi_readouts(omega, delta, gamma1, gamma2_mhz: float, t_pi, sigma, nodes: int) -> np.ndarray:
     """Readout of |down> after a drive of duration t_pi from |up> per row,
-    Neumaier-averaged over detuning offsets of spread sigma on ``nodes``
+    Kahan-averaged over detuning offsets of spread sigma on ``nodes``
     nodes.  Every (row, node) is a member (L + offset * L_offset) * t_pi of
     one stack advanced over [0, 1] by one _propagate call; L is built once
     per distinct (omega, delta, gamma1)."""
@@ -747,17 +676,10 @@ def _pi_readouts(omega, delta, gamma1, gamma2_mhz: float, t_pi, sigma, nodes: in
     return weighted_average(weights, states[:, 0, 0].real.reshape(-1, nodes).T)
 
 
-def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
-    """f_pi and Q per (omega, dI/I) point, all rows of one _pi_readouts call:
-    a point is one row with the combined Overhauser and laser spread, or,
-    with correlated Rabi jitter and dI/I > 0, 9 rows over the intensity
-    nodes eps (drive omega (1 + eps), detuning stark_ratio omega eps, the
-    nominal pi time, the Overhauser spread) averaged over eps.  The rates,
-    T2* and Stark ratio come from the protocol and the drives and noise
-    levels from its axes; a physics or ensemble field that would be ignored
-    raises UsageError (the ensemble sets only the node count and the jitter
-    mode)."""
-    omegas, noises = protocol.axis("omega_mhz"), protocol.axis("di_over_i")
+def check_rabi_q_inputs(protocol: Protocol, phys: TwoLevelPhysics, ensemble: EnsembleSpec | None) -> None:
+    """Raise UsageError naming each physics or ensemble value that a rabi_q
+    protocol would ignore: it takes its rates, T2* and Stark ratio from the
+    protocol, so only the ensemble's node count and jitter mode are read."""
     q = protocol.params
     ignored = [f"TwoLevelPhysics.{f.name}" for f in fields(phys) if getattr(phys, f.name) != f.default]
     if ensemble is not None:
@@ -768,6 +690,19 @@ def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
     if ignored:
         raise UsageError(f"rabi_q would ignore {', '.join(ignored)}: it takes its rates, T2* and Stark ratio "
                          "from the protocol and its drive and noise from the protocol's axes")
+
+
+def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
+    """f_pi and Q per (omega, dI/I) point, all rows of one _pi_readouts call:
+    a point is one row with the combined Overhauser and laser spread, or,
+    with correlated Rabi jitter and dI/I > 0, 9 rows over the intensity
+    nodes eps (drive omega (1 + eps), detuning stark_ratio omega eps, the
+    nominal pi time, the Overhauser spread) averaged over eps.  The rates,
+    T2* and Stark ratio come from the protocol and the drives and noise
+    levels from its axes (see :func:`check_rabi_q_inputs`)."""
+    check_rabi_q_inputs(protocol, phys, ensemble)
+    omegas, noises = protocol.axis("omega_mhz"), protocol.axis("di_over_i")
+    q = protocol.params
     nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES
     w, di = np.repeat(omegas, noises.size), np.tile(noises, omegas.size)
     jittered = (di > 0) & (ensemble is not None and ensemble.correlated_rabi_jitter)

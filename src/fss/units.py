@@ -11,8 +11,8 @@ Every public API value is an ordinary frequency:
 
 Internally everything is converted once, at model-construction time, to
 angular rad/ns.  Quantities quoted in the literature as plain ns^-1 (trion
-rates, Raman arm amplitudes of the CPT model) are already angular and go
-through :func:`perns_to_angular` unchanged.
+rates, Raman arm amplitudes of the CPT model) are already angular and are
+used unchanged.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ def ghz_to_angular(f_ghz: float) -> float:
 
 def angular_to_ghz(w: float) -> float:
     return w / TWO_PI
-
-
-def perns_to_angular(rate_perns: float) -> float:
-    """Rates already quoted in ns^-1 are treated as angular (identity)."""
-    return rate_perns
 
 
 def rate_mhz_from_lifetime(lifetime_ns: float) -> float:

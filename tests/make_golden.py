@@ -5,7 +5,10 @@ Regenerate the 24 goldens (all 13 bundled scenarios at ``--seed 0``) with
 
     PYTHONPATH=src python tests/make_golden.py
 
-only on purpose, and record the reason in CHANGES.md.
+only on purpose, and record the reason in CHANGES.md.  It prints each file
+it writes: a golden that still matches is left untouched, and one whose
+data rows match but whose comment or header lines differ gets only those
+lines, so a re-run never rewrites rows that are within tolerance.
 
 Each product has one tolerance per CSV column.  Axis columns must match as
 text.  Signals carry the population error of the path that produced them:
@@ -21,8 +24,9 @@ pins.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -107,38 +111,74 @@ def _split(text: str) -> tuple[list[str], list[list[str]]]:
     return comments + rows[:1], rows[1:]
 
 
-def compare(path: Path) -> None:
+def compare(path: Path, golden_dir: Path = GOLDEN_DIR) -> None:
     """Assert that one CSV matches its golden within the stated tolerances."""
-    tols = TOLERANCES[path.name]
     head, rows = _split(path.read_text(encoding="utf-8"))
-    ref_head, ref_rows = _split((GOLDEN_DIR / path.name).read_text(encoding="utf-8"))
+    ref_head, ref_rows = _split((golden_dir / path.name).read_text(encoding="utf-8"))
     assert head == ref_head, f"{path.name}: header {head} differs from golden {ref_head}"
-    assert len(rows) == len(ref_rows), f"{path.name}: {len(rows)} rows, golden {len(ref_rows)}"
-    for col, tol in enumerate(tols):
+    _compare_rows(path.name, rows, ref_rows)
+
+
+def _compare_rows(name: str, rows: list[list[str]], ref_rows: list[list[str]]) -> None:
+    assert len(rows) == len(ref_rows), f"{name}: {len(rows)} rows, golden {len(ref_rows)}"
+    for col, tol in enumerate(TOLERANCES[name]):
         got = [r[col] for r in rows]
         ref = [r[col] for r in ref_rows]
         if tol is None:
-            assert got == ref, f"{path.name}: column {col} differs from golden"
+            assert got == ref, f"{name}: column {col} differs from golden"
             continue
         got, ref = np.array(got, dtype=float), np.array(ref, dtype=float)
         bound = tol(ref)
         k = int(np.argmax(np.abs(got - ref) - bound))
-        assert abs(got[k] - ref[k]) <= bound[k], (f"{path.name}: row {k} column {col} is {got[k]!r}, "
+        assert abs(got[k] - ref[k]) <= bound[k], (f"{name}: row {k} column {col} is {got[k]!r}, "
                                                   f"golden {ref[k]!r}, tolerance {bound[k]:.3g}")
 
 
+def _data_start(lines: list[str]) -> int:
+    """The index of the first data row: comment lines, then the header, come first."""
+    return next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+
+
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except AssertionError:
+        return False
+    return True
+
+
+def update_golden(path: Path, golden: Path) -> bool:
+    """Bring ``golden`` in line with the fresh CSV ``path``, and say whether it
+    was written.  A golden that ``compare`` accepts is left as it is; one
+    whose data rows pass but whose comment or header lines differ gets only
+    those lines; any other is replaced."""
+    text = path.read_text(encoding="utf-8")
+    if golden.exists():
+        if _passes(compare, path, golden.parent):
+            return False
+        ref = golden.read_text(encoding="utf-8")
+        if _passes(_compare_rows, path.name, _split(text)[1], _split(ref)[1]):
+            lines, ref_lines = text.splitlines(keepends=True), ref.splitlines(keepends=True)
+            text = "".join(lines[:_data_start(lines)] + ref_lines[_data_start(ref_lines):])
+    golden.write_text(text, encoding="utf-8")
+    return True
+
+
 def write_goldens(out: Path = GOLDEN_DIR) -> None:
+    """Run every bundled scenario and update the goldens in ``out`` that
+    differ (see :func:`update_golden`), printing each file written."""
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         written = {}
-        for name in bundled_scenarios():
-            written.update(run_bundled(name, Path(tmp) / name))
+        with contextlib.redirect_stdout(io.StringIO()):  # the runs' own listings
+            for name in bundled_scenarios():
+                written.update(run_bundled(name, Path(tmp) / name))
         missing = set(TOLERANCES) ^ set(written)
         if missing:
             raise SystemExit(f"products without a tolerance or without output: {sorted(missing)}")
         for fname, path in sorted(written.items()):
-            shutil.copyfile(path, out / fname)
-            print(out / fname)
+            if update_golden(path, out / fname):
+                print(out / fname)
 
 
 if __name__ == "__main__":

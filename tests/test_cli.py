@@ -193,6 +193,23 @@ class TestValidate:
     def test_scan_without_values_rejected(self, tmp_path):
         self._rejected_at(SMALL_SCENARIO + "\n[scan]\nparameter = omega\n", "[scan]", tmp_path)
 
+    def test_empty_scan_rejected(self, tmp_path, capsys):
+        # an empty scan used to validate, and then end a run in a ValueError
+        self._rejected_at(SMALL_SCENARIO + "\n[scan]\nparameter = omega\nvalues = , MHz\n", "[scan]", tmp_path)
+        assert run(["simulate", tmp_path / "bad.scenario", "--out", tmp_path / "out"]) == 2
+        assert "[scan] values must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("kind = two_level\n", "kind = two_level\ngamma1 = 1 MHz\n", "TwoLevelPhysics.gamma1_mhz"),
+        ("\n[protocol", "\n[ensemble]\nt2star = 20 ns\n\n[protocol", "EnsembleSpec.t2star_ns"),
+    ])
+    def test_rabi_q_value_it_would_ignore_rejected(self, old, new, field, tmp_path, capsys):
+        # such a file used to validate, and then fail to simulate
+        text = (resources.files("fss") / "scenarios" / "fig3de.scenario").read_text(encoding="utf-8")
+        parse_scenario(text)
+        self._rejected_at(text.replace(old, new), "[protocol", tmp_path)
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("old,new", [("omega_points = 5\n", ""),
                                          ("omega_points = 5", "omega_points = 0")])
     def test_cpt_probe_grid_rejected(self, old, new, tmp_path):

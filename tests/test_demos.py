@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion and prints its report."""
+"""Every script in demos/ runs to completion and prints its report, and so
+does the library quick start of README.md."""
 
 import contextlib
 import io
@@ -14,3 +15,14 @@ def test_every_demo_runs():
         with contextlib.redirect_stdout(out):
             runpy.run_path(str(path), run_name="__main__")
         assert out.getvalue().strip(), path.name
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
+    assert out.getvalue().strip()

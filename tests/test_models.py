@@ -23,6 +23,7 @@ from fss.models import (
     g_factor,
     pi_contrast_and_q,
 )
+from fss.sequences import TwoLevelPhysics
 from fss.units import ghz_to_angular, mhz_to_angular, rate_mhz_from_lifetime
 
 
@@ -263,3 +264,32 @@ class TestPiContrast:
         f = np.linspace(0.52, 0.999, 40)
         q = [pi_contrast_and_q(x).q for x in f]
         assert np.all(np.diff(q) > 0)
+
+
+FARADAY = dict(omega_e_ghz=2.6, omega_h_ghz=6.0, delta_ghz=4.0, cyclicity=409.0, gamma1_mhz=589.463)
+TWO_LEVEL_ARGS = dict(omega_mhz=100.0, delta_mhz=5.0, gamma1_mhz=0.3, gamma2_mhz=1.5, phase=0.2)
+
+
+# every field of each physics record and argument of build_two_level, with a
+# non-finite value: a NaN passes every "< 0" check, so a NaN Gamma1 once ran
+# as no relaxation at all, and a NaN CPT splitting ended in numpy's LinAlgError
+NON_FINITE_PHYSICS = (
+    [(TwoLevelPhysics, {}, name, value) for name, value in
+     [("gamma1_mhz", math.nan), ("gamma2_mhz", math.inf), ("epsilon_init", math.nan)]]
+    + [(FaradayParams, FARADAY, name, math.nan) for name in (*FARADAY, "bigGamma1_mhz", "bigGamma2_mhz")]
+    + [(FaradayParams, FARADAY, "cyclicity", math.inf)]
+    + [(CptParams, {}, name, math.nan) for name in ("omega_e0_ghz", "delta_ghz", "omega_down", "omega_up",
+                                                     "gamma1_inv_ns", "gamma2", "trion_lifetime_ns",
+                                                     "spin_flip_time_ns")]
+    + [(build_two_level, TWO_LEVEL_ARGS, name, value) for name, value in
+       [("omega_mhz", math.nan), ("delta_mhz", math.inf), ("gamma1_mhz", math.nan), ("gamma2_mhz", -math.inf),
+        ("phase", math.nan)]]
+)
+
+
+@pytest.mark.parametrize("make, valid, key, value", NON_FINITE_PHYSICS,
+                         ids=[f"{make.__name__}-{key}" for make, _, key, _ in NON_FINITE_PHYSICS])
+def test_physics_rejects_non_finite_field(make, valid, key, value):
+    make(**valid)
+    with pytest.raises(UsageError, match="must be finite"):
+        make(**{**valid, key: value})

@@ -8,7 +8,7 @@ import pytest
 
 from fss.cli import bundled_scenarios
 from fss.fitting import MODEL_LIBRARY, fit, fft_spectrum
-from make_golden import GOLDEN_DIR, compare, run_bundled
+from make_golden import GOLDEN_DIR, compare, run_bundled, update_golden
 
 FAST = ["fig1e", "fig2b", "fig3de", "fig4b", "fig5cd", "fig6", "fig7map", "fig8"]
 SLOW = ["fig1d", "fig2c", "fig3a", "fig2ef", "fig4abc"]
@@ -88,3 +88,23 @@ def _read(path):
             if l and not l.startswith("#")][1:]
     return np.array([[float(v) for v in row] for row in rows])
 
+
+
+def test_golden_update_rewrites_only_what_differs(tmp_path):
+    ref = (GOLDEN_DIR / "fig4b_fringe.csv").read_text(encoding="utf-8")
+    fresh, golden = tmp_path / "fresh" / "fig4b_fringe.csv", tmp_path / "fig4b_fringe.csv"
+    fresh.parent.mkdir()
+    golden.write_text(ref, encoding="utf-8")
+
+    def update(text):
+        fresh.write_text(text, encoding="utf-8")
+        return update_golden(fresh, golden), golden.read_text(encoding="utf-8")
+
+    # a row within tolerance leaves the golden untouched, also beside a new
+    # comment line, which is the only line then written
+    within = ref.replace("0.5,0.950850860222", "0.5,0.950850860223")
+    assert update(within) == (False, ref)
+    assert update(within.replace("seed=0", "seed=1")) == (True, ref.replace("seed=0", "seed=1"))
+    # a row outside the tolerance replaces the golden
+    outside = ref.replace("0.5,0.950850860222", "0.5,0.95")
+    assert update(outside) == (True, outside)

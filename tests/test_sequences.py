@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +17,7 @@ from fss.fitting import MODEL_LIBRARY, fft_spectrum, fit
 from fss.models import CptParams, FaradayParams
 from fss.sequences import (
     RUNS_ON,
-    CoolingSpec,
     Protocol,
-    PulseSegment,
-    PulseSequence,
     TwoLevelPhysics,
     cpt_spectrum_protocol,
     esr_scan_protocol,
@@ -44,6 +42,24 @@ SMALL_FOUR_LEVEL = FaradayParams(omega_e_ghz=2.6, omega_h_ghz=6.0, delta_ghz=4.0
 
 
 _refined_calibration = functools.cache(models.calibrate_faraday_drive)
+
+# one row of a shot table as the executor reads it: its depth's segment kind
+# and target, then the parameter columns
+Segment = namedtuple("Segment", ("kind", "target") + sequences._COLUMNS)
+
+
+def _shots(prot, ideal_pulses=False, x=None) -> list[list[Segment]]:
+    """The shots of ``prot`` at scan value ``x`` (by default the first value
+    of its axis), read from the shot table that the executor runs."""
+    ((_, values),) = prot.axes
+    table = sequences._shot_table(prot, [values[0] if x is None else x], ideal_pulses)
+    return [[Segment(kind, target, *cols[k].tolist()) for kind, target, cols in table]
+            for k in range(len(table[0][2]))]
+
+
+def _row(**columns) -> np.ndarray:
+    """A shot-table row with the given columns, and 0 in the others."""
+    return np.array([columns.get(name, 0.0) for name in sequences._COLUMNS])
 
 
 @pytest.fixture
@@ -73,10 +89,10 @@ class TestRabiProtocol:
 
     def test_sequence_structure(self):
         prot = rabi_protocol(100.0, 50.0, [0.0, 4.0])
-        (shot,) = prot.shots(tau_ns=4.0)
-        kinds = [seg.kind for seg in shot.segments]
+        (shot,) = _shots(prot, x=4.0)
+        kinds = [seg.kind for seg in shot]
         assert kinds == ["initialize", "drive", "readout"]
-        assert shot.segments[1].duration_ns == 4.0
+        assert shot[1].duration_ns == 4.0
 
     def test_empty_grid_gives_empty_trace(self):
         prot = rabi_protocol(100.0, 0.0, [])
@@ -191,13 +207,18 @@ class TestRamsey:
         assert abs(r["phase"] - np.pi / 2) > 0.05  # the finite-pulse offset is real
 
     def test_cooling_supplies_ensemble(self):
-        cool = CoolingSpec(method="modified-algorithmic", resulting_t2star_ns=74.0,
-                           metadata={"t_sense_ns": 55.0, "n_cycles": 30})
         tau = np.linspace(0, 100, 51)
-        prot = ramsey_protocol(125.0, 50.0, tau, cooling=cool)
+        prot = ramsey_protocol(125.0, 50.0, tau, cooling_t2star_ns=74.0)
         res = simulate_protocol(prot, TwoLevelPhysics(), **IDEAL)
         envelope = np.exp(-((tau / 74.0) ** 2))
         assert np.max(np.abs(res.signal - envelope * np.cos(2e-3 * np.pi * 50.0 * tau))) < 0.01
+
+    @pytest.mark.parametrize("make", [ramsey_protocol, hahn_echo_protocol])
+    def test_negative_cooling_t2star_rejected(self, make):
+        args = (125.0, 50.0, [0.0, 20.0]) if make is ramsey_protocol else (125.0, [0.0, 100.0])
+        make(*args, cooling_t2star_ns=0.0)  # no cooling
+        with pytest.raises(UsageError, match="cooling T2\\* must be finite and >= 0"):
+            make(*args, cooling_t2star_ns=-5.0)
 
 
     def test_empty_grid_gives_empty_trace(self):
@@ -313,7 +334,7 @@ class TestSpinPumping:
 
     def test_a_grid_after_t0_is_the_tail_of_one_from_t0(self):
         def pumping(t_ns):
-            prot = Protocol(kind="spin_pumping", params={"s": 6.0}, axes=(("t_ns", t_ns),), signal="emission")
+            prot = Protocol(kind="spin_pumping", params={"s": 6.0}, axes=(("t_ns", t_ns),))
             return simulate_protocol(prot, SMALL_FOUR_LEVEL).signal
 
         full = pumping([0.0, 5.0, 10.0, 20.0])
@@ -384,17 +405,15 @@ class TestSimulateProtocolContract:
         assert np.all(np.diff(q_row) <= 1e-9)
 
     def test_segment_validation(self):
-        with pytest.raises(UsageError):
-            PulseSegment("wait", omega_mhz=10.0)
-        with pytest.raises(UsageError):
-            PulseSegment("drive", duration_ns=-1.0)
-        with pytest.raises(UsageError):
-            PulseSegment("sleep")
+        # a negative duration is the one invalid row a protocol's shot table can hold
+        for prot in (rabi_protocol(100.0, 0.0, [1.0, -1.0]), t1_protocol([-5.0]),
+                     ramsey_protocol(125.0, 0.0, [-2.0]), hahn_echo_protocol(125.0, [-10.0])):
+            with pytest.raises(UsageError, match="duration must be >= 0"):
+                simulate_protocol(prot, TwoLevelPhysics())
 
     # valid arguments, and one non-finite replacement each
     VALID = {
         EnsembleSpec: dict(t2star_ns=34.0),
-        CoolingSpec: dict(method="raman", resulting_t2star_ns=50.0),
         ramsey_protocol: dict(omega_mhz=125.0, delta_mhz=10.0, tau_grid_ns=[0.0, 5.0]),
         hahn_echo_protocol: dict(omega_mhz=125.0, total_delay_grid_ns=[0.0, 100.0],
                                  modulation_amp_mhz=4.0, modulation_freq_mhz=20.0),
@@ -404,16 +423,17 @@ class TestSimulateProtocolContract:
         (EnsembleSpec, "di_over_i", math.inf),
         (EnsembleSpec, "stark_ratio", math.nan),
         (EnsembleSpec, "omega_mhz", -math.inf),
-        (CoolingSpec, "resulting_t2star_ns", math.nan),
         (ramsey_protocol, "omega_mhz", math.nan),
         (ramsey_protocol, "delta_mhz", math.inf),
         (ramsey_protocol, "f_serr_mhz", math.inf),
         (ramsey_protocol, "tau_grid_ns", [0.0, math.nan]),
+        (ramsey_protocol, "cooling_t2star_ns", math.nan),
         (hahn_echo_protocol, "omega_mhz", math.inf),
         (hahn_echo_protocol, "t2he_ns", math.nan),
         (hahn_echo_protocol, "modulation_amp_mhz", math.nan),
         (hahn_echo_protocol, "modulation_freq_mhz", math.inf),
         (hahn_echo_protocol, "total_delay_grid_ns", [0.0, math.inf]),
+        (hahn_echo_protocol, "cooling_t2star_ns", math.inf),
     ]
 
     @pytest.mark.parametrize("make, key, value", NON_FINITE,
@@ -600,9 +620,9 @@ class TestShotExecutor:
         # a state per node for every distinct shot prefix that ends in a
         # rotation or in a drive or wait of nonzero duration, plus the two
         # initial states the binding prepares
-        prefixes = {shot.segments[:k + 1]
-                    for x in prot.axis("tau_ns") for shot in prot.shots(ideal, tau_ns=x)
-                    for k, seg in enumerate(shot.segments)
+        prefixes = {tuple(shot[:k + 1])
+                    for x in prot.axis("tau_ns") for shot in _shots(prot, ideal, x)
+                    for k, seg in enumerate(shot)
                     if seg.kind == "rotation" or (seg.kind in ("drive", "wait") and seg.duration_ns > 0)}
         assert sum(guarded) == 9 * len(prefixes) + 2
 
@@ -627,13 +647,13 @@ class TestShotExecutor:
         rotations U rho U^+ and the exponential of each node's Liouvillian.
         A modulated wait adds the modulation's mean detuning over the wait,
         which is exact when the channels commute with sigma_z (no Gamma1)."""
-        ((name, values),) = prot.axes
+        ((_, values),) = prot.axes
         out = []
         for d in offsets:
             row = []
             for x in values:
-                for shot in prot.shots(ideal_pulses=True, **{name: x}):
-                    for seg in shot.segments:
+                for shot in _shots(prot, True, x):
+                    for seg in shot:
                         if seg.kind == "initialize":  # |up>
                             rho = np.diag([physics.epsilon_init, 1.0 - physics.epsilon_init]).astype(complex)
                         elif seg.kind == "rotation":
@@ -679,13 +699,13 @@ class TestShotExecutor:
 
     def test_ideal_pulses_are_rotations_in_the_shots(self):
         prot = hahn_echo_protocol(125.0, [0.0, 100.0])
-        shot = prot.shots(ideal_pulses=True, total_delay_ns=100.0)[0]
-        assert [seg.kind for seg in shot.segments] == [
+        shot = _shots(prot, True, 100.0)[0]
+        assert [seg.kind for seg in shot] == [
             "initialize", "rotation", "wait", "rotation", "wait", "rotation", "readout"]
-        assert [seg.angle for seg in shot.segments if seg.kind == "rotation"] == [
+        assert [seg.angle for seg in shot if seg.kind == "rotation"] == [
             math.pi / 2, math.pi, math.pi / 2]
-        (rabi,) = rabi_protocol(100.0, 0.0, [1.0]).shots(ideal_pulses=True, tau_ns=1.0)
-        assert [seg.kind for seg in rabi.segments] == ["initialize", "drive", "readout"]
+        (rabi,) = _shots(rabi_protocol(100.0, 0.0, [1.0]), True, 1.0)
+        assert [seg.kind for seg in rabi] == ["initialize", "drive", "readout"]
 
     def test_finite_pulse_echo_cancels_static_ensemble(self):
         prot = hahn_echo_protocol(125.0, np.linspace(0, 1000, 11))
@@ -762,6 +782,8 @@ TABLE_PROTOCOLS = {
 @pytest.mark.parametrize("ideal", [False, True])
 @pytest.mark.parametrize("name", TABLE_PROTOCOLS)
 def test_shots_are_the_rows_the_executor_runs(monkeypatch, name, ideal):
+    # the table run over the whole axis holds, point-major, the rows that
+    # each point's own table holds
     prot = TABLE_PROTOCOLS[name]
     tables = []
     real = sequences._shot_table
@@ -773,22 +795,19 @@ def test_shots_are_the_rows_the_executor_runs(monkeypatch, name, ideal):
     monkeypatch.setattr(sequences, "_shot_table", spy)
     simulate_protocol(prot, TwoLevelPhysics(0.3, 1.5), ideal_pulses=ideal)
     (table,) = tables
-    ((axis, values),) = prot.axes
+    ((_, values),) = prot.axes
     per_point = len(table[0][2]) // values.size
     for p, x in enumerate(values):
-        shots = prot.shots(ideal, **{axis: x})
+        shots = _shots(prot, ideal, x)
         assert len(shots) == per_point
         for s, shot in enumerate(shots):
-            assert isinstance(shot, PulseSequence)
-            ran = [(kind, target, *cols[p * per_point + s]) for kind, target, cols in table]
-            assert [(seg.kind, seg.target, seg.omega_mhz, seg.delta_mhz, seg.phase, seg.duration_ns, seg.angle,
-                     seg.mod_amp_mhz, seg.mod_freq_mhz) for seg in shot.segments] == ran
+            assert shot == [(kind, target, *cols[p * per_point + s]) for kind, target, cols in table]
 
 
 def test_shots_at_a_point_off_the_axis():
     # the axis may be empty: the point's own value builds its rows
-    (shot,) = rabi_protocol(100.0, 0.0, []).shots(tau_ns=1.5)
-    assert [seg.duration_ns for seg in shot.segments] == [0.0, 1.5, 0.0]
+    (shot,) = _shots(rabi_protocol(100.0, 0.0, []), x=1.5)
+    assert [seg.duration_ns for seg in shot] == [0.0, 1.5, 0.0]
 
 
 @pytest.mark.parametrize("name", ["rabi", "t1", "ramsey-serrodyne", "echo-free"])
@@ -859,9 +878,9 @@ def test_finite_pulse_serrodyne_ramsey_matches_per_shot_oracle(monkeypatch):
 # electron splitting, shifted by the offset.
 OFFSETS = settings(max_examples=10, deadline=None, derandomize=True)
 SEGMENTS = [
-    PulseSegment("drive", 37.0, -12.0, 0.7, 5.0),
-    PulseSegment("wait", 0.0, 8.5, 0.0, 5.0),
-    PulseSegment("wait", phase=0.3, duration_ns=5.0, mod_amp_mhz=4.0, mod_freq_mhz=2.0),
+    _row(omega_mhz=37.0, delta_mhz=-12.0, phase=0.7, duration_ns=5.0),  # a drive
+    _row(delta_mhz=8.5, duration_ns=5.0),  # a wait
+    _row(phase=0.3, duration_ns=5.0, mod_amp_mhz=4.0, mod_freq_mhz=2.0),  # a modulated wait
 ]
 
 
@@ -877,16 +896,17 @@ def test_two_level_offset_term_matches_the_models(offsets):
     binding = sequences._bind(TwoLevelPhysics(gamma1_mhz=1.5, gamma2_mhz=4.0))
     for seg in SEGMENTS:
         for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
-            model = binding.model(replace(seg, delta_mhz=seg.delta_mhz + d))
+            model = binding.model(seg + _row(delta_mhz=d))
             assert np.max(np.abs(gen - liouvillian(model))) <= 1e-12
 
 
 def test_four_level_offset_term_matches_the_models(quick_calibration):
     binding = sequences._bind(SMALL_FOUR_LEVEL)
     offsets = [-250.0, -3.3, 0.0, 41.0, 180.0]
-    for seg in (PulseSegment("drive", 60.0, 0.0, 0.0, 5.0), PulseSegment("drive", 60.0, 7.5, 0.4, 5.0)):
-        drive, _ = binding.calibrated(seg.omega_mhz)
-        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + seg.delta_mhz * 1e-3)
+    for seg in (_row(omega_mhz=60.0, duration_ns=5.0), _row(omega_mhz=60.0, delta_mhz=7.5, phase=0.4, duration_ns=5.0)):
+        omega, delta = seg[:2].tolist()
+        drive, _ = binding.calibrated(omega)
+        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + delta * 1e-3)
         for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
             shifted = replace(SMALL_FOUR_LEVEL, omega_e_ghz=SMALL_FOUR_LEVEL.omega_e_ghz + d * 1e-3)
             model = models.build_faraday_four_level(shifted, drive)
@@ -927,7 +947,7 @@ def test_driven_drive_builds_one_four_level_model_for_all_nodes(monkeypatch, qui
                       EnsembleSpec(t2star_ns=20.0, nodes=9))
     # one drive segment, built once for its 9 nodes and 3 durations
     assert len(calls) == 1
-    assert sequences._bind(SMALL_FOUR_LEVEL).model(PulseSegment("drive", 60.0)).time_dependent
+    assert sequences._bind(SMALL_FOUR_LEVEL).model(_row(omega_mhz=60.0)).time_dependent
 
 
 @pytest.mark.parametrize("ideal, calls", [(False, 5), (True, 2)])
