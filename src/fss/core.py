@@ -18,11 +18,15 @@ share.  It advances a (B, d, d) stack of initial states over a shared grid
 and returns the states at (grid index, member) pairs, by default all of
 them as one (T, B, d, d) array; ``evolve`` (a one-member stack), the
 pulse-sequence executor of :mod:`fss.sequences`, spin pumping and the drive
-calibration of :mod:`fss.models` go through it.  Without drives the
-generator L is constant, and the evolution is exact: one exponential
-exp(L dt) of the whole stack per distinct step of the grid, ``_expm``
-(Padé-13 scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
-2005, with one scaling for the stack), applied step by step.
+calibration of :mod:`fss.models` go through it.  Both of its paths run in
+a basis of Hermitian matrices (``_hermitian_basis``), in which a Lindblad
+generator and a density matrix are real (``_in_hermitian_basis``).  Without
+drives the generator L is constant, and the evolution is exact: one
+exponential exp(L dt) of the whole stack per distinct step of the grid,
+``_expm`` (Padé-13 scaling and squaring, Higham, SIAM J. Matrix Anal. Appl.
+26, 1179, 2005, with one scaling for the stack), applied step by step in
+real arithmetic to the states mapped once into that basis; only the states
+asked for are mapped back.
 
 With drives, each distinct generator of the stack goes through one table of
 propagators, ``_propagators``, which ``_propagate`` applies to every initial
@@ -37,8 +41,7 @@ commutator-free Magnus integrator: two exponentials per step, all steps of
 a grid in one ``_expm`` call, the step count doubled until two grids agree
 and the last two grids extrapolated to sixth order.  Every exponent is a
 Lindblad generator, so every step is completely positive and trace
-preserving, and the steps run in a basis of Hermitian matrices, in which
-the generators are real.
+preserving.
 
 Every state the package produces passes one positivity guard, ``_guard``,
 exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
@@ -398,6 +401,15 @@ def _commutator_superop(op: np.ndarray) -> np.ndarray:
     return -1j * gen.reshape(d * d, d * d)
 
 
+def _dissipator_superop(op: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> L rho L^+ - 1/2 {L^+ L, rho}, L = op."""
+    d = op.shape[0]
+    eye, n = np.eye(d), op.conj().T @ op
+    gen = (np.einsum("ik,jl->ijkl", op, op.conj())
+           - 0.5 * (np.einsum("ik,jl->ijkl", n, eye) + np.einsum("ik,jl->ijkl", eye, n.conj())))
+    return gen.reshape(d * d, d * d)
+
+
 def liouvillian(model: LindbladModel) -> np.ndarray:
     """Static part of the vectorized Liouvillian (dim^2 x dim^2).
 
@@ -466,12 +478,16 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
     The initial states are taken as already guarded; every other returned
     state passes :func:`_guard` once.  A stack with non-finite entries
     raises NumericalFailure before any propagator is built.  Without drives
-    the propagation is exact: one batched :func:`_expm` of the stack,
-    exp(L dt), is built per distinct grid step up to the last row asked
-    for, and each step advances the whole stack with einsum, which keeps
-    these tiny products off threaded BLAS.  With drives, each distinct
-    generator of the stack builds one table of :func:`_propagators`, applied
-    to all of its initial states.
+    the propagation is exact: the stack and the initial states are mapped
+    once to the basis of :func:`_hermitian_basis`, one batched
+    :func:`_expm` of the stack, exp(L dt), is built per distinct grid step
+    up to the last row asked for, and each step advances the whole stack
+    with einsum, which keeps these tiny products off threaded BLAS; the
+    picked states are mapped back once.  This runs in float64 when the
+    stack keeps states Hermitian, as Lindblad generators do, and the
+    initial states are Hermitian, and in complex arithmetic otherwise.
+    With drives, each distinct generator of the stack builds one table of
+    :func:`_propagators`, applied to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -510,12 +526,14 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
         vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], init[cols])
     else:
         steps, which = np.unique(np.diff(t[:rows.max(initial=0) + 1]), return_inverse=True)
-        props = [_expm(gens, dt) for dt in steps]
-        path = np.empty((which.size + 1, n, dim * dim), dtype=complex)
-        path[0] = init
+        basis, inverse = _hermitian_basis(dim)
+        g, x = _in_hermitian_basis(gens), _real_if_close(init @ basis.T)
+        props = [_expm(g, dt) for dt in steps]
+        path = np.empty((which.size + 1, n, dim * dim), dtype=np.result_type(g, x))
+        path[0] = x
         for k, j in enumerate(which, start=1):
             path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
-        vecs = path[rows, cols]
+        vecs = path[rows, cols] @ inverse.T
 
     out = vecs.reshape(rows.shape + (dim, dim))
     new = rows > 0
@@ -612,10 +630,7 @@ def _cfm4(gen: np.ndarray, t_span: tuple[float, float], drives: Sequence[Drive],
     t0, t1 = t_span
     n2 = gen.shape[0]
     basis, inverse = _hermitian_basis(math.isqrt(n2))
-    # a generator that does not keep states Hermitian stays complex
-    g = basis @ gen @ inverse
-    if np.abs(g.imag).max() <= 1e-12 * np.abs(g).max():
-        g = g.real
+    g = _in_hermitian_basis(gen)
     # f op + conj(f) op^+ = Re f (op + op^+) + Im f i (op - op^+)
     ops = (basis @ np.stack([_commutator_superop(dr.operator + dr.operator.conj().T) for dr in drives]
                             + [_commutator_superop(1j * (dr.operator - dr.operator.conj().T)) for dr in drives])
@@ -671,6 +686,22 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
             rows[j, i, i, j], rows[j, i, j, i] = -1j, 1j
     basis = rows.reshape(d * d, d * d)
     return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
+
+
+def _in_hermitian_basis(gens: np.ndarray) -> np.ndarray:
+    """A (..., d^2, d^2) stack of superoperators in the basis of
+    :func:`_hermitian_basis`: real when the stack keeps states Hermitian,
+    as every Lindblad generator does, and complex otherwise."""
+    basis, inverse = _hermitian_basis(math.isqrt(gens.shape[-1]))
+    return _real_if_close(basis @ gens @ inverse)
+
+
+def _real_if_close(a: np.ndarray) -> np.ndarray:
+    """The real part of ``a`` when its imaginary part is within 1e-12 of its
+    largest entry, otherwise ``a`` itself."""
+    if np.abs(a.imag).max(initial=0.0) <= 1e-12 * np.abs(a).max(initial=0.0):
+        return a.real
+    return a
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:

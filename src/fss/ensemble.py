@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .core import _require_finite_fields
 from .errors import UsageError
@@ -76,8 +75,18 @@ def quadrature_nodes(sigma_mhz, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray,
 
 @functools.lru_cache(maxsize=32)
 def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite abscissae and weights, once per node count."""
-    x, w = hermgauss(nodes)
+    """Read-only Gauss-Hermite abscissae and weights, once per node count.
+
+    Golub-Welsch: the abscissae are the eigenvalues of the Jacobi matrix of
+    the Hermite polynomials, tridiagonal with off-diagonal sqrt(k/2), and
+    the weights sqrt(pi) times the squared first components of its
+    eigenvectors; both are symmetrized about 0, and the weights scaled to
+    sum to sqrt(pi), as numpy.polynomial.hermite.hermgauss does."""
+    off = np.sqrt(np.arange(1, nodes) / 2.0)
+    x, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = vecs[0] ** 2
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

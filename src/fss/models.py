@@ -28,6 +28,7 @@ from .core import (
     Drive,
     LindbladModel,
     _commutator_superop,
+    _dissipator_superop,
     _propagate,
     _require_finite_fields,
     _steady_states,
@@ -88,6 +89,14 @@ def ground_channels(dim: int, gamma1_mhz: float, gamma2_mhz: float) -> list[Coll
     return chans
 
 
+def _check_two_level(finite: bool, rates_ok: bool) -> None:
+    """Raise UsageError for two-level inputs that are not all finite, or whose rates are negative."""
+    if not finite:
+        raise UsageError("two-level drive, detuning, rates and phase must be finite")
+    if not rates_ok:
+        raise UsageError("rates must be >= 0")
+
+
 def build_two_level(
     omega_mhz: float,
     delta_mhz: float,
@@ -96,10 +105,8 @@ def build_two_level(
     phase: float = 0.0,
 ) -> LindbladModel:
     """Driven two-level spin: H = (Omega/2)(cos p sx + sin p sy) + (delta/2) sz."""
-    if not all(map(math.isfinite, (omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz, phase))):
-        raise UsageError("two-level drive, detuning, rates and phase must be finite")
-    if gamma1_mhz < 0 or gamma2_mhz < 0:
-        raise UsageError("rates must be >= 0")
+    _check_two_level(all(map(math.isfinite, (omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz, phase))),
+                     gamma1_mhz >= 0 and gamma2_mhz >= 0)
     w = mhz_to_angular(omega_mhz)
     d = mhz_to_angular(delta_mhz)
     h0 = (w / 2) * (math.cos(phase) * SIGMA_X + math.sin(phase) * SIGMA_Y) + (d / 2) * SIGMA_Z
@@ -109,6 +116,31 @@ def build_two_level(
         channels=tuple(ground_channels(2, gamma1_mhz, gamma2_mhz)),
         labels=("down", "up"),
     )
+
+
+# The two-level generator per unit of each of (Omega cos p, Omega sin p,
+# delta, Gamma1 / 2, Gamma2), all angular: the commutators with sx/2, sy/2
+# and sz/2 and the dissipators of ground_channels' flip and dephasing.
+_TWO_LEVEL_TERMS = np.stack([_commutator_superop(SIGMA_X / 2), _commutator_superop(SIGMA_Y / 2),
+                             _commutator_superop(SIGMA_Z / 2), _dissipator_superop(_ground_flip(2)),
+                             _dissipator_superop(_ground_dephase(2))]).reshape(5, 16)
+
+
+def two_level_generators(omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz, phase=0.0) -> np.ndarray:
+    """The vectorized Liouvillians of :func:`build_two_level` over parameter
+    arrays that broadcast together, as a (broadcast shape..., 4, 4) stack:
+    each is one contraction of its five coefficients with _TWO_LEVEL_TERMS,
+    the generator being linear in them.  A non-finite input makes a
+    coefficient non-finite, and is rejected as build_two_level rejects it."""
+    w, d, g1, g2 = (mhz_to_angular(np.asarray(v, dtype=float))
+                    for v in (omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz))
+    with np.errstate(invalid="ignore"):  # inf phases and inf * 0 give NaN, rejected below
+        parts = (w * np.cos(phase), w * np.sin(phase), d, g1 / 2, g2)
+    coeffs = np.empty(np.broadcast_shapes(*map(np.shape, parts)) + (5,))
+    for k, part in enumerate(parts):
+        coeffs[..., k] = part
+    _check_two_level(np.isfinite(coeffs).all(), not (coeffs[..., 3:] < 0).any())
+    return (coeffs @ _TWO_LEVEL_TERMS).reshape(coeffs.shape[:-1] + (4, 4))
 
 
 # --- three-level CPT model ---------------------------------------------------

@@ -13,9 +13,9 @@ Parsing builds the physics, the ensemble and every product's protocols, and
 the :class:`Scenario` keeps them, so a missing key or a value that a
 constructor rejects is a config error naming its section's line, and so is
 a product on a ``[physics]`` kind (or on none) whose class
-``fss.sequences.RUNS_ON`` does not list for it, and a ``rabi_q`` product
-given a physics or ensemble value that it would ignore; the runner only
-simulates.  Multiple ``[protocol name]`` sections yield one data product
+``fss.sequences.RUNS_ON`` does not list for it, and a product given a
+value that it would ignore (``fss.sequences.check_inputs``); the runner
+only simulates.  Multiple ``[protocol name]`` sections yield one data product
 per section; an optional ``[scan]`` section sweeps one protocol parameter
 over a non-empty list of values, turning each product into a two-axis
 (long format) scan.  Every scanned product must
@@ -41,7 +41,7 @@ from .sequences import (
     Protocol,
     ScanResult,
     TwoLevelPhysics,
-    check_rabi_q_inputs,
+    check_inputs,
     cpt_spectrum_protocol,
     hahn_echo_protocol,
     polarization_map_protocol,
@@ -420,22 +420,21 @@ def _build(make, keys: dict, values: dict, section: str, lineno: int):
 
 def _product(name: str, params: dict, lineno: int, scan: dict | None, physics, ensemble) -> Product:
     """A ``[protocol]`` section's product.  A scanned product must take the
-    scan parameter, and a rabi_q product must read every physics and
-    ensemble value that the file gives."""
+    scan parameter, and every protocol must read each physics, ensemble and
+    protocol value that the file gives (see :func:`check_inputs`)."""
     kind = params["kind"]
     make, keys = _PROTOCOLS[kind]
-    if scan is None or kind in _UNSCANNED:
-        protocol = _build(make, keys, params, "protocol", lineno)
-        if kind == "rabi_q":
-            try:
-                check_rabi_q_inputs(protocol, physics, ensemble)
-            except UsageError as exc:
-                raise ConfigError(str(exc), lineno) from None
-        return Product(name, False, [protocol])
-    if scan["parameter"] not in keys:
+    scanned = scan is not None and kind not in _UNSCANNED
+    if scanned and scan["parameter"] not in keys:
         raise ConfigError(f"protocol kind {kind!r} has no key {scan['parameter']!r} to scan", lineno)
-    return Product(name, True, [_build(make, keys, {**params, scan["parameter"]: v}, "protocol", lineno)
-                                for v in scan["values"]])
+    protocols = ([_build(make, keys, {**params, scan["parameter"]: v}, "protocol", lineno) for v in scan["values"]]
+                 if scanned else [_build(make, keys, params, "protocol", lineno)])
+    try:
+        for protocol in protocols:
+            check_inputs(protocol, physics, ensemble)
+    except UsageError as exc:
+        raise ConfigError(str(exc), lineno) from None
+    return Product(name, scanned, protocols)
 
 
 def load_scenario(path) -> Scenario:

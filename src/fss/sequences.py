@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import (DensityMatrix, Drive, LindbladModel, _commutator_superop, _guard, _propagate,
+from .core import (DensityMatrix, Drive, _commutator_superop, _guard, _propagate,
                    _require_finite, _require_finite_fields, liouvillian)
 from .ensemble import (
     DEFAULT_NODES,
@@ -43,7 +43,7 @@ from .ensemble import (
     weighted_average,
 )
 from .errors import UsageError
-from .models import CptParams, FaradayParams, TwoToneDrive, build_two_level
+from .models import CptParams, FaradayParams, TwoToneDrive
 from .raman import s3_map
 from .units import ghz_to_angular, mhz_to_angular
 
@@ -389,7 +389,7 @@ def _shot_table(p: Protocol, x, ideal_pulses: bool) -> list[tuple[str, str | Non
 
 # --- simulation -----------------------------------------------------------------
 
-_LEVELS = ("down", "up")  # basis order of build_two_level
+_LEVELS = ("down", "up")  # basis order of the two-level model
 
 
 def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[float, int]:
@@ -400,33 +400,38 @@ def _resolve_sigma(protocol: Protocol, ensemble: EnsembleSpec | None) -> tuple[f
     return 0.0, DEFAULT_NODES
 
 
-def _segment_model(row: np.ndarray, phys: TwoLevelPhysics) -> LindbladModel:
-    """Two-level model of a drive or wait row (_COLUMNS) of a shot table."""
-    omega, delta, phase, _, _, mod_amp, mod_freq = row.tolist()
-    model = build_two_level(omega, delta, phys.gamma1_mhz, phys.gamma2_mhz, phase=phase)
-    if not mod_amp:
-        return model
-    w_mod, f_ang = mhz_to_angular(mod_amp), mhz_to_angular(mod_freq)
+def _two_level_generators(rows: np.ndarray, phys: TwoLevelPhysics) -> tuple[np.ndarray, list[tuple[Drive, ...]]]:
+    """Generators of drive or wait rows (_COLUMNS) of a shot table, and each row's drives."""
+    gens = models.two_level_generators(rows[:, 0], rows[:, 1], phys.gamma1_mhz, phys.gamma2_mhz, rows[:, 2])
+    return gens, [_modulation(*row) for row in rows[:, [2, 5, 6]].tolist()]
+
+
+def _modulation(phase: float, amp_mhz: float, freq_mhz: float) -> tuple[Drive, ...]:
+    """The drive of a wait's sinusoidal detuning modulation; none without one."""
+    if not amp_mhz:
+        return ()
+    w_mod, f_ang = mhz_to_angular(amp_mhz), mhz_to_angular(freq_mhz)
 
     def env(t: float) -> complex:
         return 0.5 * w_mod * math.cos(f_ang * t + phase)
 
     period = 2 * math.pi / abs(f_ang) if f_ang else None
-    return replace(model, drives=(Drive(env, models.SIGMA_Z / 2, period_ns=period),))
+    return (Drive(env, models.SIGMA_Z / 2, period_ns=period),)
 
 
 @dataclass(frozen=True)
 class _Binding:
     """What the executor needs of one physics model: per target, the state
     ``initialize`` prepares and the weights ``readout`` puts on populations;
-    the model of a drive or wait row (_COLUMNS) of a shot table; ``offset``,
-    the Hamiltonian term that an ensemble node's detuning offset adds per
-    rad/ns; for four-level physics, the calibrated (drive, resonant
-    Delta_RF) per Rabi frequency."""
+    the generators of drive or wait rows (_COLUMNS) of a shot table, as an
+    (R, d^2, d^2) stack, and each row's drives; ``offset``, the Hamiltonian
+    term that an ensemble node's detuning offset adds per rad/ns; for
+    four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
+    frequency."""
 
     initial: dict[str, DensityMatrix]
     readout: dict[str, np.ndarray]
-    model: Callable[[np.ndarray], LindbladModel]
+    generators: Callable[[np.ndarray], tuple[np.ndarray, list[tuple[Drive, ...]]]]
     offset: np.ndarray
     calibrated: Callable[[float], tuple[TwoToneDrive, float]] | None = None
 
@@ -438,21 +443,23 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
         return _Binding(initial={"down": DensityMatrix.from_populations([1.0 - eps, eps]),
                                  "up": DensityMatrix.from_populations([eps, 1.0 - eps])},
                         readout={t: np.eye(2)[k] for k, t in enumerate(_LEVELS)},
-                        model=functools.partial(_segment_model, phys=physics),
+                        generators=functools.partial(_two_level_generators, phys=physics),
                         offset=models.SIGMA_Z / 2)
     calibrated = functools.cache(
         lambda omega_mhz: models.calibrate_faraday_drive(physics, omega_mhz, handedness))
 
-    def model(row: np.ndarray) -> LindbladModel:
-        omega, delta = row.tolist()[:2]
-        drive, _ = calibrated(omega)
-        drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + delta * 1e-3)
-        return models.build_faraday_four_level(physics, drive, handedness)
+    def generators(rows: np.ndarray) -> tuple[np.ndarray, list[tuple[Drive, ...]]]:
+        built = []
+        for omega, delta in rows[:, :2].tolist():
+            drive, _ = calibrated(omega)
+            drive = replace(drive, delta_rf_ghz=drive.delta_rf_ghz + delta * 1e-3)
+            built.append(models.build_faraday_four_level(physics, drive, handedness))
+        return np.array([liouvillian(m) for m in built]), [m.drives for m in built]
 
     # the flipped spin counts the trion weight that relaxes back to |down>
     flip = models.faraday_flip_projector(physics).diagonal().real
     # the offset shifts the electron splitting, which sits on -|up><up|
-    return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, model=model,
+    return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, generators=generators,
                     offset=-np.diag([0.0, 1.0, 0.0, 0.0]), calibrated=calibrated)
 
 
@@ -479,12 +486,12 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     product of the superoperators U (x) U* of the closed-form 2 x 2
     unitaries with the row-major vectorized states, guarded as one stack; a
     readout is one contraction of the populations with the target's
-    weights.  A drive or wait depth builds one model (``binding.model``) per
-    distinct duration-free row, whose (nodes, d^2, d^2) generator stack is
-    L(0) + offset * L_offset; each (parent, model) pair with nonzero
+    weights.  A drive or wait depth takes the generators of its distinct
+    duration-free rows as one stack (``binding.generators``), to which the
+    nodes add offset * L_offset; each (parent, row) pair with nonzero
     durations is one block of nodes in a stack of generators and initial
     states.  All static blocks are one _propagate call over the union of
-    their durations, and the blocks of each driven model one call with its
+    their durations, and the blocks of each driven row one call with its
     drives; a zero duration carries its parent's states through unguarded.
     """
     ((_, values),) = protocol.axes
@@ -512,20 +519,20 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
             free = rows[moving, :-1].copy()
             free[:, 3] = 0.0
             free, model = _unique_rows(free)
-            built = [binding.model(row) for row in free]
-            gens = [liouvillian(m) + shift for m in built]
+            gens, drives = binding.generators(free)
+            gens = gens[:, None] + shift  # (models, nodes, d^2, d^2)
             blocks, block = _unique_rows(np.column_stack([rows[moving, -1], model]))
             blocks = blocks.astype(int)
-            calls: dict = {}  # None: every static block; a driven model: its blocks
+            calls: dict = {}  # None: every static block; a driven row: its blocks
             for b, m in enumerate(blocks[:, 1]):
-                calls.setdefault(m if built[m].drives else None, []).append(b)
+                calls.setdefault(m if drives[m] else None, []).append(b)
             for members in calls.values():
                 items = np.flatnonzero(np.isin(block, members))
                 grid, at = np.unique(np.append(0.0, rows[moving[items], 3]), return_inverse=True)
                 local = np.searchsorted(members, block[items])
                 states[moving[items]] = _propagate(
-                    np.concatenate([gens[m] for m in blocks[members, 1]]),
-                    np.concatenate(parents[blocks[members, 0]]), grid, built[blocks[members[0], 1]].drives,
+                    gens[blocks[members, 1]].reshape(-1, *shift.shape[1:]),
+                    np.concatenate(parents[blocks[members, 0]]), grid, drives[blocks[members[0], 1]],
                     at=(at[1:, None], local[:, None] * n + np.arange(n)))
     pops = readout[0] if weights is None else weighted_average(weights, readout)
     return pops.reshape(values.size, -1)
@@ -555,6 +562,7 @@ def simulate_protocol(
     if not isinstance(physics, RUNS_ON[protocol.kind]):
         names = " or ".join(cls.__name__ for cls in RUNS_ON[protocol.kind])
         raise UsageError(f"protocol kind {protocol.kind!r} runs on {names}, not {type(physics).__name__}")
+    check_inputs(protocol, physics, ensemble)
     rng = np.random.default_rng(seed) if counts_per_shot > 0 else None
 
     if protocol.kind == "polarization_map":
@@ -662,24 +670,32 @@ def two_level_pi_contrast(
 def _pi_readouts(omega, delta, gamma1, gamma2_mhz: float, t_pi, sigma, nodes: int) -> np.ndarray:
     """Readout of |down> after a drive of duration t_pi from |up> per row,
     Kahan-averaged over detuning offsets of spread sigma on ``nodes``
-    nodes.  Every (row, node) is a member (L + offset * L_offset) * t_pi of
-    one stack advanced over [0, 1] by one _propagate call; L is built once
-    per distinct (omega, delta, gamma1)."""
-    keys = list(zip(omega, delta, gamma1))
-    bases = {key: liouvillian(build_two_level(*key, gamma2_mhz)) for key in dict.fromkeys(keys)}
-    offsets, weights = quadrature_nodes(np.asarray(sigma, dtype=float)[:, None], nodes)
-    shift = mhz_to_angular(offsets)[..., None, None] * _commutator_superop(models.SIGMA_Z / 2)
-    gens = ((np.array([bases[k] for k in keys]).reshape(-1, 1, 4, 4) + shift)
-            * np.asarray(t_pi, dtype=float)[:, None, None, None]).reshape(-1, 4, 4)
+    nodes.  Every (row, node) is a member L * t_pi, L the generator at the
+    row's detuning plus the node's offset, of one stack built by one
+    :func:`models.two_level_generators` call and advanced over [0, 1] by one
+    _propagate call."""
+    def column(values) -> np.ndarray:
+        return np.asarray(values, dtype=float)[:, None]
+
+    offsets, weights = quadrature_nodes(column(sigma), nodes)
+    gens = models.two_level_generators(column(omega), column(delta) + offsets, column(gamma1), gamma2_mhz)
+    gens = (gens * column(t_pi)[..., None, None]).reshape(-1, 4, 4)
     up = DensityMatrix.pure(2, _LEVELS.index("up")).matrix
     states = _propagate(gens, np.broadcast_to(up, (len(gens), 2, 2)), [0.0, 1.0], at=(1, np.arange(len(gens))))
     return weighted_average(weights, states[:, 0, 0].real.reshape(-1, nodes).T)
 
 
-def check_rabi_q_inputs(protocol: Protocol, phys: TwoLevelPhysics, ensemble: EnsembleSpec | None) -> None:
-    """Raise UsageError naming each physics or ensemble value that a rabi_q
-    protocol would ignore: it takes its rates, T2* and Stark ratio from the
-    protocol, so only the ensemble's node count and jitter mode are read."""
+def check_inputs(protocol: Protocol, phys, ensemble: EnsembleSpec | None) -> None:
+    """Raise UsageError naming what a simulation of ``protocol`` would ignore:
+    a cooling T2* beside an ensemble, which sets the detuning spread in its
+    place, and each physics or ensemble value of a rabi_q protocol, which
+    takes its rates, T2* and Stark ratio from the protocol, so that only the
+    ensemble's node count and jitter mode are read."""
+    if protocol.cooling_t2star_ns and ensemble is not None:
+        raise UsageError(f"{protocol.kind} would ignore its cooling T2* ({protocol.cooling_t2star_ns:g} ns): "
+                         "an ensemble sets the detuning spread, so give one or the other")
+    if protocol.kind != "rabi_q":
+        return
     q = protocol.params
     ignored = [f"TwoLevelPhysics.{f.name}" for f in fields(phys) if getattr(phys, f.name) != f.default]
     if ensemble is not None:
@@ -699,8 +715,7 @@ def _simulate_rabi_q(protocol, phys: TwoLevelPhysics, ensemble) -> ScanResult:
     nodes eps (drive omega (1 + eps), detuning stark_ratio omega eps, the
     nominal pi time, the Overhauser spread) averaged over eps.  The rates,
     T2* and Stark ratio come from the protocol and the drives and noise
-    levels from its axes (see :func:`check_rabi_q_inputs`)."""
-    check_rabi_q_inputs(protocol, phys, ensemble)
+    levels from its axes (see :func:`check_inputs`)."""
     omegas, noises = protocol.axis("omega_mhz"), protocol.axis("di_over_i")
     q = protocol.params
     nodes = ensemble.nodes if ensemble is not None else DEFAULT_NODES

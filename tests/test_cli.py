@@ -210,6 +210,16 @@ class TestValidate:
         self._rejected_at(text.replace(old, new), "[protocol", tmp_path)
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scan", ["", "\n[scan]\nparameter = delta\nvalues = 80, 100 MHz\n"],
+                             ids=["unscanned", "scanned"])
+    def test_cooling_t2star_beside_an_ensemble_rejected(self, scan, tmp_path, capsys):
+        # such a file used to simulate the ensemble and drop the cooling
+        text = (resources.files("fss") / "scenarios" / "fig4b.scenario").read_text(encoding="utf-8") + scan
+        parse_scenario(text)
+        self._rejected_at(text.replace("\n[protocol", "\n[ensemble]\nt2star = 20 ns\n\n[protocol"),
+                          "[protocol", tmp_path)
+        assert "would ignore its cooling T2*" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old,new", [("omega_points = 5\n", ""),
                                          ("omega_points = 5", "omega_points = 0")])
     def test_cpt_probe_grid_rejected(self, old, new, tmp_path):

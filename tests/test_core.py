@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fss import core
 from fss.core import (
     CollapseChannel,
     DensityMatrix,
@@ -490,6 +491,50 @@ class TestExactPropagation:
         gens = np.stack([liouvillian(self._two_level(0.0))] * 2)
         with pytest.raises(UsageError, match="dimension does not match"):
             _propagate(gens, rhos, [0.0, 1.0])
+
+    @staticmethod
+    def _spy_expm(monkeypatch) -> list:
+        """Record each _expm call's stack, step and result."""
+        seen = []
+        real = core._expm
+
+        def spy(gens, dt):
+            out = real(gens, dt)
+            seen.append((gens, dt, out))
+            return out
+
+        monkeypatch.setattr(core, "_expm", spy)
+        return seen
+
+    def test_static_lindblad_stack_runs_in_real_arithmetic(self, monkeypatch):
+        from scipy.linalg import expm
+
+        seen = self._spy_expm(monkeypatch)
+        gens = np.stack([liouvillian(self._two_level(d)) for d in (-40.0, 0.0, 75.0)])
+        rho0 = DensityMatrix.from_populations([0.2, 0.8]).matrix
+        t = np.array([0.0, 0.5, 1.0, 2.5])
+        states = _propagate(gens, [rho0] * 3, t)
+        assert [(g.dtype, out.dtype) for g, _, out in seen] == [(np.float64, np.float64)] * 2  # steps 0.5, 1.5
+        for k, tk in enumerate(t):
+            for b, gen in enumerate(gens):
+                ref = (expm(gen * tk) @ rho0.reshape(4)).reshape(2, 2)
+                assert np.max(np.abs(states[k, b] - ref)) <= 1e-12
+
+    def test_stack_that_breaks_hermiticity_stays_complex(self, monkeypatch):
+        from scipy.linalg import expm
+
+        seen = self._spy_expm(monkeypatch)
+        rng = np.random.default_rng(5)
+        # -i [A, rho] with A not Hermitian: it keeps no state Hermitian, but
+        # the maximally mixed state commutes with A and stays put
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        states = _propagate(np.stack([_commutator_superop(m) for m in a]), [np.eye(2) / 2] * 3, [0.0, 0.4, 1.0])
+        assert seen and all(g.dtype == out.dtype == complex for g, _, out in seen)
+        for g, dt, out in seen:
+            for m, e in zip(g, out):
+                ref = expm(m * dt)
+                assert np.abs(e - ref).sum(axis=0).max() <= 1e-12 * max(1.0, np.abs(ref).sum(axis=0).max())
+        assert np.max(np.abs(states - np.eye(2) / 2)) <= 1e-12
 
     def test_static_pumping_against_direct_expm(self):
         # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points

@@ -105,6 +105,16 @@ class TestQuadratureNodes:
         assert np.array_equal(again_x, ref_x) and np.array_equal(again_w, ref_w)
         assert again_x.flags.writeable and again_w.flags.writeable
 
+    @pytest.mark.parametrize("nodes", [9, 11, 21, 41])
+    def test_nodes_match_numpy_hermgauss(self, nodes):
+        from numpy.polynomial.hermite import hermgauss
+
+        x, w = quadrature_nodes(1.0 / np.sqrt(2.0), nodes)
+        ref_x, ref_w = hermgauss(nodes)
+        assert np.max(np.abs(x - ref_x)) <= 1e-14
+        assert np.max(np.abs(w * np.sqrt(np.pi) - ref_w)) <= 1e-14 * ref_w.max()
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
 
 class TestSpecValidation:
     def test_even_nodes_rejected(self):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fss.core import DensityMatrix, evolve, expectation, steady_state
+from fss.core import DensityMatrix, evolve, expectation, liouvillian, steady_state
 from fss.errors import DomainError, UsageError
 from fss.fitting import MODEL_LIBRARY, FitModel, fit
 from fss.models import (
@@ -22,9 +24,42 @@ from fss.models import (
     faraday_two_photon_rabi_mhz,
     g_factor,
     pi_contrast_and_q,
+    two_level_generators,
 )
 from fss.sequences import TwoLevelPhysics
 from fss.units import ghz_to_angular, mhz_to_angular, rate_mhz_from_lifetime
+
+
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+TWO_LEVEL_ROWS = st.lists(st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), RATES, RATES,
+                                    st.floats(-10.0, 10.0)), min_size=1, max_size=6)
+
+
+class TestTwoLevelGenerators:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(TWO_LEVEL_ROWS)
+    def test_rows_match_the_models(self, rows):
+        gens = two_level_generators(*map(np.array, zip(*rows)))
+        assert gens.shape == (len(rows), 4, 4)
+        for gen, row in zip(gens, rows):
+            assert np.max(np.abs(gen - liouvillian(build_two_level(*row)))) <= 1e-12
+
+    def test_parameters_broadcast(self):
+        gens = two_level_generators([[10.0], [20.0]], [0.0, 5.0, -5.0], 0.4, 1.2)
+        assert gens.shape == (2, 3, 4, 4)
+        assert np.max(np.abs(gens[1, 2] - liouvillian(build_two_level(20.0, -5.0, 0.4, 1.2)))) <= 1e-12
+
+    @pytest.mark.parametrize("args, message", [
+        (([1.0, np.nan], 0.0, 0.0, 0.0), "must be finite"),
+        ((1.0, 0.0, 0.0, 0.0, np.inf), "must be finite"),
+        ((1.0, 0.0, [0.5, -0.1], 0.0), "rates must be >= 0"),
+        ((1.0, 0.0, 0.0, -2.0), "rates must be >= 0"),
+    ])
+    def test_bad_inputs_rejected_like_the_model(self, args, message):
+        with pytest.raises(UsageError, match=message):
+            two_level_generators(*args)
+        with pytest.raises(UsageError, match=message):
+            build_two_level(*(np.ravel(a)[-1] for a in args))
 
 
 class TestTwoLevel:

@@ -214,6 +214,15 @@ class TestRamsey:
         assert np.max(np.abs(res.signal - envelope * np.cos(2e-3 * np.pi * 50.0 * tau))) < 0.01
 
     @pytest.mark.parametrize("make", [ramsey_protocol, hahn_echo_protocol])
+    def test_cooling_t2star_beside_an_ensemble_rejected(self, make):
+        # the ensemble used to win silently, giving the uncooled signal
+        args = (125.0, 50.0, [0.0, 30.0, 60.0]) if make is ramsey_protocol else (125.0, [0.0, 100.0])
+        ens = EnsembleSpec(t2star_ns=20.0, nodes=9)
+        simulate_protocol(make(*args), TwoLevelPhysics(), ens, **IDEAL)
+        with pytest.raises(UsageError, match="would ignore its cooling T2\\* \\(74 ns\\)"):
+            simulate_protocol(make(*args, cooling_t2star_ns=74.0), TwoLevelPhysics(), ens, **IDEAL)
+
+    @pytest.mark.parametrize("make", [ramsey_protocol, hahn_echo_protocol])
     def test_negative_cooling_t2star_rejected(self, make):
         args = (125.0, 50.0, [0.0, 20.0]) if make is ramsey_protocol else (125.0, [0.0, 100.0])
         make(*args, cooling_t2star_ns=0.0)  # no cooling
@@ -886,7 +895,7 @@ SEGMENTS = [
 
 def _offset_generators(binding, seg, offsets_mhz):
     shift = _commutator_superop(binding.offset)
-    base = liouvillian(binding.model(seg))
+    (base,), _ = binding.generators(seg[None])
     return [base + mhz_to_angular(d) * shift for d in offsets_mhz]
 
 
@@ -896,7 +905,8 @@ def test_two_level_offset_term_matches_the_models(offsets):
     binding = sequences._bind(TwoLevelPhysics(gamma1_mhz=1.5, gamma2_mhz=4.0))
     for seg in SEGMENTS:
         for d, gen in zip(offsets, _offset_generators(binding, seg, offsets)):
-            model = binding.model(seg + _row(delta_mhz=d))
+            omega, delta, phase = (seg + _row(delta_mhz=d))[:3].tolist()
+            model = models.build_two_level(omega, delta, 1.5, 4.0, phase=phase)
             assert np.max(np.abs(gen - liouvillian(model))) <= 1e-12
 
 
@@ -925,20 +935,34 @@ def _counting(monkeypatch, module, name) -> list:
     return calls
 
 
+def _built_generators(monkeypatch) -> list:
+    """Record the shape of each stack that models.two_level_generators builds."""
+    shapes = []
+    real = models.two_level_generators
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(models, "two_level_generators", recording)
+    return shapes
+
+
 def test_static_segment_builds_one_model_for_all_nodes(monkeypatch):
-    calls = _counting(monkeypatch, sequences, "build_two_level")
+    shapes = _built_generators(monkeypatch)
     simulate_protocol(rabi_protocol(60.0, 0.0, np.linspace(0.0, 20.0, 11)), TwoLevelPhysics(0.5, 1.0),
                       EnsembleSpec(t2star_ns=20.0, nodes=9))
-    assert len(calls) == 1
+    assert shapes == [(1, 4, 4)]
 
 
 def test_driven_wait_builds_one_model_for_all_nodes(monkeypatch):
-    calls = _counting(monkeypatch, sequences, "build_two_level")
+    shapes = _built_generators(monkeypatch)
     prot = hahn_echo_protocol(125.0, [40.0, 80.0, 120.0], modulation_amp_mhz=4.0, modulation_freq_mhz=20.0)
     simulate_protocol(prot, TwoLevelPhysics(0.5, 1.0), EnsembleSpec(t2star_ns=20.0, nodes=9), **IDEAL)
     # the refocused echo has two distinct waits: a static one before the pi
     # pulse and a modulated one, driven by the modulation, after it
-    assert len(calls) == 2
+    assert shapes == [(1, 4, 4), (1, 4, 4)]
 
 
 def test_driven_drive_builds_one_four_level_model_for_all_nodes(monkeypatch, quick_calibration):
@@ -947,7 +971,8 @@ def test_driven_drive_builds_one_four_level_model_for_all_nodes(monkeypatch, qui
                       EnsembleSpec(t2star_ns=20.0, nodes=9))
     # one drive segment, built once for its 9 nodes and 3 durations
     assert len(calls) == 1
-    assert sequences._bind(SMALL_FOUR_LEVEL).model(_row(omega_mhz=60.0)).time_dependent
+    _, (drives,) = sequences._bind(SMALL_FOUR_LEVEL).generators(_row(omega_mhz=60.0)[None])
+    assert drives
 
 
 @pytest.mark.parametrize("ideal, calls", [(False, 5), (True, 2)])
