@@ -7,10 +7,13 @@ The master equation solved here is
 with hbar = 1, H in angular rad/ns and channel rates g_i in rad/ns.  Public
 rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
-Generators are arrays: ``liouvillian`` builds the vectorized Liouvillian by
-broadcasting (no Kronecker products), and models that differ by one
-Hamiltonian term x V, such as ensemble nodes or CPT probe frequencies, are
-one stack L(0) + x C(V), C(V) the commutator superoperator of V.
+Generators have one form, built once: real d^2 x d^2 superoperators on the
+coordinates of a basis of Hermitian matrices (``_hermitian_basis``), in
+which Lindblad generators and density matrices are real.  ``liouvillian``
+is the sum of ``_commutator_superop`` and ``_dissipator_superop``, and
+models that differ by one Hamiltonian term x V, such as ensemble nodes or
+CPT probe frequencies, are one stack L(0) + x C(V), C(V) the commutator
+superoperator of V.
 
 There is one propagation function, ``_propagate``, and one input form: a
 (B, d^2, d^2) stack of generators plus the drives that all of its members
@@ -18,15 +21,12 @@ share.  It advances a (B, d, d) stack of initial states over a shared grid
 and returns the states at (grid index, member) pairs, by default all of
 them as one (T, B, d, d) array; ``evolve`` (a one-member stack), the
 pulse-sequence executor of :mod:`fss.sequences`, spin pumping and the drive
-calibration of :mod:`fss.models` go through it.  Both of its paths run in
-a basis of Hermitian matrices (``_hermitian_basis``), in which a Lindblad
-generator and a density matrix are real (``_in_hermitian_basis``).  Without
-drives the generator L is constant, and the evolution is exact: one
-exponential exp(L dt) of the whole stack per distinct step of the grid,
-``_expm`` (Padé-13 scaling and squaring, Higham, SIAM J. Matrix Anal. Appl.
-26, 1179, 2005, with one scaling for the stack), applied step by step in
-real arithmetic to the states mapped once into that basis; only the states
-asked for are mapped back.
+calibration of :mod:`fss.models` go through it, in float64 on the states'
+coordinates.  Without drives the generator L is constant, and the
+evolution is exact: one exponential exp(L dt) of the whole stack per
+distinct step of the grid, ``_expm`` (Padé-13 scaling and squaring, Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179, 2005, with one scaling for the
+stack), applied step by step.
 
 With drives, each distinct generator of the stack goes through one table of
 propagators, ``_propagators``, which ``_propagate`` applies to every initial
@@ -54,7 +54,7 @@ about -4e-14 (see _CFM4_TOL).
 are wrapped without a second check.
 
 Steady states have one path too, ``_steady_states``, batched over a stack
-of generators; ``steady_state`` is its one-model case.
+of generators and solved in float64; ``steady_state`` is its one-model case.
 """
 
 from __future__ import annotations
@@ -387,44 +387,67 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
     return out
 
 
-# --- vectorized Liouvillian -------------------------------------------------
+# --- superoperators ---------------------------------------------------------
 #
-# Row-major vec, vec(rho)[i d + j] = rho[i, j]: vec(A rho B) = (A (x) B^T) vec(rho),
-# where A (x) B is the broadcast product einsum("ik,jl->ijkl", A, B) read as a
-# d^2 x d^2 matrix with rows (i, j) and columns (k, l).
+# A superoperator is real on the coordinates of _hermitian_basis (the coherence
+# vector of Alicki & Lendi, Lect. Notes Phys. 717, 2007).  It is written out on
+# row-major vec(rho)[i d + j] = rho[i, j], where vec(A rho B) = (A (x) B^T) vec(rho)
+# and A (x) B is einsum("ik,jl->ijkl", A, B) with rows (i, j) and columns (k, l),
+# and mapped to the coordinates once, as it is built.
+
+@functools.cache
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map of row-major vectorized d x d matrices to their coordinates
+    Tr(B rho) in the Hermitian basis E_ii, E_ij + E_ji and i (E_ij - E_ji)
+    (i < j), and its inverse.  A Hermitian rho has the real coordinates
+    rho_ii at row-major position (i, i), 2 Re rho_ij at (i, j) and 2 Im
+    rho_ij at (j, i), and a superoperator that keeps matrices Hermitian,
+    such as every Lindblad generator, is real in this basis.  The entries of
+    both maps are 0, 1/2 and 1 times powers of i, so the identity maps to
+    the identity exactly, and real coordinates map back to exactly
+    Hermitian matrices."""
+    rows = np.zeros((d, d, d, d), dtype=complex)
+    for i in range(d):
+        rows[i, i, i, i] = 1.0
+        for j in range(i + 1, d):
+            rows[i, j, i, j] = rows[i, j, j, i] = 1.0
+            rows[j, i, i, j], rows[j, i, j, i] = -1j, 1j
+    basis = rows.reshape(d * d, d * d)
+    return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
+
 
 def _commutator_superop(op: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> -i [op, rho]."""
-    d = op.shape[0]
+    """Superoperator of rho -> -i [op, rho] for a Hermitian op, or one per
+    matrix of a (..., d, d) stack of them."""
+    d = op.shape[-1]
     eye = np.eye(d)
-    gen = np.einsum("ik,jl->ijkl", op, eye) - np.einsum("ik,jl->ijkl", eye, op.T)
-    return -1j * gen.reshape(d * d, d * d)
+    gen = np.einsum("...ik,jl->...ijkl", op, eye) - np.einsum("ik,...lj->...ijkl", eye, op)
+    basis, inverse = _hermitian_basis(d)
+    # -i X is real in the coordinates, so it is the imaginary part of X there
+    return (basis @ gen.reshape(op.shape[:-2] + (d * d, d * d)) @ inverse).imag
 
 
-def _dissipator_superop(op: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> L rho L^+ - 1/2 {L^+ L, rho}, L = op."""
-    d = op.shape[0]
-    eye, n = np.eye(d), op.conj().T @ op
-    gen = (np.einsum("ik,jl->ijkl", op, op.conj())
+def _dissipator_superop(ops: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> sum_c L_c rho L_c^+ - 1/2 {L_c^+ L_c, rho}
+    over a (C, d, d) stack of jump operators L_c, or of one (d, d) operator."""
+    d = ops.shape[-1]
+    ops = ops.reshape(-1, d, d)
+    eye, n = np.eye(d), np.einsum("cki,ckj->ij", ops.conj(), ops)
+    gen = (np.einsum("cik,cjl->ijkl", ops, ops.conj())
            - 0.5 * (np.einsum("ik,jl->ijkl", n, eye) + np.einsum("ik,jl->ijkl", eye, n.conj())))
-    return gen.reshape(d * d, d * d)
+    basis, inverse = _hermitian_basis(d)
+    return (basis @ gen.reshape(d * d, d * d) @ inverse).real
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Static part of the vectorized Liouvillian (dim^2 x dim^2).
-
-    With K = -i h0 - 1/2 sum_i g_i L_i^+ L_i it is K (x) I + I (x) conj(K)
-    + sum_i g_i L_i (x) conj(L_i), i.e. rho -> K rho + rho K^+ + sum_i g_i
-    L_i rho L_i^+.
+    """Static part of the Liouvillian (dim^2 x dim^2, real, on the
+    coordinates of :func:`_hermitian_basis`): the commutator superoperator
+    of h0 plus the dissipator of the channels' sqrt(g_i) L_i,
+    rho -> -i [h0, rho] + sum_i g_i (L_i rho L_i^+ - 1/2 {L_i^+ L_i, rho}).
     """
     d = model.dim
-    rates = np.array([ch.rate_angular for ch in model.channels])
-    ops = np.array([ch.operator for ch in model.channels]).reshape(-1, d, d)
-    k = -1j * model.h0 - 0.5 * np.einsum("c,cki,ckj->ij", rates, ops.conj(), ops)
-    eye = np.eye(d)
-    gen = (np.einsum("ik,jl->ijkl", k, eye) + np.einsum("ik,jl->ijkl", eye, k.conj())
-           + np.einsum("c,cik,cjl->ijkl", rates, ops, ops.conj()))
-    return gen.reshape(d * d, d * d)
+    ops = np.array([math.sqrt(ch.rate_angular) * ch.operator for ch in model.channels]).reshape(-1, d, d)
+    return _commutator_superop(model.h0) + _dissipator_superop(ops)
 
 
 # Padé-13 coefficients b_k / b_0, k = 0..13, and the 1-norm up to which the
@@ -464,10 +487,11 @@ def _expm(gens: np.ndarray, dt: float) -> np.ndarray:
 
 def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=None) -> np.ndarray:
     """States of a (B, d^2, d^2) stack of generators on one shared grid.
-    ``gens`` holds static vectorized Liouvillians (as :func:`liouvillian`
-    builds them) and ``drives`` the drives that all of them share: member b
-    evolves under gens[b] plus the drives' commutator terms from the initial
-    state rhos[b] at times[0].
+    ``gens`` holds static Liouvillians, real on the coordinates of
+    :func:`_hermitian_basis` as :func:`liouvillian` builds them (a complex
+    stack raises UsageError), and ``drives`` the drives that all of them
+    share: member b evolves under gens[b] plus the drives' commutator terms
+    from the initial state rhos[b] at times[0].
 
     ``at = (rows, members)`` picks the returned states: grid index rows[...]
     of stack member members[...], the two index arrays broadcasting
@@ -475,18 +499,16 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
     is the whole grid, (arange(T)[:, None], arange(B)[None, :]), a
     (T, B, d, d) array whose first row is ``rhos``.
 
-    The initial states are taken as already guarded; every other returned
-    state passes :func:`_guard` once.  A stack with non-finite entries
-    raises NumericalFailure before any propagator is built.  Without drives
-    the propagation is exact: the stack and the initial states are mapped
-    once to the basis of :func:`_hermitian_basis`, one batched
-    :func:`_expm` of the stack, exp(L dt), is built per distinct grid step
-    up to the last row asked for, and each step advances the whole stack
-    with einsum, which keeps these tiny products off threaded BLAS; the
-    picked states are mapped back once.  This runs in float64 when the
-    stack keeps states Hermitian, as Lindblad generators do, and the
-    initial states are Hermitian, and in complex arithmetic otherwise.
-    With drives, each distinct generator of the stack builds one table of
+    The initial states are taken as already guarded, so Hermitian; every
+    other returned state passes :func:`_guard` once.  A stack with
+    non-finite entries raises NumericalFailure before any propagator is
+    built.  Both paths run in float64: the initial states are mapped once
+    to their real coordinates, and only the picked states are mapped back.
+    Without drives the propagation is exact: one batched :func:`_expm` of
+    the stack, exp(L dt), is built per distinct grid step up to the last
+    row asked for, and each step advances the whole stack with einsum,
+    which keeps these tiny products off threaded BLAS.  With drives, each
+    distinct generator of the stack builds one table of
     :func:`_propagators`, applied to all of its initial states.
     """
     t = np.asarray(times, dtype=float)
@@ -496,7 +518,9 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
         raise UsageError("times must be finite")
     if np.any(np.diff(t) <= 0):
         raise UsageError("times must be strictly increasing")
-    gens = np.asarray(gens, dtype=complex)
+    gens = np.asarray(gens)
+    if np.iscomplexobj(gens):
+        raise UsageError("a generator stack must be real: superoperators on the coordinates of _hermitian_basis")
     dim = math.isqrt(gens.shape[-1]) if gens.ndim == 3 else 0
     if gens.ndim != 3 or gens.shape[1:] != (dim * dim, dim * dim):
         raise UsageError(f"a generator stack must have shape (B, d^2, d^2), got {gens.shape}")
@@ -516,28 +540,27 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
         raise UsageError("the grid and member indices of at do not broadcast together") from None
     if np.any((rows < 0) | (rows >= t.size)) or np.any((cols < 0) | (cols >= n)):
         raise UsageError("at must name points on the grid and members of the stack")
-    init = init.reshape(n, dim * dim)
     if not np.isfinite(gens).all():
         raise NumericalFailure("generator stack has non-finite entries")
+    basis, inverse = _hermitian_basis(dim)
+    x = (init.reshape(n, dim * dim) @ basis.T).real  # the states are Hermitian
 
     if drives:
         distinct, which = np.unique(gens, axis=0, return_inverse=True)
         tables = np.stack([_propagators(g, drives, t) for g in distinct])
-        vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], init[cols])
+        vecs = np.einsum("...ij,...j->...i", tables[which[cols], rows], x[cols])
     else:
         steps, which = np.unique(np.diff(t[:rows.max(initial=0) + 1]), return_inverse=True)
-        basis, inverse = _hermitian_basis(dim)
-        g, x = _in_hermitian_basis(gens), _real_if_close(init @ basis.T)
-        props = [_expm(g, dt) for dt in steps]
-        path = np.empty((which.size + 1, n, dim * dim), dtype=np.result_type(g, x))
+        props = [_expm(gens, dt) for dt in steps]
+        path = np.empty((which.size + 1, n, dim * dim))
         path[0] = x
         for k, j in enumerate(which, start=1):
             path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
-        vecs = path[rows, cols] @ inverse.T
+        vecs = path[rows, cols]
 
-    out = vecs.reshape(rows.shape + (dim, dim))
+    out = (vecs @ inverse.T).reshape(rows.shape + (dim, dim))
     new = rows > 0
-    out[~new] = init[cols[~new]].reshape(-1, dim, dim)
+    out[~new] = init[cols[~new]]
     if new.any():
         out[new] = _guard(out[new], t[rows[new]])
     return out
@@ -546,19 +569,23 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
 def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray) -> np.ndarray:
     """Propagators P(t_k, t_0) of the static generator ``gen`` (d^2 x d^2)
     plus the commutator terms of ``drives`` on the increasing grid ``t``, as
-    a (T, d^2, d^2) array acting on row-major vectorized states.
+    a real (T, d^2, d^2) array acting on coordinates (:func:`_hermitian_basis`).
 
     :func:`_cfm4` builds the table over one common period T of the drives,
     at the sorted residues tau = (t - t0) mod T (and at T itself if the grid
     runs past it); a time t0 + kT + tau is then P(tau) P(T)^k, with each
     distinct power taken once; before folding, a drive whose envelope does
-    not repeat after T raises UsageError.  A table that overflows raises
-    NumericalFailure.  Aperiodic drives have T = inf, so k = 0 and the table
-    runs to the last time.
+    not repeat after T raises UsageError.  A grid that reaches k = 2^52
+    periods, where tau keeps no significant bit, and a table that
+    overflows raise NumericalFailure.  Aperiodic drives have T = inf, so
+    k = 0 and the table runs to the last time.
     """
     n2 = gen.shape[0]
     period = _common_period(drives) or np.inf
     k, tau = np.divmod(t - t[0], period)
+    if k[-1] >= 2.0 ** 52:  # (t - t0) mod T has no significant bit left
+        raise NumericalFailure(f"the grid spans 2^52 or more drive periods of {period:g} ns",
+                               float(t[np.argmax(k >= 2.0 ** 52)]))
     if k[-1]:
         _require_periodic(drives, t[0], period)
     # the grid increases, so all k are 0 exactly when the last one is
@@ -566,7 +593,7 @@ def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray) -> np.
     # residues that differ only by the rounding of t - t0 are one point
     first = np.r_[True, np.diff(taus) > 1e-13 * taus[-1]]
     taus, which = taus[first], (np.cumsum(first) - 1)[which]
-    table = np.broadcast_to(np.eye(n2, dtype=complex), (taus.size, n2, n2))
+    table = np.broadcast_to(np.eye(n2), (taus.size, n2, n2))
     # a growing solution ends in the checks of _expm or below, not in
     # floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -624,24 +651,21 @@ def _cfm4(gen: np.ndarray, t_span: tuple[float, float], drives: Sequence[Drive],
     on the coarser one's points.  An offset past such a point is reached by
     one step and by two half steps from it, extrapolated the same way, so
     every offset's propagator depends on the span and on that offset alone.
-    The steps run in the basis of :func:`_hermitian_basis`, in real
-    arithmetic when the generator keeps states Hermitian.
+    The generator, the drives' commutator superoperators and so every step
+    are real, on the coordinates of :func:`_hermitian_basis`.
     """
     t0, t1 = t_span
     n2 = gen.shape[0]
-    basis, inverse = _hermitian_basis(math.isqrt(n2))
-    g = _in_hermitian_basis(gen)
     # f op + conj(f) op^+ = Re f (op + op^+) + Im f i (op - op^+)
-    ops = (basis @ np.stack([_commutator_superop(dr.operator + dr.operator.conj().T) for dr in drives]
-                            + [_commutator_superop(1j * (dr.operator - dr.operator.conj().T)) for dr in drives])
-           @ inverse).real
+    ops = np.stack([dr.operator for dr in drives])
+    ops = _commutator_superop(np.concatenate([ops + _dagger(ops), 1j * (ops - _dagger(ops))]))
 
     def steps(starts: np.ndarray, h) -> np.ndarray:
         """The CFM4 step of length h (a scalar or one per start) from each start."""
         nodes = t0 + starts[:, None] + np.multiply.outer(h, _GAUSS_NODES)
         f = np.array([[dr.envelope(x) for x in nodes.flat] for dr in drives]).reshape(len(drives), -1, 2)
         c = f @ _CFM4_WEIGHTS.T  # (drives, steps, exponent)
-        b = 0.5 * g + np.einsum("dsi,dkl->iskl", np.concatenate([c.real, c.imag]), ops)
+        b = 0.5 * gen + np.einsum("dsi,dkl->iskl", np.concatenate([c.real, c.imag]), ops)
         e = _expm((b * np.reshape(h, (-1, 1, 1))).reshape(-1, n2, n2), 1.0).reshape(b.shape)
         return e[1] @ e[0]
 
@@ -667,41 +691,7 @@ def _cfm4(gen: np.ndarray, t_span: tuple[float, float], drives: Sequence[Drive],
         one, half = np.split(steps(np.r_[start, start, start + r / 2], np.r_[r, r / 2, r / 2]), [part.size])
         two = half[part.size:] @ half[:part.size]
         out[part] = ((16.0 * two - one) / 15.0) @ out[part]
-    return inverse @ out @ basis
-
-
-@functools.cache
-def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map of row-major vectorized d x d matrices to their coordinates
-    Tr(B rho) in the Hermitian basis E_ii, E_ij + E_ji and i (E_ij - E_ji)
-    (i < j), and its inverse.  Hermitian matrices have real coordinates, so
-    a superoperator that keeps matrices Hermitian, such as every Lindblad
-    generator, is real in this basis.  The entries of both maps are 0, 1/2
-    and 1 times powers of i, so the identity maps to the identity exactly."""
-    rows = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        rows[i, i, i, i] = 1.0
-        for j in range(i + 1, d):
-            rows[i, j, i, j] = rows[i, j, j, i] = 1.0
-            rows[j, i, i, j], rows[j, i, j, i] = -1j, 1j
-    basis = rows.reshape(d * d, d * d)
-    return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
-
-
-def _in_hermitian_basis(gens: np.ndarray) -> np.ndarray:
-    """A (..., d^2, d^2) stack of superoperators in the basis of
-    :func:`_hermitian_basis`: real when the stack keeps states Hermitian,
-    as every Lindblad generator does, and complex otherwise."""
-    basis, inverse = _hermitian_basis(math.isqrt(gens.shape[-1]))
-    return _real_if_close(basis @ gens @ inverse)
-
-
-def _real_if_close(a: np.ndarray) -> np.ndarray:
-    """The real part of ``a`` when its imaginary part is within 1e-12 of its
-    largest entry, otherwise ``a`` itself."""
-    if np.abs(a.imag).max(initial=0.0) <= 1e-12 * np.abs(a).max(initial=0.0):
-        return a.real
-    return a
+    return out
 
 
 def _prefix_products(m: np.ndarray) -> np.ndarray:
@@ -780,10 +770,10 @@ def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequenc
     """Stationary states of a (B, d^2, d^2) stack of static generators, as a
     guarded (B, d, d) array: one batched SVD (a singular value below 1e-12 of
     the largest counts as zero), one batched solve with the trace row in
-    place of each generator's first row, and one residual check by
-    :func:`lindblad_rhs` from the (B, d, d) ``hamiltonians`` and shared
-    ``channels``, independent of the generators solved.  A degenerate null
-    space raises SteadyStateAmbiguityError and a residual above
+    place of each generator's first row, both in float64, and one residual
+    check by :func:`lindblad_rhs` from the (B, d, d) ``hamiltonians`` and
+    shared ``channels``, independent of the generators solved.  A degenerate
+    null space raises SteadyStateAmbiguityError and a residual above
     STEADY_STATE_RESIDUAL_TOL NumericalFailure, naming the first failing
     member as ``where(index)``.
     """
@@ -796,11 +786,8 @@ def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequenc
         raise SteadyStateAmbiguityError(int(null_dim[k]), where(k))
 
     a = np.array(gens)
-    a[:, 0, :] = np.eye(n).reshape(-1)
-    rhs = np.zeros((b, n2, 1), dtype=complex)
-    rhs[:, 0] = 1.0
-    rho = np.linalg.solve(a, rhs).reshape(b, n, n)
-    rho = 0.5 * (rho + _dagger(rho))
+    a[:, 0, :] = np.eye(n).reshape(-1)  # the coordinates of E_ii are the populations
+    rho = (np.linalg.solve(a, np.eye(n2)[:, :1])[..., 0] @ _hermitian_basis(n)[1].T).reshape(b, n, n)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
     residual = np.max(np.abs(lindblad_rhs(rho, hamiltonians, channels)), axis=(-2, -1))

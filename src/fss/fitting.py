@@ -495,6 +495,8 @@ def fft_spectrum(times_ns, values, prominence: float | None = None) -> FftSpectr
     if t.size < 32:
         raise UsageError("need at least 32 samples")
     dt = np.diff(t)
+    if not dt[0] > 0:
+        raise UsageError(f"time grid spacing must be > 0, got {dt[0]:g} ns")
     if np.max(np.abs(dt - dt[0])) > 1e-9 * max(abs(dt[0]), 1e-12):
         raise UsageError("time grid must be uniform")
     y = y - y.mean()

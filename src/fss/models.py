@@ -127,8 +127,9 @@ _TWO_LEVEL_TERMS = np.stack([_commutator_superop(SIGMA_X / 2), _commutator_super
 
 
 def two_level_generators(omega_mhz, delta_mhz, gamma1_mhz, gamma2_mhz, phase=0.0) -> np.ndarray:
-    """The vectorized Liouvillians of :func:`build_two_level` over parameter
-    arrays that broadcast together, as a (broadcast shape..., 4, 4) stack:
+    """The Liouvillians of :func:`build_two_level` (real, as
+    :func:`fss.core.liouvillian` builds them) over parameter arrays that
+    broadcast together, as a (broadcast shape..., 4, 4) stack:
     each is one contraction of its five coefficients with _TWO_LEVEL_TERMS,
     the generator being linear in them.  A non-finite input makes a
     coefficient non-finite, and is rejected as build_two_level rejects it."""

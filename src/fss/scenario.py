@@ -61,6 +61,7 @@ _TIME_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6}
 _RATE_PERNS = {"1/ns": 1.0}
 _ANGLE_DEG = {"deg": 1.0}
 _BARE = None  # dimensionless: unit token forbidden
+_MAX_COUNT = 10**6  # of an "int" key other than the seed: points, nodes or phases
 
 # Section tables: kind -> (constructor, {config key: (type, unit family,
 # constructor argument[, default])}).  A "grid" key ``x_*`` stands for
@@ -269,6 +270,8 @@ def _parse_value(key, raw, kind, family, lineno):
             raise ConfigError(f"key {key!r} must be an integer", lineno)
         if key.endswith("points") and value < 0:
             raise ConfigError(f"key {key!r} must be >= 0, got {num}", lineno)
+        if key != "seed" and value > _MAX_COUNT:
+            raise ConfigError(f"key {key!r} must be <= {_MAX_COUNT}, got {num}", lineno)
         return int(value)
     return value * factor
 

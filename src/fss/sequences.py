@@ -300,6 +300,8 @@ def rabi_q_protocol(
 
 def polarization_map_protocol(hwp_grid_deg, qwp_grid_deg) -> Protocol:
     """Stokes S3 of the drive beam over waveplate angles (no spin dynamics)."""
+    if np.size(hwp_grid_deg) == 0 or np.size(qwp_grid_deg) == 0:
+        raise UsageError("wave-plate grids must be non-empty")
     return Protocol(
         kind="polarization_map",
         params={},

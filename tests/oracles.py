@@ -1,0 +1,57 @@
+"""Oracles that share no code with ``fss``: Lindblad superoperators written
+out with Kronecker products on row-major vectorized matrices,
+vec(rho)[i d + j] = rho[i, j], where vec(A rho B) = (A (x) B^T) vec(rho),
+and the map of such a superoperator to the real coordinates that
+``fss.core`` builds its generators in."""
+
+import numpy as np
+
+
+def oracle_liouvillian(h, channels_angular):
+    """rho -> -i [h, rho] + sum of the dissipators of (rate, operator) pairs."""
+    return oracle_commutator(h) + oracle_dissipator(channels_angular, h.shape[0])
+
+
+def oracle_commutator(h):
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def oracle_dissipator(channels_angular, dim):
+    eye = np.eye(dim)
+    D = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for rate, op in channels_angular:
+        ldl = op.conj().T @ op
+        D += rate * (
+            np.kron(op, op.conj())
+            - 0.5 * np.kron(ldl, eye)
+            - 0.5 * np.kron(eye, ldl.T)
+        )
+    return D
+
+
+def model_liouvillian(model):
+    """oracle_liouvillian of a LindbladModel's static Hamiltonian and channels."""
+    return oracle_liouvillian(model.h0, [(c.rate_angular, c.operator) for c in model.channels])
+
+
+def coordinate_map(dim):
+    """The matrix M with M vec(rho) the coordinates of rho: rho_ii at
+    position (i, i), rho_ij + rho_ji = 2 Re rho_ij at (i, j) and
+    i (rho_ji - rho_ij) = 2 Im rho_ij at (j, i), for i < j."""
+    m = np.zeros((dim, dim, dim, dim), dtype=complex)  # (coordinate a, b; entry k, l)
+    for i in range(dim):
+        m[i, i, i, i] = 1.0
+        for j in range(i + 1, dim):
+            m[i, j, i, j] = m[i, j, j, i] = 1.0
+            m[j, i, j, i], m[j, i, i, j] = 1j, -1j
+    return m.reshape(dim * dim, dim * dim)
+
+
+def to_coordinates(superop):
+    """A row-major superoperator that keeps matrices Hermitian, as the real
+    matrix acting on coordinates (see coordinate_map)."""
+    m = coordinate_map(int(round(np.sqrt(superop.shape[-1]))))
+    out = m @ superop @ np.linalg.inv(m)
+    assert np.abs(out.imag).max() <= 1e-12 * max(1.0, np.abs(out).max())
+    return out.real

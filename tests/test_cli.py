@@ -167,6 +167,22 @@ class TestValidate:
         bad = SMALL_SCENARIO.replace("tau_points = 21", "tau_points = -3")
         self._rejected_at(bad, "tau_points", tmp_path)
 
+    @pytest.mark.parametrize("count", ["1e300", "1000001"])
+    @pytest.mark.parametrize("key", ["t_points", "mod_phases"])
+    def test_huge_count_rejected_at_parse_time(self, key, count, tmp_path):
+        # a count parses before any grid is built, so this allocates nothing
+        text = (resources.files("fss") / "scenarios" / "fig5cd.scenario").read_text(encoding="utf-8")
+        text = text.replace("mod_mode = refocus", "mod_mode = refocus\nmod_phases = 2")
+        parse_scenario(text + f"seed = {count}\n")  # a seed is not a count
+        parse_scenario(text)
+        self._rejected_at(text.replace(f"{key} = ", f"{key} = {count} #"), key, tmp_path)
+
+    @pytest.mark.parametrize("key", ["hwp_points", "qwp_points"])
+    def test_empty_wave_plate_grid_rejected(self, key, tmp_path):
+        text = "[scenario]\nname = m\n" + _block(MAP_SCENARIO, "[protocol map]")
+        parse_scenario(text)
+        self._rejected_at(text.replace(f"{key} = 3", f"{key} = 0"), "[protocol", tmp_path)
+
     def test_esr_zero_probe_time_rejected(self, tmp_path):
         bad = ESR_SCENARIO.replace("tau = 8 ns", "tau = 0 ns")
         parse_scenario(ESR_SCENARIO)
@@ -311,6 +327,18 @@ class TestSimulate:
         rows = [l for l in (out / "smoke_trace.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert rows == ["tau_ns,signal"]
+
+    @pytest.mark.parametrize("old,new,code", [("t_stop = 640 ns", "t_stop = 1e300 ns", 4),
+                                              ("mod_freq = 47.4 MHz", "mod_freq = 1e300 MHz", 4),
+                                              ("t_stop = 640 ns", "t_stop = 0 ns", 2)],
+                             ids=["span-of-2^52-periods", "period-of-1e-297-ns", "zero-span-fft"])
+    def test_fig5cd_degenerate_time_axis_fails_cleanly(self, old, new, code, tmp_path, capsys):
+        text = (resources.files("fss") / "scenarios" / "fig5cd.scenario").read_text(encoding="utf-8")
+        path = tmp_path / "fig5cd.scenario"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert run(["validate", path]) == 0
+        assert run(["simulate", path, "--out", tmp_path / "out"]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_empty_spin_pumping_header_only(self, tmp_path):
         path = tmp_path / "pump.scenario"

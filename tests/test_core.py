@@ -25,35 +25,14 @@ from fss.core import (
 )
 from fss.errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from fss.units import mhz_to_angular
+from oracles import model_liouvillian, oracle_commutator, oracle_dissipator, oracle_liouvillian, to_coordinates
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-# --- independent matrix-exponential oracle (row-major vec conventions written
-# out directly; shares no code with fss.core) ---------------------------------
-
-def _oracle_liouvillian(h, channels_angular):
-    return _oracle_commutator(h) + _oracle_dissipator(channels_angular, h.shape[0])
-
-
-def _oracle_commutator(h):
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
-def _oracle_dissipator(channels_angular, dim):
-    eye = np.eye(dim)
-    D = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for rate, op in channels_angular:
-        ldl = op.conj().T @ op
-        D += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(ldl, eye)
-            - 0.5 * np.kron(eye, ldl.T)
-        )
-    return D
-
+# --- independent matrix-exponential oracle (the row-major superoperators of
+# tests/oracles.py; shares no code with fss.core) ------------------------------
 
 def expm_stepping_oracle(model, rho0, t_final, dt):
     """Propagate by matrix exponentials over piecewise-constant slices,
@@ -61,18 +40,18 @@ def expm_stepping_oracle(model, rho0, t_final, dt):
     from scipy.linalg import expm
 
     channels = [(c.rate_angular, c.operator) for c in model.channels]
-    dissipator = _oracle_dissipator(channels, model.dim)  # time-independent: built once
+    dissipator = oracle_dissipator(channels, model.dim)  # time-independent: built once
     vec = rho0.matrix.reshape(-1).astype(complex)
     n = int(round(t_final / dt))
     cache = {}
     for k in range(n):
         t_mid = (k + 0.5) * dt
         if model.time_dependent:
-            L = _oracle_commutator(model.hamiltonian(t_mid)) + dissipator
+            L = oracle_commutator(model.hamiltonian(t_mid)) + dissipator
             step = expm(L * dt)
         else:
             if "static" not in cache:
-                cache["static"] = expm(_oracle_liouvillian(model.h0, channels) * dt)
+                cache["static"] = expm(oracle_liouvillian(model.h0, channels) * dt)
             step = cache["static"]
         vec = step @ vec
     return vec.reshape(model.dim, model.dim)
@@ -510,31 +489,25 @@ class TestExactPropagation:
         from scipy.linalg import expm
 
         seen = self._spy_expm(monkeypatch)
-        gens = np.stack([liouvillian(self._two_level(d)) for d in (-40.0, 0.0, 75.0)])
+        models = [self._two_level(d) for d in (-40.0, 0.0, 75.0)]
         rho0 = DensityMatrix.from_populations([0.2, 0.8]).matrix
         t = np.array([0.0, 0.5, 1.0, 2.5])
-        states = _propagate(gens, [rho0] * 3, t)
+        states = _propagate(np.stack([liouvillian(m) for m in models]), [rho0] * 3, t)
         assert [(g.dtype, out.dtype) for g, _, out in seen] == [(np.float64, np.float64)] * 2  # steps 0.5, 1.5
         for k, tk in enumerate(t):
-            for b, gen in enumerate(gens):
-                ref = (expm(gen * tk) @ rho0.reshape(4)).reshape(2, 2)
+            for b, model in enumerate(models):
+                ref = (expm(model_liouvillian(model) * tk) @ rho0.reshape(4)).reshape(2, 2)
                 assert np.max(np.abs(states[k, b] - ref)) <= 1e-12
 
-    def test_stack_that_breaks_hermiticity_stays_complex(self, monkeypatch):
-        from scipy.linalg import expm
-
-        seen = self._spy_expm(monkeypatch)
-        rng = np.random.default_rng(5)
-        # -i [A, rho] with A not Hermitian: it keeps no state Hermitian, but
-        # the maximally mixed state commutes with A and stays put
-        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-        states = _propagate(np.stack([_commutator_superop(m) for m in a]), [np.eye(2) / 2] * 3, [0.0, 0.4, 1.0])
-        assert seen and all(g.dtype == out.dtype == complex for g, _, out in seen)
-        for g, dt, out in seen:
-            for m, e in zip(g, out):
-                ref = expm(m * dt)
-                assert np.abs(e - ref).sum(axis=0).max() <= 1e-12 * max(1.0, np.abs(ref).sum(axis=0).max())
-        assert np.max(np.abs(states - np.eye(2) / 2)) <= 1e-12
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_complex_stack_is_a_usage_error(self, monkeypatch, driven):
+        # generators are real on coordinates; a complex stack is not one,
+        # even with a zero imaginary part, and fails before any propagator
+        monkeypatch.setattr(core, "_expm", None)  # any exponential would raise TypeError
+        gens = np.stack([liouvillian(self._two_level(5.0))] * 2).astype(complex)
+        drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
+        with pytest.raises(UsageError, match="must be real"):
+            _propagate(gens, [np.eye(2) / 2] * 2, [0.0, 0.4, 1.0], drives)
 
     def test_static_pumping_against_direct_expm(self):
         # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points
@@ -552,7 +525,7 @@ class TestExactPropagation:
         rho0 = DensityMatrix.pure(4, 0)
         t = np.linspace(0.0, 1200.0, 201)
         traj = evolve(model, rho0, t)
-        L = _oracle_liouvillian(model.h0, [(c.rate_angular, c.operator) for c in model.channels])
+        L = model_liouvillian(model)
         vec0 = rho0.matrix.reshape(-1)
         for tk, state in zip(t, traj.states):
             oracle = (expm(L * tk) @ vec0).reshape(4, 4)
@@ -582,10 +555,11 @@ class TestExactPropagation:
             _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6), drives)
 
     def test_huge_oscillating_generator_entry_fails_fast(self):
-        # an entry of 1e300j: no table can resolve it, and building one must
-        # end in a NumericalFailure, not in an unbounded step search
+        # an antisymmetric pair of +-1e300 rotates two coordinates at 1e300
+        # rad/ns: no table can resolve it, and building one must end in a
+        # NumericalFailure, not in an unbounded step search
         gens = np.stack([liouvillian(self._two_level(5.0))] * 2)
-        gens[1, 0, 0] = 1e300j
+        gens[1, 1, 2], gens[1, 2, 1] = 1e300, -1e300
         with pytest.raises(NumericalFailure):
             _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6),
                        (Drive(lambda t: 0.3, SX / 2, 2.0),))
@@ -775,9 +749,10 @@ def _random_model(seed: int, dim: int, channels: int) -> LindbladModel:
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_liouvillian_matches_kron_oracle(seed, dim, channels):
     model = _random_model(seed, dim, channels)
-    oracle = _oracle_liouvillian(model.h0, [(c.rate_angular, c.operator) for c in model.channels])
-    assert np.max(np.abs(liouvillian(model) - oracle)) <= 1e-13
-    assert np.array_equal(_commutator_superop(model.h0), _oracle_liouvillian(model.h0, []))
+    gen = liouvillian(model)
+    assert gen.dtype == np.float64
+    assert np.max(np.abs(gen - to_coordinates(model_liouvillian(model)))) <= 1e-13
+    assert np.max(np.abs(_commutator_superop(model.h0) - to_coordinates(oracle_commutator(model.h0)))) <= 1e-13
 
 
 class TestBatchedSteadyStates:

@@ -381,6 +381,11 @@ class TestSpectra:
         with pytest.raises(UsageError):
             fft_spectrum(t, np.zeros(t.size))
 
+    @pytest.mark.parametrize("step", [0.0, -1.0])
+    def test_grid_without_positive_spacing_rejected(self, step):
+        with pytest.raises(UsageError, match="spacing must be > 0"):
+            fft_spectrum(step * np.arange(64), np.zeros(64))
+
     def test_too_short_rejected(self):
         with pytest.raises(UsageError):
             fft_spectrum(np.arange(16), np.zeros(16))

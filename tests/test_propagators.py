@@ -22,7 +22,8 @@ from fss.core import (
     evolve,
     liouvillian,
 )
-from fss.errors import UsageError
+from fss.errors import NumericalFailure, UsageError
+from oracles import coordinate_map
 
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
 
@@ -202,6 +203,16 @@ def test_a_drive_that_does_not_repeat_after_its_period_is_rejected(stretch):
     evolve(wrong, rho0, [0.0, 0.5 * wrong.period_ns])
 
 
+def test_a_grid_of_2_to_the_52_periods_is_a_numerical_failure():
+    # from 2^52 periods on, (t - t0) mod T keeps no significant bit
+    model = _random_model(13, 2)
+    t = np.array([0.0, 1.0, 2.0 ** 52 * model.period_ns])
+    with pytest.raises(NumericalFailure, match="2\\^52") as err:
+        _propagators(liouvillian(model), model.drives, t)
+    assert err.value.time_ns == t[-1]
+    _propagators(liouvillian(model), model.drives, t / 2)
+
+
 def test_a_periodic_drive_passes_the_period_check_late_in_time():
     model = _random_model(13, 2)
     rho0 = DensityMatrix(_random_state(np.random.default_rng(13), 2))
@@ -218,7 +229,8 @@ def test_unguarded_states_keep_trace_and_positivity(seed, dim, periods):
     t = _grid(rng, 0.0, periods * model.period_ns, 8)
     table = _propagators(liouvillian(model), model.drives, t)
     assert np.array_equal(table[0], np.eye(dim * dim))
-    states = (table @ rho0.reshape(-1)).reshape(-1, dim, dim)
+    m = coordinate_map(dim)
+    states = (np.linalg.inv(m) @ table @ m @ rho0.reshape(-1)).reshape(-1, dim, dim)
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-9
     assert np.max(np.abs(states - states.conj().swapaxes(1, 2))) <= 1e-9
     hermitian = 0.5 * (states + states.conj().swapaxes(1, 2))

@@ -32,6 +32,7 @@ from fss.sequences import (
     t1_protocol,
 )
 from fss.units import mhz_to_angular, rate_mhz_from_lifetime
+from oracles import model_liouvillian
 
 IDEAL = dict(ideal_pulses=True)
 
@@ -676,8 +677,8 @@ class TestShotExecutor:
                                 area = (mhz_to_angular(seg.mod_amp_mhz) / f
                                         * (math.sin(f * tau + seg.phase) - math.sin(seg.phase)))
                                 delta += area / tau / mhz_to_angular(1.0)
-                            gen = liouvillian(models.build_two_level(0.0, delta, physics.gamma1_mhz,
-                                                                     physics.gamma2_mhz))
+                            gen = model_liouvillian(models.build_two_level(0.0, delta, physics.gamma1_mhz,
+                                                                           physics.gamma2_mhz))
                             rho = (expm(gen * tau) @ rho.reshape(4)).reshape(2, 2)
                         else:  # readout of |down>
                             row.append(rho[0, 0].real)
@@ -855,7 +856,7 @@ def test_finite_pulse_serrodyne_ramsey_matches_per_shot_oracle(monkeypatch):
     simulate_protocol(prot, physics, EnsembleSpec(t2star_ns=30.0, nodes=9), ideal_pulses=False)
     (got,) = seen
 
-    dissipator = liouvillian(models.build_two_level(0.0, 0.0, physics.gamma1_mhz, physics.gamma2_mhz))
+    dissipator = model_liouvillian(models.build_two_level(0.0, 0.0, physics.gamma1_mhz, physics.gamma2_mhz))
     eye = np.eye(2)
 
     def step(rho, omega_mhz, delta_mhz, phase, duration_ns):
