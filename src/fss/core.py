@@ -7,9 +7,9 @@ The master equation solved here is
 with hbar = 1, H in angular rad/ns and channel rates g_i in rad/ns.  Public
 rates are quoted as rate/2pi in MHz (see :mod:`fss.units`).
 
-Generators have one form, built once: real d^2 x d^2 superoperators on the
-coordinates of a basis of Hermitian matrices (``_hermitian_basis``), in
-which Lindblad generators and density matrices are real.  ``liouvillian``
+Generators and states have one form each, real on the coordinates of a
+basis of Hermitian matrices (``_hermitian_basis``): d^2 x d^2 superoperators,
+built once, and d^2 vectors with populations x[..., ::d + 1].  ``liouvillian``
 is the sum of ``_commutator_superop`` and ``_dissipator_superop``, and
 models that differ by one Hamiltonian term x V, such as ensemble nodes or
 CPT probe frequencies, are one stack L(0) + x C(V), C(V) the commutator
@@ -17,16 +17,15 @@ superoperator of V.
 
 There is one propagation function, ``_propagate``, and one input form: a
 (B, d^2, d^2) stack of generators plus the drives that all of its members
-share.  It advances a (B, d, d) stack of initial states over a shared grid
+share.  It advances a (B, d^2) stack of initial states over a shared grid
 and returns the states at (grid index, member) pairs, by default all of
-them as one (T, B, d, d) array; ``evolve`` (a one-member stack), the
+them as one (T, B, d^2) array; ``evolve`` (a one-member stack), the
 pulse-sequence executor of :mod:`fss.sequences`, spin pumping and the drive
-calibration of :mod:`fss.models` go through it, in float64 on the states'
-coordinates.  Without drives the generator L is constant, and the
-evolution is exact: one exponential exp(L dt) of the whole stack per
-distinct step of the grid, ``_expm`` (Padé-13 scaling and squaring, Higham,
-SIAM J. Matrix Anal. Appl. 26, 1179, 2005, with one scaling for the
-stack), applied step by step.
+calibration of :mod:`fss.models` go through it, in float64.  Without drives
+the generator L is constant, and the evolution is exact: one exponential
+exp(L dt) of the whole stack per distinct step of the grid, ``_expm``
+(Padé-13 scaling and squaring, Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+2005, with one scaling for the stack), applied step by step.
 
 With drives, each distinct generator of the stack goes through one table of
 propagators, ``_propagators``, which ``_propagate`` applies to every initial
@@ -44,14 +43,14 @@ Lindblad generator, so every step is completely positive and trace
 preserving.
 
 Every state the package produces passes one positivity guard, ``_guard``,
-exactly once, as part of a stack: eigenvalues in [EIGENVALUE_FLOOR, 0) =
-[-1e-8, 0) are clamped to zero with the trace renormalized, anything more
-negative is a numerical failure.  Only the states it clamps are
-diagonalized; the others need only their lowest eigenvalue.  Exact states
-stay within about -1e-14 of zero and states of models with drives within
-about -4e-14 (see _CFM4_TOL).
-``DensityMatrix`` is that guard applied to one matrix; propagated states
-are wrapped without a second check.
+exactly once, as part of a stack of coordinates: eigenvalues in
+[EIGENVALUE_FLOOR, 0) = [-1e-8, 0) are clamped to zero with the trace
+renormalized, anything more negative is a numerical failure.  Only the
+states it clamps are diagonalized; the others need only their lowest
+eigenvalue.  Exact states stay within about -1e-14 of zero and states of
+models with drives within about -4e-14 (see _CFM4_TOL).  ``DensityMatrix``
+checks states from outside, and ``evolve`` and ``steady_state`` return d x d
+matrices (``_matrices``); propagated states are not checked twice.
 
 Steady states have one path too, ``_steady_states``, batched over a stack
 of generators and solved in float64; ``steady_state`` is its one-model case.
@@ -69,6 +68,8 @@ import numpy as np
 from .errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from .units import mhz_to_angular
 
+# Checks only outside input (DensityMatrix, Hamiltonians, observables); inner
+# states are coordinates, and were within |rho - rho^+| <= 1.2e-16 as matrices.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
@@ -98,38 +99,34 @@ def _require_finite_fields(record) -> None:
         raise UsageError(f"{type(record).__name__}.{', '.join(bad)} must be finite")
 
 
-def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """The conjugate transpose of ``m``, which must lie within ``tol`` of ``m``."""
-    dag = _dagger(m)
-    dev = np.max(np.abs(m - dag), initial=0.0)
+def _require_hermitian(m: np.ndarray, what: str, tol: float = HERMITICITY_TOL) -> None:
+    """Raise UsageError unless ``m`` lies within ``tol`` of its conjugate transpose."""
+    dev = np.max(np.abs(m - _dagger(m)), initial=0.0)
     if dev > tol:
         raise UsageError(f"{what} is not Hermitian (max deviation {dev:.3e})")
-    return dag
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _guard(rhos, times=None) -> np.ndarray:
-    """The one validation of states: a stack (..., d, d) in one pass.
+def _guard(x, times=None) -> np.ndarray:
+    """The one validation of states: a stack (..., d^2) of coordinates in one pass.
 
-    Returns the stack Hermitian-symmetrized, with eigenvalues in
-    [EIGENVALUE_FLOOR, 0) clamped to zero and the trace renormalized.
-    Non-finite entries, a trace off by more than TRACE_TOL and an eigenvalue
-    below EIGENVALUE_FLOOR raise
-    NumericalFailure carrying the time of the first state that fails
-    (``times`` broadcasts against the stack's leading shape); a non-Hermitian
-    state raises UsageError.
+    Returns the stack with eigenvalues in [EIGENVALUE_FLOOR, 0) clamped to
+    zero and the trace (the sum of the populations) renormalized.  Non-finite
+    entries, a trace off by more than TRACE_TOL and an eigenvalue below
+    EIGENVALUE_FLOOR raise NumericalFailure carrying the time of the first
+    state that fails (``times`` broadcasts against the stack's leading shape).
 
     Only the states whose lowest eigenvalue (:func:`_lowest_eigenvalues`)
-    is below zero are rebuilt.  A clamped 2 x 2 state [[a, b], [b*, c]] is
-    the projector onto its upper eigenvector, [[r + h, b], [b*, r - h]] / 2r
-    with h = (a - c)/2 and r = hypot(h, |b|), exactly Hermitian and with
-    trace 1 to rounding; a larger one goes through ``eigh`` and is rebuilt
-    from its eigenvectors and clipped eigenvalues.
+    is below zero are rebuilt.  A clamped 2 x 2 state (a, 2 Re b, 2 Im b, c)
+    of [[a, b], [b*, c]] is the projector onto its upper eigenvector,
+    (r + h, 2 Re b, 2 Im b, r - h) / 2r with h = (a - c)/2 and
+    r = hypot(h, |b|); a larger one is rebuilt from ``eigh`` of its matrix,
+    with the eigenvalues clipped.
     """
-    m = np.asarray(rhos, dtype=complex)
+    d = math.isqrt(x.shape[-1])
 
     def check(bad: np.ndarray, message: str, values: np.ndarray | None = None):
         if np.any(bad):
@@ -137,46 +134,42 @@ def _guard(rhos, times=None) -> np.ndarray:
             t = None if times is None else float(np.broadcast_to(times, bad.shape).flat[k])
             raise NumericalFailure(message.format(None if values is None else values.flat[k]), t)
 
-    check(~np.isfinite(m).all(axis=(-2, -1)), "density matrix has non-finite entries")
-    m = 0.5 * (m + _require_hermitian(m, "density matrix"))
-    off = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    check(~np.isfinite(x).all(axis=-1), "density matrix has non-finite entries")
+    off = np.abs(x[..., ::d + 1].sum(axis=-1) - 1.0)
     check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
-    low = _lowest_eigenvalues(m)
+    low = _lowest_eigenvalues(x)
     check(low < EIGENVALUE_FLOOR, "density matrix has negative eigenvalue {:.3e}", low)
     neg = low < 0.0
     if not np.any(neg):
-        return m
-    if m.shape[-1] == 2:
-        p = m[neg]
-        h = 0.5 * (p[:, 0, 0].real - p[:, 1, 1].real)
-        r = np.hypot(h, np.abs(p[:, 0, 1]))
-        p[:, 0, 0], p[:, 1, 1] = (r + h) / (2 * r), (r - h) / (2 * r)
-        p[:, 0, 1] /= 2 * r
-        p[:, 1, 0] = p[:, 0, 1].conj()
-        m[neg] = p
+        return x
+    x, p = x.copy(), x[neg]
+    if d == 2:
+        h = 0.5 * (p[:, 0] - p[:, 3])
+        r = np.hypot(h, 0.5 * np.hypot(p[:, 1], p[:, 2]))
+        x[neg] = np.column_stack([r + h, p[:, 1], p[:, 2], r - h]) / (2 * r)[:, None]
     else:
-        evals, vecs = np.linalg.eigh(m[neg])
-        clamped = (vecs * np.clip(evals, 0.0, None)[..., None, :]) @ _dagger(vecs)
-        m[neg] = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[:, None, None]
-    return m
+        evals, vecs = np.linalg.eigh(_matrices(p))
+        clamped = _coords((vecs * np.clip(evals, 0.0, None)[..., None, :]) @ _dagger(vecs))
+        x[neg] = clamped / clamped[:, ::d + 1].sum(axis=-1, keepdims=True)
+    return x
 
 
-def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each matrix of a Hermitian (..., d, d) stack: for
-    d = 2 the closed form (a + c)/2 - hypot((a - c)/2, |b|) of
-    [[a, b], [b*, c]], otherwise ``eigvalsh``."""
-    if m.shape[-1] == 2:
-        a, c = m[..., 0, 0].real, m[..., 1, 1].real
-        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), np.abs(m[..., 0, 1]))
-    return np.linalg.eigvalsh(m)[..., 0]  # ascending
+def _lowest_eigenvalues(x: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each state of a (..., d^2) stack of coordinates:
+    for d = 2 the closed form (a + c)/2 - hypot((a - c)/2, |b|) of the
+    state (a, 2 Re b, 2 Im b, c), otherwise ``eigvalsh`` of the matrices."""
+    if x.shape[-1] == 4:
+        a, c = x[..., 0], x[..., 3]
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), 0.5 * np.hypot(x[..., 1], x[..., 2]))
+    return np.linalg.eigvalsh(_matrices(x))[..., 0]  # ascending
 
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of a 2-4 level system.
 
-    Small negative eigenvalues (down to EIGENVALUE_FLOOR) are clamped to zero
-    with the trace renormalized; anything below the floor is a numerical
-    failure (see :func:`_guard`, which every state of the package passes once).
+    Non-finite entries are a numerical failure, a non-Hermitian matrix a
+    usage error; eigenvalues in [EIGENVALUE_FLOOR, 0) are clamped to zero
+    with the trace renormalized, lower ones fail (see :func:`_guard`).
     """
 
     __slots__ = ("matrix", "dim")
@@ -186,7 +179,10 @@ class DensityMatrix:
         dim = _require_square(m, "density matrix")
         if not 2 <= dim <= 4:
             raise UsageError(f"supported level counts are 2-4, got {dim}")
-        m = _guard(m)
+        if not np.isfinite(m).all():  # before m - m^+, which would warn on inf - inf
+            raise NumericalFailure("density matrix has non-finite entries")
+        _require_hermitian(m, "density matrix")
+        m = _matrices(_guard(_coords(m)))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", dim)
@@ -416,6 +412,17 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     return basis, basis.conj().T / (basis * basis.conj()).real.sum(axis=1)
 
 
+def _coords(m: np.ndarray) -> np.ndarray:
+    """Real (..., d^2) coordinates of the Hermitian parts of (..., d, d) matrices."""
+    return (m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)) @ _hermitian_basis(m.shape[-1])[0].T).real
+
+
+def _matrices(x: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (..., d, d) matrices of real (..., d^2) coordinates."""
+    d = math.isqrt(x.shape[-1])
+    return (x @ _hermitian_basis(d)[1].T).reshape(x.shape[:-1] + (d, d))
+
+
 def _commutator_superop(op: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> -i [op, rho] for a Hermitian op, or one per
     matrix of a (..., d, d) stack of them."""
@@ -485,25 +492,24 @@ def _expm(gens: np.ndarray, dt: float) -> np.ndarray:
     return r
 
 
-def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=None) -> np.ndarray:
+def _propagate(gens: np.ndarray, states, times, drives: Sequence[Drive] = (), at=None) -> np.ndarray:
     """States of a (B, d^2, d^2) stack of generators on one shared grid.
     ``gens`` holds static Liouvillians, real on the coordinates of
     :func:`_hermitian_basis` as :func:`liouvillian` builds them (a complex
     stack raises UsageError), and ``drives`` the drives that all of them
     share: member b evolves under gens[b] plus the drives' commutator terms
-    from the initial state rhos[b] at times[0].
+    from the initial coordinates states[b] at times[0].
 
     ``at = (rows, members)`` picks the returned states: grid index rows[...]
     of stack member members[...], the two index arrays broadcasting
-    together.  The result has their broadcast shape plus (d, d); the default
-    is the whole grid, (arange(T)[:, None], arange(B)[None, :]), a
-    (T, B, d, d) array whose first row is ``rhos``.
+    together.  The result has their broadcast shape plus (d^2,); the
+    default is the whole grid, (arange(T)[:, None], arange(B)[None, :]), a
+    (T, B, d^2) array whose first row is ``states``.
 
-    The initial states are taken as already guarded, so Hermitian; every
-    other returned state passes :func:`_guard` once.  A stack with
-    non-finite entries raises NumericalFailure before any propagator is
-    built.  Both paths run in float64: the initial states are mapped once
-    to their real coordinates, and only the picked states are mapped back.
+    The initial states are taken as already guarded; every other returned
+    state passes :func:`_guard` once.  A stack with non-finite entries
+    raises NumericalFailure before any propagator is built.  Both paths run
+    in float64.
     Without drives the propagation is exact: one batched :func:`_expm` of
     the stack, exp(L dt), is built per distinct grid step up to the last
     row asked for, and each step advances the whole stack with einsum,
@@ -525,13 +531,11 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
     if gens.ndim != 3 or gens.shape[1:] != (dim * dim, dim * dim):
         raise UsageError(f"a generator stack must have shape (B, d^2, d^2), got {gens.shape}")
     n = len(gens)
-    if len(rhos) != n:
-        raise UsageError("need one initial state per generator")
     try:
-        init = np.asarray(rhos, dtype=complex)
-    except (TypeError, ValueError):  # a ragged list, or not matrices
-        init = None
-    if init is None or init.shape != (n, dim, dim) or any(dr.operator.shape != (dim, dim) for dr in drives):
+        x = np.asarray(states, dtype=float)
+    except (TypeError, ValueError):  # a ragged list, or not coordinates
+        x = None
+    if x is None or x.shape != (n, dim * dim) or any(dr.operator.shape != (dim, dim) for dr in drives):
         raise UsageError("initial state or drive dimension does not match the generators")
     rows, cols = (np.arange(t.size)[:, None], np.arange(n)[None, :]) if at is None else at
     try:
@@ -542,8 +546,6 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
         raise UsageError("at must name points on the grid and members of the stack")
     if not np.isfinite(gens).all():
         raise NumericalFailure("generator stack has non-finite entries")
-    basis, inverse = _hermitian_basis(dim)
-    x = (init.reshape(n, dim * dim) @ basis.T).real  # the states are Hermitian
 
     if drives:
         distinct, which = np.unique(gens, axis=0, return_inverse=True)
@@ -558,12 +560,9 @@ def _propagate(gens: np.ndarray, rhos, times, drives: Sequence[Drive] = (), at=N
             path[k] = np.einsum("bij,bj->bi", props[j], path[k - 1])
         vecs = path[rows, cols]
 
-    out = (vecs @ inverse.T).reshape(rows.shape + (dim, dim))
     new = rows > 0
-    out[~new] = init[cols[~new]]
-    if new.any():
-        out[new] = _guard(out[new], t[rows[new]])
-    return out
+    vecs[new] = _guard(vecs[new], t[rows[new]])
+    return vecs
 
 
 def _propagators(gen: np.ndarray, drives: Sequence[Drive], t: np.ndarray) -> np.ndarray:
@@ -729,9 +728,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, times: Sequence[float]) ->
     guard once.  Deterministic for fixed inputs.
     """
     t = np.asarray(times, dtype=float)
-    states = _propagate(liouvillian(model)[None], [rho0.matrix], t, model.drives)
+    states = _matrices(_propagate(liouvillian(model)[None], _coords(rho0.matrix)[None], t, model.drives)[1:, 0])
     states.setflags(write=False)
-    return Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states[1:, 0])))
+    return Trajectory(times=t, states=(rho0,) + tuple(map(DensityMatrix._guarded, states)))
 
 
 def expectation(rho, observable: np.ndarray) -> float:
@@ -760,7 +759,7 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     if model.time_dependent:
         raise UsageError("steady_state requires a time-independent Hamiltonian")
     model.slowest_rate_angular()  # raises if there is no dissipative channel
-    rho = _steady_states(liouvillian(model)[None], model.h0[None], model.channels)[0]
+    rho = _matrices(_steady_states(liouvillian(model)[None], model.h0[None], model.channels)[0])
     rho.setflags(write=False)
     return DensityMatrix._guarded(rho)
 
@@ -768,16 +767,16 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
 def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequence[CollapseChannel],
                    where: Callable[[int], str] = "batch index {}".format) -> np.ndarray:
     """Stationary states of a (B, d^2, d^2) stack of static generators, as a
-    guarded (B, d, d) array: one batched SVD (a singular value below 1e-12 of
-    the largest counts as zero), one batched solve with the trace row in
-    place of each generator's first row, both in float64, and one residual
-    check by :func:`lindblad_rhs` from the (B, d, d) ``hamiltonians`` and
-    shared ``channels``, independent of the generators solved.  A degenerate
-    null space raises SteadyStateAmbiguityError and a residual above
-    STEADY_STATE_RESIDUAL_TOL NumericalFailure, naming the first failing
-    member as ``where(index)``.
+    guarded (B, d^2) array of coordinates: one batched SVD (a singular value
+    below 1e-12 of the largest counts as zero), one batched solve with the
+    trace row in place of each generator's first row, both in float64, and
+    one residual check by :func:`lindblad_rhs` of their matrices, from the
+    (B, d, d) ``hamiltonians`` and shared ``channels``, independent of the
+    generators solved.  A degenerate null space raises
+    SteadyStateAmbiguityError and a residual above STEADY_STATE_RESIDUAL_TOL
+    NumericalFailure, naming the first failing member as ``where(index)``.
     """
-    b, n2 = gens.shape[:2]
+    n2 = gens.shape[1]
     n = math.isqrt(n2)
     sv = np.linalg.svd(gens, compute_uv=False)
     null_dim = np.sum(sv < 1e-12 * sv[:, :1], axis=1)
@@ -787,11 +786,11 @@ def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequenc
 
     a = np.array(gens)
     a[:, 0, :] = np.eye(n).reshape(-1)  # the coordinates of E_ii are the populations
-    rho = (np.linalg.solve(a, np.eye(n2)[:, :1])[..., 0] @ _hermitian_basis(n)[1].T).reshape(b, n, n)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    x = np.linalg.solve(a, np.eye(n2)[:, :1])[..., 0]
+    x /= x[:, ::n + 1].sum(axis=1, keepdims=True)
 
-    residual = np.max(np.abs(lindblad_rhs(rho, hamiltonians, channels)), axis=(-2, -1))
+    residual = np.max(np.abs(lindblad_rhs(_matrices(x), hamiltonians, channels)), axis=(-2, -1))
     if np.any(residual > STEADY_STATE_RESIDUAL_TOL):
         k = int(np.argmax(residual > STEADY_STATE_RESIDUAL_TOL))
         raise NumericalFailure(f"steady-state residual {residual[k]:.3e} exceeds tolerance at {where(k)}")
-    return _guard(rho)
+    return _guard(x)

@@ -24,10 +24,10 @@ import numpy as np
 
 from .core import (
     CollapseChannel,
-    DensityMatrix,
     Drive,
     LindbladModel,
     _commutator_superop,
+    _coords,
     _dissipator_superop,
     _propagate,
     _require_finite_fields,
@@ -218,7 +218,7 @@ def cpt_spectrum(p: CptParams, omega_grid_ghz) -> np.ndarray:
     delta2 = ghz_to_angular(grid - p.omega_e0_ghz)[:, None, None]
     rhos = _steady_states(liouvillian(model) + delta2 * _commutator_superop(up), model.h0 + delta2 * up,
                           model.channels, lambda k: f"probe frequency {grid[k]:g} GHz")
-    return (1.0 / p.trion_lifetime_ns) * rhos[:, 2, 2].real
+    return (1.0 / p.trion_lifetime_ns) * rhos[:, ::4][:, 2]  # rho_ee, a population coordinate
 
 
 # --- four-level Faraday model -------------------------------------------------
@@ -414,7 +414,7 @@ def calibrate_faraday_drive(
 
     rf = p.omega_e_ghz + stark_ghz(w_env)
     coherent = replace(p, gamma1_mhz=0.0, bigGamma1_mhz=0.0, bigGamma2_mhz=0.0)
-    rho0 = DensityMatrix.pure(4, 1).matrix
+    rho0 = _coords(np.diag([0.0, 1.0, 0.0, 0.0]))  # |up><up|
     t_pi = 1e3 / (2 * omega_target_mhz)
     flip = faraday_flip_projector(p).diagonal().real
 
@@ -426,9 +426,9 @@ def calibrate_faraday_drive(
         offsets = (np.arange(8) / 8.0 - 0.5) * beat
         samples = np.clip(np.atleast_1d(t_grid)[:, None] + offsets, 0.0, None)
         tt, rows = np.unique(np.append(0.0, samples), return_inverse=True)
-        states = _propagate(liouvillian(model)[None], [rho0], tt, model.drives,
+        states = _propagate(liouvillian(model)[None], rho0[None], tt, model.drives,
                             at=(rows[1:].reshape(samples.shape), 0))
-        return np.mean(states.diagonal(axis1=-2, axis2=-1).real @ flip, axis=1)
+        return np.mean(states[..., ::5] @ flip, axis=1)  # the population coordinates
 
     # one numeric resonance location fixes kappa in rf = omega_e + kappa w^2
     span = 0.5 * omega_target_mhz * 1e-3

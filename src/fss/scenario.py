@@ -268,11 +268,12 @@ def _parse_value(key, raw, kind, family, lineno):
     if kind == "int":
         if value != int(value):
             raise ConfigError(f"key {key!r} must be an integer", lineno)
-        if key.endswith("points") and value < 0:
+        if (key.endswith("points") or key == "seed") and value < 0:
             raise ConfigError(f"key {key!r} must be >= 0, got {num}", lineno)
         if key != "seed" and value > _MAX_COUNT:
             raise ConfigError(f"key {key!r} must be <= {_MAX_COUNT}, got {num}", lineno)
-        return int(value)
+        # int() keeps integers past 2^53 exact; 1e3 and the like go through float
+        return int(num) if num.lstrip("+-").isdigit() else int(value)
     return value * factor
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .core import (DensityMatrix, Drive, _commutator_superop, _guard, _propagate,
+from .core import (DensityMatrix, Drive, _commutator_superop, _coords, _guard, _hermitian_basis, _propagate,
                    _require_finite, _require_finite_fields, liouvillian)
 from .ensemble import (
     DEFAULT_NODES,
@@ -423,15 +423,15 @@ def _modulation(phase: float, amp_mhz: float, freq_mhz: float) -> tuple[Drive, .
 
 @dataclass(frozen=True)
 class _Binding:
-    """What the executor needs of one physics model: per target, the state
-    ``initialize`` prepares and the weights ``readout`` puts on populations;
-    the generators of drive or wait rows (_COLUMNS) of a shot table, as an
-    (R, d^2, d^2) stack, and each row's drives; ``offset``, the Hamiltonian
-    term that an ensemble node's detuning offset adds per rad/ns; for
-    four-level physics, the calibrated (drive, resonant Delta_RF) per Rabi
-    frequency."""
+    """What the executor needs of one physics model: per target, the
+    coordinates of the state ``initialize`` prepares and of the diagonal
+    observable ``readout`` measures; the generators of drive or wait rows
+    (_COLUMNS) of a shot table, as an (R, d^2, d^2) stack, and each row's
+    drives; ``offset``, the Hamiltonian term that an ensemble node's
+    detuning offset adds per rad/ns; for four-level physics, the calibrated
+    (drive, resonant Delta_RF) per Rabi frequency."""
 
-    initial: dict[str, DensityMatrix]
+    initial: dict[str, np.ndarray]
     readout: dict[str, np.ndarray]
     generators: Callable[[np.ndarray], tuple[np.ndarray, list[tuple[Drive, ...]]]]
     offset: np.ndarray
@@ -442,9 +442,9 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
     """The executor binding of a TwoLevelPhysics or a FaradayParams."""
     if isinstance(physics, TwoLevelPhysics):
         eps = physics.epsilon_init
-        return _Binding(initial={"down": DensityMatrix.from_populations([1.0 - eps, eps]),
-                                 "up": DensityMatrix.from_populations([eps, 1.0 - eps])},
-                        readout={t: np.eye(2)[k] for k, t in enumerate(_LEVELS)},
+        return _Binding(initial={"down": _coords(DensityMatrix.from_populations([1.0 - eps, eps]).matrix),
+                                 "up": _coords(DensityMatrix.from_populations([eps, 1.0 - eps]).matrix)},
+                        readout={t: _coords(np.diag(np.eye(2)[k])) for k, t in enumerate(_LEVELS)},
                         generators=functools.partial(_two_level_generators, phys=physics),
                         offset=models.SIGMA_Z / 2)
     calibrated = functools.cache(
@@ -459,10 +459,10 @@ def _bind(physics, handedness: str = "sigma-") -> _Binding:
         return np.array([liouvillian(m) for m in built]), [m.drives for m in built]
 
     # the flipped spin counts the trion weight that relaxes back to |down>
-    flip = models.faraday_flip_projector(physics).diagonal().real
+    flip = _coords(models.faraday_flip_projector(physics))
     # the offset shifts the electron splitting, which sits on -|up><up|
-    return _Binding(initial={"up": DensityMatrix.pure(4, 1)}, readout={"down": flip}, generators=generators,
-                    offset=-np.diag([0.0, 1.0, 0.0, 0.0]), calibrated=calibrated)
+    return _Binding(initial={"up": _coords(DensityMatrix.pure(4, 1).matrix)}, readout={"down": flip},
+                    generators=generators, offset=-np.diag([0.0, 1.0, 0.0, 0.0]), calibrated=calibrated)
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,21 +480,21 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     """Ensemble-averaged readout of every shot at every scan point, as a
     (points, shots) array.
 
-    The protocol's shot table (:func:`_shot_table`) runs one depth at a
-    time.  A row's state is set by its parent's state and its parameter
-    columns, so each depth holds one (nodes, d, d) stack per distinct
+    The protocol's shot table (:func:`_shot_table`) runs one depth at a time.
+    A row's state is set by its parent's state and its parameter columns, so
+    each depth holds one (nodes, d^2) stack of coordinates per distinct
     (columns, parent) pair, found by one np.unique (:func:`_unique_rows`);
     every segment's detuning gets the node offset.  A rotation depth is one
-    product of the superoperators U (x) U* of the closed-form 2 x 2
-    unitaries with the row-major vectorized states, guarded as one stack; a
-    readout is one contraction of the populations with the target's
-    weights.  A drive or wait depth takes the generators of its distinct
-    duration-free rows as one stack (``binding.generators``), to which the
-    nodes add offset * L_offset; each (parent, row) pair with nonzero
-    durations is one block of nodes in a stack of generators and initial
-    states.  All static blocks are one _propagate call over the union of
-    their durations, and the blocks of each driven row one call with its
-    drives; a zero duration carries its parent's states through unguarded.
+    product of the superoperators U (x) U* of the closed-form 2 x 2 unitaries,
+    in coordinates, with the states, guarded as one stack; a readout is one
+    product of the states with the coordinates of the target's observable.  A
+    drive or wait depth takes the generators of its distinct duration-free rows
+    as one stack (``binding.generators``), to which the nodes add offset *
+    L_offset; each (parent, row) pair with nonzero durations is one block of
+    nodes in a stack of generators and initial states.  All static blocks are
+    one _propagate call over the union of their durations, and the blocks of
+    each driven row one call with its drives; a zero duration carries its
+    parent's states through unguarded.
     """
     ((_, values),) = protocol.axes
     offsets, weights = quadrature_nodes(sigma, nodes) if sigma > 0 else (np.zeros(1), None)
@@ -502,20 +502,20 @@ def _run_shots(protocol: Protocol, binding: _Binding, sigma: float, nodes: int,
     shift = mhz_to_angular(offsets)[:, None, None] * _commutator_superop(binding.offset)
     for kind, target, cols in _shot_table(protocol, values, ideal_pulses):
         if kind == "initialize":
-            states, parent = np.repeat(binding.initial[target].matrix[None, None], n, 1), np.zeros(len(cols))
+            states, parent = np.repeat(binding.initial[target][None, None], n, 1), np.zeros(len(cols))
             continue
         rows, parent = _unique_rows(np.column_stack([cols, parent]))  # _COLUMNS, then the parent
         parents, states = states, states[rows[:, -1].astype(int)]
         if kind == "readout":
-            pops = np.diagonal(states, axis1=2, axis2=3).real
-            readout = np.einsum("knd,d->kn", pops, binding.readout[target])[parent].T
+            readout = (states @ binding.readout[target])[parent].T
         elif kind == "rotation":
             # U = cos(angle/2) I - i sin(angle/2) (cos(phase) sigma_x + sin(phase) sigma_y)
             half, phase = 0.5 * rows[:, 4], rows[:, 2]  # angle and phase
             c, off = np.cos(half), -1j * np.sin(half) * np.exp(-1j * phase)
             u = np.moveaxis(np.array([[c, off], [-off.conj(), c]]), -1, 0)
-            sup = np.einsum("rik,rjl->rijkl", u, u.conj()).reshape(-1, 4, 4)
-            states = _guard(np.einsum("rab,rnb->rna", sup, states.reshape(len(rows), n, 4)).reshape(states.shape))
+            basis, inverse = _hermitian_basis(2)
+            sup = (basis @ np.einsum("rik,rjl->rijkl", u, u.conj()).reshape(-1, 4, 4) @ inverse).real
+            states = _guard(np.einsum("rab,rnb->rna", sup, states))
         else:
             moving = np.flatnonzero(rows[:, 3] != 0.0)  # nonzero durations
             free = rows[moving, :-1].copy()
@@ -557,10 +557,10 @@ def simulate_protocol(
     on a drive calibrated once (its resonant Delta_RF is in ``extras``) and
     at most 9 ensemble nodes.
     Deterministic for fixed inputs; when ``counts_per_shot`` > 0 a seeded
-    generator draws Poisson counts per shot (``seed`` is then required).
+    generator draws Poisson counts per shot (a ``seed`` >= 0 is then required).
     """
-    if counts_per_shot > 0 and seed is None:
-        raise UsageError("shot-noise sampling requires a seed")
+    if counts_per_shot > 0 and (seed is None or seed < 0):
+        raise UsageError(f"shot-noise sampling requires a seed >= 0, got {seed}")
     if not isinstance(physics, RUNS_ON[protocol.kind]):
         names = " or ".join(cls.__name__ for cls in RUNS_ON[protocol.kind])
         raise UsageError(f"protocol kind {protocol.kind!r} runs on {names}, not {type(physics).__name__}")
@@ -625,9 +625,9 @@ def _simulate_spin_pumping(protocol, params: FaradayParams, handedness: str) -> 
         raise UsageError("pumping times must be >= 0")
     # the pump switches on at t = 0
     grid, rows = np.unique(np.append(0.0, tgrid), return_inverse=True)
-    states = _propagate(liouvillian(model)[None], [DensityMatrix.pure(4, 0).matrix], grid, model.drives,
-                        at=(rows[1:], 0))
-    emission = mhz_to_angular(params.gamma1_mhz) * (states[:, 2, 2].real + states[:, 3, 3].real)
+    states = _propagate(liouvillian(model)[None], _coords(DensityMatrix.pure(4, 0).matrix)[None], grid,
+                        model.drives, at=(rows[1:], 0))
+    emission = mhz_to_angular(params.gamma1_mhz) * states[:, ::5][:, 2:].sum(axis=1)  # the trion populations
     return ScanResult(protocol.axes, emission)
 
 
@@ -682,9 +682,9 @@ def _pi_readouts(omega, delta, gamma1, gamma2_mhz: float, t_pi, sigma, nodes: in
     offsets, weights = quadrature_nodes(column(sigma), nodes)
     gens = models.two_level_generators(column(omega), column(delta) + offsets, column(gamma1), gamma2_mhz)
     gens = (gens * column(t_pi)[..., None, None]).reshape(-1, 4, 4)
-    up = DensityMatrix.pure(2, _LEVELS.index("up")).matrix
-    states = _propagate(gens, np.broadcast_to(up, (len(gens), 2, 2)), [0.0, 1.0], at=(1, np.arange(len(gens))))
-    return weighted_average(weights, states[:, 0, 0].real.reshape(-1, nodes).T)
+    up = _coords(DensityMatrix.pure(2, _LEVELS.index("up")).matrix)
+    states = _propagate(gens, np.broadcast_to(up, (len(gens), 4)), [0.0, 1.0], at=(1, np.arange(len(gens))))
+    return weighted_average(weights, states[:, 0].reshape(-1, nodes).T)  # the population of |down>
 
 
 def check_inputs(protocol: Protocol, phys, ensemble: EnsembleSpec | None) -> None:

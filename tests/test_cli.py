@@ -528,6 +528,18 @@ class TestScenarioParsing:
         sc = parse_scenario(text)
         assert sc.products[0].protocols[0].axes[0][1][-1] == pytest.approx(20.0)
 
+    def test_integer_keys_parse_exactly(self):
+        # 2^53 + 1 is not a float64: read through float, it became 2^53
+        sc = parse_scenario(SMALL_SCENARIO + "\n[output]\nseed = 9007199254740993\n")
+        assert sc.output["seed"] == 9007199254740993
+        # a whole number written as a float still counts
+        sc = parse_scenario(SMALL_SCENARIO.replace("tau_points = 21", "tau_points = 2.1e1"))
+        assert sc.products[0].protocols[0].axis("tau_ns").size == 21
+        with pytest.raises(ConfigError, match="must be an integer"):
+            parse_scenario(SMALL_SCENARIO.replace("tau_points = 21", "tau_points = 2.5"))
+        with pytest.raises(ConfigError, match="must be <="):
+            parse_scenario(SMALL_SCENARIO.replace("tau_points = 21", "tau_points = 1000001"))
+
     def test_bundled_scenarios_all_parse(self):
         from fss.cli import bundled_scenarios, _resolve_scenario_path
 
@@ -541,6 +553,17 @@ class TestScenarioParsing:
 
 
 class TestExitCodes:
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        # numpy's generator takes no negative seed: it ended in a ValueError traceback
+        path = tmp_path / "noisy.scenario"
+        path.write_text(SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\nseed = -1\n", encoding="utf-8")
+        assert run(["validate", path]) == 2
+        assert run(["simulate", path, "--out", tmp_path / "a"]) == 2
+        path.write_text(SMALL_SCENARIO + "\n[output]\ncounts_per_shot = 100\nseed = 7\n", encoding="utf-8")
+        assert run(["simulate", path, "--out", tmp_path / "b", "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert "'seed' must be >= 0" in err and "seed >= 0, got -5" in err and "Traceback" not in err
+
     def test_non_convergence_exit_5(self, tmp_path, capsys):
         x = np.linspace(0, 40, 60)
         y = 0.8 * np.sin(2e-3 * np.pi * 75.0 * x) * np.exp(-((x / 30.0) ** 2))

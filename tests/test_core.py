@@ -15,9 +15,11 @@ from fss.core import (
     expectation,
     lindblad_rhs,
     _commutator_superop,
+    _coords,
     _expm,
     _guard,
     _lowest_eigenvalues,
+    _matrices,
     _propagate,
     _steady_states,
     liouvillian,
@@ -25,7 +27,8 @@ from fss.core import (
 )
 from fss.errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from fss.units import mhz_to_angular
-from oracles import model_liouvillian, oracle_commutator, oracle_dissipator, oracle_liouvillian, to_coordinates
+from oracles import (coordinate_map, model_liouvillian, oracle_commutator, oracle_dissipator, oracle_liouvillian,
+                     to_coordinates)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -81,6 +84,19 @@ class TestDensityMatrix:
         with pytest.raises(NumericalFailure):
             DensityMatrix(np.array([[np.inf, 0], [0, 0.0]]))
 
+    def test_error_classes_of_outside_states(self):
+        # a state from outside is checked for finite entries first, then for
+        # Hermiticity, then by the guard
+        bad = np.diag([0.3, 0.7]).astype(complex)
+        bad[0, 1] = 0.1
+        with pytest.raises(UsageError, match="not Hermitian"):
+            DensityMatrix(bad)
+        bad[1, 1] = np.inf
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            DensityMatrix(bad)
+        with pytest.raises(NumericalFailure, match="trace"):
+            DensityMatrix(1.1 * np.diag([0.3, 0.7]))
+
     def test_clamps_tiny_negative(self):
         rho = DensityMatrix(np.array([[1.0 + 5e-9, 0], [0, -5e-9]]))
         assert min(np.linalg.eigvalsh(rho.matrix)) >= 0.0
@@ -98,20 +114,21 @@ class TestGuard:
 
     @staticmethod
     def _stack():
-        return np.stack([np.diag([0.2 + 0.1 * k, 0.8 - 0.1 * k]) for k in range(5)]).astype(complex)
+        """Five two-level states as coordinates (a, 2 Re b, 2 Im b, c)."""
+        return _coords(np.stack([np.diag([0.2 + 0.1 * k, 0.8 - 0.1 * k]) for k in range(5)]).astype(complex))
 
     def test_first_state_below_floor_names_its_time(self):
         rhos = self._stack()
-        rhos[3] = np.diag([1.2, -0.2])
-        rhos[4] = np.diag([1.3, -0.3])
+        rhos[3] = _coords(np.diag([1.2, -0.2]))
+        rhos[4] = _coords(np.diag([1.3, -0.3]))
         with pytest.raises(NumericalFailure) as err:
             _guard(rhos, self.TIMES)
         assert err.value.time_ns == 4.5
         assert "-2.000e-01" in str(err.value)
 
     def test_time_of_failing_state_in_a_time_by_batch_stack(self):
-        rhos = np.stack([self._stack()] * 3, axis=1)  # (T, B, d, d)
-        rhos[2, 1] = np.diag([1.2, -0.2])
+        rhos = np.stack([self._stack()] * 3, axis=1)  # (T, B, d^2)
+        rhos[2, 1] = _coords(np.diag([1.2, -0.2]))
         with pytest.raises(NumericalFailure) as err:
             _guard(rhos, self.TIMES[:, None])
         assert err.value.time_ns == 3.0
@@ -119,24 +136,22 @@ class TestGuard:
     def test_state_inside_floor_clamped_to_unit_trace_psd(self):
         rhos = self._stack()
         u = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
-        rhos[2] = u @ np.diag([1.0 + 4e-9, -4e-9]) @ u.conj().T
+        rhos[2] = _coords(u @ np.diag([1.0 + 4e-9, -4e-9]) @ u.conj().T)
         out = _guard(rhos, self.TIMES)
-        assert np.min(np.linalg.eigvalsh(out[2])) >= -1e-15
-        assert np.trace(out[2]).real == pytest.approx(1.0, abs=1e-15)
-        assert np.abs(out[2] - u @ np.diag([1.0, 0.0]) @ u.conj().T).max() <= 1e-8
+        assert np.min(np.linalg.eigvalsh(_matrices(out[2]))) >= -1e-15
+        assert np.trace(_matrices(out[2])).real == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(_matrices(out[2]) - u @ np.diag([1.0, 0.0]) @ u.conj().T).max() <= 1e-8
         others = [0, 1, 3, 4]
         assert np.array_equal(out[others], rhos[others])
 
     def test_error_classes(self):
+        # coordinates are Hermitian by construction; a non-Hermitian matrix
+        # is outside input (TestDensityMatrix.test_error_classes_of_outside_states)
         rhos = self._stack()
-        rhos[1, 0, 0] = np.nan
+        rhos[1, 0] = np.nan
         with pytest.raises(NumericalFailure) as err:
             _guard(rhos, self.TIMES)
         assert err.value.time_ns == 1.5
-        rhos = self._stack()
-        rhos[3, 0, 1] = 0.1
-        with pytest.raises(UsageError):
-            _guard(rhos, self.TIMES)
         rhos = self._stack()
         rhos[4] *= 1.1
         with pytest.raises(NumericalFailure) as err:
@@ -145,7 +160,7 @@ class TestGuard:
 
     def test_density_matrix_is_the_guard_on_one_matrix(self):
         m = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])
-        assert np.array_equal(DensityMatrix(m).matrix, _guard(m))
+        assert np.array_equal(DensityMatrix(m).matrix, _matrices(_guard(_coords(m))))
 
     @staticmethod
     def _full_eigh_guard(rhos):
@@ -173,8 +188,8 @@ class TestGuard:
     def test_two_level_clamp_is_the_eigh_reconstruction(self):
         offs = [0.0, 0.3, -0.45, 0.2 - 0.25j, 1e-3j]
         rhos = self._two_level_states([-0.99e-8, -1e-9, -1e-11, -1e-13], offs)
-        assert np.all(_lowest_eigenvalues(rhos) < 0.0)
-        out = _guard(rhos)
+        assert np.all(_lowest_eigenvalues(_coords(rhos)) < 0.0)
+        out = _matrices(_guard(_coords(rhos)))
         assert np.abs(out - self._full_eigh_guard(rhos)).max() <= 1e-12
         assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
         # the projector's eigenvalues are 1 and 0 up to rounding, and
@@ -183,7 +198,7 @@ class TestGuard:
         diagonal = out[::len(offs)]
         assert np.array_equal(diagonal, np.broadcast_to(np.diag([1.0, 0.0]), diagonal.shape))
         with pytest.raises(NumericalFailure, match="negative eigenvalue"):
-            _guard(self._two_level_states([-1.01e-8], [0.2 - 0.25j]))
+            _guard(_coords(self._two_level_states([-1.01e-8], [0.2 - 0.25j])))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(["general", "diagonal", "near-degenerate"]),
@@ -195,7 +210,7 @@ class TestGuard:
             a, b = 0.5 + 10.0 ** log_gap, 10.0 ** log_gap * b
         off = b * np.exp(1j * phase)
         m = np.array([[a, off], [np.conj(off), 1.0 - a]])
-        assert abs(_lowest_eigenvalues(m) - np.linalg.eigvalsh(m)[0]) <= 1e-15
+        assert abs(_lowest_eigenvalues(_coords(m)) - np.linalg.eigvalsh(m)[0]) <= 1e-15
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
@@ -210,7 +225,23 @@ class TestGuard:
         u, _ = np.linalg.qr(z)
         rhos = (u * evals[:, None, :]) @ u.conj().swapaxes(-1, -2)
         assert np.any(np.linalg.eigvalsh(rhos)[:, 0] < 0.0)
-        assert np.abs(_guard(rhos) - self._full_eigh_guard(rhos)).max() <= 1e-14
+        assert np.abs(_matrices(_guard(_coords(rhos))) - self._full_eigh_guard(rhos)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_coordinate_conventions(dim):
+    rng = np.random.default_rng(dim)
+    z = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    m = z + z.conj().swapaxes(-1, -2)
+    x = _coords(m)
+    assert x.dtype == np.float64 and x.shape == (3, dim * dim)
+    assert np.array_equal(_matrices(x), m)
+    assert np.abs(x - (m.reshape(3, -1) @ coordinate_map(dim).T).real).max() <= 1e-14
+    # the populations are every (d + 1)-th coordinate
+    assert np.array_equal(x[..., ::dim + 1], np.diagonal(m, axis1=-2, axis2=-1).real)
+    # only the Hermitian part has coordinates
+    assert np.array_equal(_coords(z - z.conj().swapaxes(-1, -2)), np.zeros((3, dim * dim)))
+    assert np.array_equal(_coords(z), _coords(0.5 * m))
 
 
 class TestModelInputs:
@@ -440,31 +471,33 @@ class TestExactPropagation:
         models = [self._two_level(d) for d in (-40.0, 0.0, 13.0, 75.0)]
         rho0s = [DensityMatrix.pure(2, 1), DensityMatrix.from_populations([0.2, 0.8]),
                  DensityMatrix.maximally_mixed(2), DensityMatrix.pure(2, 0)]
-        batch = _propagate(np.stack([liouvillian(m) for m in models]), [r.matrix for r in rho0s], t)
-        assert batch.shape == (t.size, len(models), 2, 2)
+        gens = np.stack([liouvillian(m) for m in models])
+        batch = _propagate(gens, _coords(np.stack([r.matrix for r in rho0s])), t)
+        assert batch.shape == (t.size, len(models), 4)
         for b, (model, rho0) in enumerate(zip(models, rho0s)):
             single = evolve(model, rho0, t)
-            assert np.array_equal(batch[0, b], rho0.matrix)
+            assert np.array_equal(_matrices(batch[0, b]), rho0.matrix)
             for a, s in zip(batch[:, b], single.states):
-                assert np.max(np.abs(a - s.matrix)) <= 1e-12
+                assert np.max(np.abs(_matrices(a) - s.matrix)) <= 1e-12
 
     def test_single_point_grid_returns_initial_state(self):
         rho0 = DensityMatrix.from_populations([0.3, 0.7])
         traj = evolve(self._two_level(10.0), rho0, [4.0])
         assert traj.states == (rho0,)
-        batch = _propagate(liouvillian(self._two_level(10.0))[None], [rho0.matrix], [4.0])
-        assert np.array_equal(batch, rho0.matrix[None, None])
+        batch = _propagate(liouvillian(self._two_level(10.0))[None], _coords(rho0.matrix)[None], [4.0])
+        assert np.array_equal(batch, _coords(rho0.matrix)[None, None])
 
     def test_batch_rejects_mixed_dimensions(self):
         gens = np.stack([liouvillian(self._two_level(0.0))] * 2)
         with pytest.raises(UsageError):
-            _propagate(gens, [DensityMatrix.pure(2, 1).matrix, DensityMatrix.pure(3, 0).matrix], [0.0, 1.0])
+            _propagate(gens, [_coords(DensityMatrix.pure(2, 1).matrix), _coords(DensityMatrix.pure(3, 0).matrix)],
+                       [0.0, 1.0])
 
     @pytest.mark.parametrize("rhos", [
-        [np.eye(2) / 2, np.eye(3) / 3],  # ragged
-        [np.eye(2) / 2, [[1.0, 0.0]]],  # ragged, one state not square
-        [np.eye(3) / 3] * 2,  # every state of the wrong d
-        np.full((2, 2, 3), 0.25),  # an array of non-square states
+        [_coords(np.eye(2) / 2), _coords(np.eye(3) / 3)],  # ragged
+        [_coords(np.eye(2) / 2), [[1.0, 0.0]]],  # ragged, one state not a vector
+        [_coords(np.eye(3) / 3)] * 2,  # every state of the wrong d
+        np.full((2, 2, 2), 0.25),  # states as matrices, not coordinates
     ], ids=["ragged", "ragged-row", "wrong-d", "non-square"])
     def test_batch_rejects_states_of_the_wrong_shape(self, rhos):
         gens = np.stack([liouvillian(self._two_level(0.0))] * 2)
@@ -492,7 +525,7 @@ class TestExactPropagation:
         models = [self._two_level(d) for d in (-40.0, 0.0, 75.0)]
         rho0 = DensityMatrix.from_populations([0.2, 0.8]).matrix
         t = np.array([0.0, 0.5, 1.0, 2.5])
-        states = _propagate(np.stack([liouvillian(m) for m in models]), [rho0] * 3, t)
+        states = _matrices(_propagate(np.stack([liouvillian(m) for m in models]), [_coords(rho0)] * 3, t))
         assert [(g.dtype, out.dtype) for g, _, out in seen] == [(np.float64, np.float64)] * 2  # steps 0.5, 1.5
         for k, tk in enumerate(t):
             for b, model in enumerate(models):
@@ -507,7 +540,7 @@ class TestExactPropagation:
         gens = np.stack([liouvillian(self._two_level(5.0))] * 2).astype(complex)
         drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
         with pytest.raises(UsageError, match="must be real"):
-            _propagate(gens, [np.eye(2) / 2] * 2, [0.0, 0.4, 1.0], drives)
+            _propagate(gens, [_coords(np.eye(2) / 2)] * 2, [0.0, 0.4, 1.0], drives)
 
     def test_static_pumping_against_direct_expm(self):
         # fig1e physics: single-tone 16x16 pumping over 1200 ns on 201 points
@@ -541,7 +574,7 @@ class TestExactPropagation:
         gens[1, 2, 1] = value
         drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
         with pytest.raises(NumericalFailure, match="generator stack has non-finite entries"):
-            _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6), drives)
+            _propagate(gens, [_coords(DensityMatrix.pure(2, 1).matrix)] * 2, np.linspace(0, 10, 6), drives)
 
     @pytest.mark.parametrize("driven", [False, True])
     def test_overflowing_exponential_is_a_numerical_failure(self, driven):
@@ -552,7 +585,7 @@ class TestExactPropagation:
         gens[1, 0, 0] = 1e300
         drives = (Drive(lambda t: 0.3, SX / 2, 2.0),) if driven else ()
         with pytest.raises(NumericalFailure):
-            _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6), drives)
+            _propagate(gens, [_coords(DensityMatrix.pure(2, 1).matrix)] * 2, np.linspace(0, 10, 6), drives)
 
     def test_huge_oscillating_generator_entry_fails_fast(self):
         # an antisymmetric pair of +-1e300 rotates two coordinates at 1e300
@@ -561,7 +594,7 @@ class TestExactPropagation:
         gens = np.stack([liouvillian(self._two_level(5.0))] * 2)
         gens[1, 1, 2], gens[1, 2, 1] = 1e300, -1e300
         with pytest.raises(NumericalFailure):
-            _propagate(gens, [DensityMatrix.pure(2, 1).matrix] * 2, np.linspace(0, 10, 6),
+            _propagate(gens, [_coords(DensityMatrix.pure(2, 1).matrix)] * 2, np.linspace(0, 10, 6),
                        (Drive(lambda t: 0.3, SX / 2, 2.0),))
 
     def test_unresolved_drive_stops_after_the_last_doubling(self):
@@ -585,7 +618,7 @@ class TestExactPropagation:
         monkeypatch.setattr(fss.core, "_cfm4", counting)
         static = self._two_level(5.0)
         evolve(static, DensityMatrix.pure(2, 1), np.linspace(0, 10, 11))
-        _propagate(np.stack([liouvillian(static)] * 2), [DensityMatrix.pure(2, 1).matrix] * 2,
+        _propagate(np.stack([liouvillian(static)] * 2), [_coords(DensityMatrix.pure(2, 1).matrix)] * 2,
                    np.linspace(0, 10, 11))
         assert calls == []
         driven = LindbladModel(dim=2, h0=np.zeros((2, 2)),
@@ -770,7 +803,8 @@ class TestBatchedSteadyStates:
     def test_batch_matches_single_models(self):
         models = [self._damped(d) for d in (-30.0, 0.0, 12.0, 80.0)]
         batch = _steady_states(*self._batch(models))
-        for rho, model in zip(batch, models):
+        assert batch.shape == (len(models), 4) and batch.dtype == np.float64
+        for rho, model in zip(_matrices(batch), models):
             assert np.max(np.abs(rho - steady_state(model).matrix)) <= 1e-14
 
     def test_one_ambiguous_member_raises_naming_it(self):
@@ -785,7 +819,7 @@ class TestBatchedSteadyStates:
         coupled = LindbladModel(dim=4, h0=mix, channels=chans)
         gens = np.stack([liouvillian(coupled), liouvillian(coupled), liouvillian(unique)])
         hams = np.stack([coupled.h0, coupled.h0, unique.h0])
-        assert _steady_states(gens[:2], hams[:2], chans).shape == (2, 4, 4)
+        assert _steady_states(gens[:2], hams[:2], chans).shape == (2, 16)
         with pytest.raises(SteadyStateAmbiguityError, match="batch index 2") as err:
             _steady_states(gens, hams, chans)
         assert err.value.null_dim > 1

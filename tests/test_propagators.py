@@ -17,6 +17,8 @@ from fss.core import (
     DensityMatrix,
     Drive,
     LindbladModel,
+    _coords,
+    _matrices,
     _propagate,
     _propagators,
     evolve,
@@ -151,7 +153,7 @@ def test_batched_propagate_matches_models_one_at_a_time(seed, dim):
     # distinct generators under one drive set; the first serves two initial
     # states through one table
     gens = _generators(seed, dim, [0, 1, 2, 0])
-    rhos = [_random_state(rng, dim) for _ in gens]
+    rhos = [_coords(_random_state(rng, dim)) for _ in gens]
     t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
     for drives in (driven.drives, ()):
         batch = _propagate(gens, rhos, t, drives)
@@ -165,7 +167,7 @@ def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
     rng = np.random.default_rng(seed)
     driven = _random_model(seed, dim)
     gens = _generators(seed, dim, [0, 1, 0, 1, 0])
-    rhos = [_random_state(rng, dim) for _ in gens]
+    rhos = [_coords(_random_state(rng, dim)) for _ in gens]
     t = _grid(rng, 0.5, 3.0 * driven.period_ns, 6)
     # four grid rows for each of three members, one member asked for twice
     rows = rng.integers(0, t.size, (4, 3))
@@ -175,7 +177,7 @@ def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
     for drives in (driven.drives, ()):
         picked = _propagate(gens, rhos, t, drives, at=(rows, members))
         full = _propagate(gens, rhos, t, drives)
-        assert picked.shape == (4, 3, dim, dim)
+        assert picked.shape == (4, 3, dim * dim)
         assert np.array_equal(picked[0, 0], rhos[members[0]])
         assert np.max(np.abs(picked - full[rows, members])) <= 1e-13
 
@@ -184,7 +186,7 @@ def test_end_indices_pick_each_state_off_the_shared_grid(seed, dim):
                          ids=["row-off-grid", "negative-row", "member-outside-stack", "no-broadcast"])
 def test_at_must_name_grid_points_and_members_that_broadcast(at):
     model = _random_model(5, 2)
-    rhos = [_random_state(np.random.default_rng(5), 2)] * 2
+    rhos = [_coords(_random_state(np.random.default_rng(5), 2))] * 2
     for drives in (model.drives, ()):
         with pytest.raises(UsageError):
             _propagate(np.stack([liouvillian(model)] * 2), rhos, [0.0, 1.0, 2.0], drives, at=at)
@@ -265,7 +267,7 @@ def test_one_table_per_model_covers_every_period(monkeypatch):
     monkeypatch.setattr(fss.core, "_cfm4", recording)
     model = _random_model(3, 2)
     t = np.linspace(1.0, 1.0 + 12.5 * model.period_ns, 40)
-    rhos = [_random_state(np.random.default_rng(k), 2) for k in range(3)]
+    rhos = [_coords(_random_state(np.random.default_rng(k), 2)) for k in range(3)]
     _propagate(np.stack([liouvillian(model)] * 3), rhos, t, model.drives)
     assert calls == [pytest.approx((1.0, 1.0 + model.period_ns), abs=1e-12)]
 
@@ -295,7 +297,7 @@ def test_model_period_is_the_common_period_of_its_drives():
 def test_static_propagators_compose(seed, dim, t1, t2):
     # P(t1 + t2) = P(t2) P(t1): one step over t1 + t2 against two steps
     gen = _generators(seed, dim, [0])
-    rho0 = _random_state(np.random.default_rng(seed), dim)
+    rho0 = _coords(_random_state(np.random.default_rng(seed), dim))
     direct = _propagate(gen, [rho0], [0.0, t1 + t2])[-1, 0]
     half = _propagate(gen, [rho0], [0.0, t1])[-1, 0]
     assert np.max(np.abs(_propagate(gen, [half], [0.0, t2])[-1, 0] - direct)) <= 1e-12
@@ -308,13 +310,13 @@ def test_generator_stack_matches_its_models(seed, dim):
     models = [_static(seed + k, dim) for k in range(3)]
     rhos = [_random_state(rng, dim) for _ in models]
     t = _grid(rng, 0.0, 4.0, 5)
-    batch = _propagate(np.stack([liouvillian(m) for m in models]), rhos, t)
+    batch = _matrices(_propagate(np.stack([liouvillian(m) for m in models]), _coords(np.stack(rhos)), t))
     for b, (model, rho) in enumerate(zip(models, rhos)):
         assert np.max(np.abs(batch[:, b] - _states(model, rho, t))) <= 1e-13
 
 
 def test_generator_stack_shape_is_checked():
-    rho = _random_state(np.random.default_rng(1), 2)
+    rho = _coords(_random_state(np.random.default_rng(1), 2))
     with pytest.raises(UsageError):
         _propagate(np.zeros((1, 4, 5)), [rho], [0.0, 1.0])
     with pytest.raises(UsageError):

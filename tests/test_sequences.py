@@ -391,6 +391,11 @@ class TestSimulateProtocolContract:
         with pytest.raises(UsageError):
             simulate_protocol(prot, TwoLevelPhysics(), counts_per_shot=100.0)
 
+    def test_shot_noise_rejects_a_negative_seed(self):
+        prot = rabi_protocol(100.0, 0.0, [0.0, 5.0])
+        with pytest.raises(UsageError, match="seed >= 0"):
+            simulate_protocol(prot, TwoLevelPhysics(), counts_per_shot=100.0, seed=-1)
+
     def test_seeded_counts_bitwise_identical(self):
         prot = rabi_protocol(100.0, 0.0, np.linspace(0, 20, 21))
         a = simulate_protocol(prot, TwoLevelPhysics(), counts_per_shot=500.0, seed=42)
@@ -619,7 +624,7 @@ class TestShotExecutor:
         real = fss.core._guard
 
         def counting(rhos, *args, **kwargs):
-            guarded.append(int(np.prod(np.shape(rhos)[:-2])))
+            guarded.append(int(np.prod(np.shape(rhos)[:-1])))  # (..., d^2) coordinates
             return real(rhos, *args, **kwargs)
 
         monkeypatch.setattr(fss.core, "_guard", counting)
