@@ -484,7 +484,8 @@ def result_to_csv(sc: Scenario, res: ScanResult, seed: int | None) -> str:
         raise UsageError("CSV emission supports 1 or 2 axes")
     lines.append(",".join([n for n, _ in res.axes] + ["signal"]))
     grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
-    for row in zip(*(g.ravel() for g in grids), np.ravel(res.signal)):
+    # Python floats format faster than numpy scalars, to the same text
+    for row in zip(*(g.ravel().tolist() for g in grids), np.ravel(res.signal).tolist()):
         lines.append(",".join(map(format_float, row)))
     return "\n".join(lines) + "\n"
 
@@ -499,11 +500,10 @@ def summary_to_csv(sc: Scenario, res: ScanResult) -> str:
         f"# fss scenario={sc.name} product={res.name} summary=peak-positions",
         f"{a0_name},peak_{a1_name},peak_signal",
     ]
-    for i, x0 in enumerate(a0):
-        row = res.signal[i]
+    for x0, row in zip(a0.tolist(), res.signal):
         k = int(np.argmax(row))
         peak = fitting.refine_peak(a1, row, k)
-        lines.append(f"{format_float(x0)},{format_float(peak)},{format_float(row[k])}")
+        lines.append(f"{format_float(x0)},{format_float(peak)},{format_float(float(row[k]))}")
     return "\n".join(lines) + "\n"
 
 
@@ -516,6 +516,6 @@ def fft_to_csv(sc: Scenario, res: ScanResult) -> str:
         "# meta peaks=" + ";".join(f"{format_float(f)}" for f, _ in spec.peaks[:5]),
         "freq_mhz,amplitude",
     ]
-    for f, a in zip(spec.freq_mhz, spec.amplitude):
+    for f, a in zip(spec.freq_mhz.tolist(), spec.amplitude.tolist()):
         lines.append(f"{format_float(f)},{format_float(a)}")
     return "\n".join(lines) + "\n"

@@ -393,6 +393,30 @@ class TestSimulate:
                          for _ in range(2))
         assert first == second and len(first) == 2
 
+    EDGE_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1 / 3,
+                            -1e300, 123456789012345.0, 1e-5, 0.1])
+    EDGE_TEXT = ["0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "-2.22507385851e-308", "0.333333333333",
+                 "-1e+300", "1.23456789012e+14", "1e-05", "0.1"]
+
+    def test_csv_text_of_edge_values(self, monkeypatch):
+        from fss import fitting
+        from fss.sequences import ScanResult
+
+        sc, x, text = parse_scenario(SMALL_SCENARIO), self.EDGE_VALUES, self.EDGE_TEXT
+
+        def rows(csv: str) -> list[str]:
+            return [line for line in csv.splitlines() if not line.startswith("#")][1:]
+
+        trace = ScanResult(axes=(("x", x),), signal=x[::-1], name="trace")
+        assert rows(scenario.result_to_csv(sc, trace, None)) == [f"{a},{b}" for a, b in zip(text, text[::-1])]
+        grid = ScanResult(axes=(("a", x[:6]), ("b", x[6:])), signal=np.tile(x[::-1], (6, 1))[:, :6], name="map")
+        assert rows(scenario.result_to_csv(sc, grid, None)) == [
+            f"{text[i]},{text[6 + j]},{text[-1 - j]}" for i in range(6) for j in range(6)]
+        peaks = ScanResult(axes=(("a", x), ("b", np.arange(3.0))), signal=np.tile([0.0, 1.0, 0.0], (x.size, 1)))
+        assert rows(scenario.summary_to_csv(sc, peaks)) == [f"{a},1,1" for a in text]
+        monkeypatch.setattr(fitting, "fft_spectrum", lambda t, y: fitting.FftSpectrum(x, x[::-1], ()))
+        assert rows(scenario.fft_to_csv(sc, trace)) == [f"{a},{b}" for a, b in zip(text, text[::-1])]
+
 
 class TestFitCommand:
     def test_bundled_pumping_trace(self, capsys):

@@ -834,3 +834,123 @@ class TestBatchedSteadyStates:
             _steady_states(gens, hams, chans)
         with pytest.raises(NumericalFailure, match="at point 2"):
             _steady_states(gens, hams, chans, "point {}".format)
+
+
+# --- the uniqueness certificate of _steady_states against the SVD rule ---------
+
+def _svd_null_dim(gen: np.ndarray) -> int:
+    """The SVD rule: singular values below 1e-12 of the largest count as zero."""
+    sv = np.linalg.svd(gen, compute_uv=False)
+    return int(np.sum(sv < 1e-12 * sv[0]))
+
+
+def _bordered_solve(gen: np.ndarray) -> np.ndarray:
+    """The state that solves ``gen`` with the trace row in place of its first row."""
+    d = math.isqrt(gen.shape[0])
+    a = np.array(gen)
+    a[0] = np.eye(d).reshape(-1)
+    x = np.linalg.solve(a, np.eye(d * d)[:, 0])
+    return x / x[::d + 1].sum()
+
+
+def _block_batch(seed: int, dim: int) -> tuple[list[LindbladModel], tuple[CollapseChannel, ...]]:
+    """Models that share their channels.  With ``seed`` even, generic models:
+    random Hamiltonians, channels on all levels.  With ``seed`` odd, the
+    channels act inside the block of the first k levels only and the
+    Hamiltonian is block-diagonal, which leaves the rest of the levels a
+    stationary state of their own (an ambiguous model), and the same
+    Hamiltonian with a coupling eps * (largest rate) between the blocks for
+    eps in 1e-3, 1e-6 and 1e-9, shuffled."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian(n: int) -> np.ndarray:
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * (a + a.conj().T)
+
+    if seed % 2 == 0:
+        ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(int(rng.integers(1, 3)))]
+        chans = tuple(CollapseChannel(float(rng.uniform(0.5, 50.0)), op) for op in ops)
+        return [LindbladModel(dim=dim, h0=hermitian(dim), channels=chans) for _ in range(4)], chans
+    k = int(rng.integers(1, dim))
+    chans = []
+    for _ in range(int(rng.integers(1, 3))):
+        op = np.zeros((dim, dim), dtype=complex)
+        op[:k, :k] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        chans.append(CollapseChannel(float(rng.uniform(0.5, 50.0)), op))
+    h0 = np.zeros((dim, dim), dtype=complex)
+    h0[:k, :k], h0[k:, k:] = hermitian(k), hermitian(dim - k)
+    coupling = np.zeros((dim, dim), dtype=complex)
+    coupling[k - 1, k] = coupling[k, k - 1] = max(ch.rate_angular for ch in chans)
+    models = [LindbladModel(dim=dim, h0=h0 + eps * coupling, channels=tuple(chans))
+              for eps in rng.permutation([0.0, 1e-3, 1e-6, 1e-9])]
+    return models, tuple(chans)
+
+
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 4))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_steady_states_raise_exactly_when_the_svd_rule_does(seed, dim):
+    models, chans = _block_batch(seed, dim)
+    gens, hams = np.stack([liouvillian(m) for m in models]), np.stack([m.h0 for m in models])
+    null_dims = [_svd_null_dim(g) for g in gens]
+    for k, model in enumerate(models):
+        if null_dims[k] > 1:
+            with pytest.raises(SteadyStateAmbiguityError) as err:
+                _steady_states(gens[k:k + 1], hams[k:k + 1], chans)
+            assert err.value.null_dim == null_dims[k]
+        else:
+            x = _steady_states(gens[k:k + 1], hams[k:k + 1], chans)[0]
+            assert np.max(np.abs(x - _bordered_solve(gens[k]))) <= 1e-12
+    ambiguous = [k for k, n in enumerate(null_dims) if n > 1]
+    if ambiguous:
+        with pytest.raises(SteadyStateAmbiguityError, match=f"at batch index {ambiguous[0]}$") as err:
+            _steady_states(gens, hams, chans)
+        assert err.value.null_dim == null_dims[ambiguous[0]]
+    else:
+        x = _steady_states(gens, hams, chans)
+        assert np.max(np.abs(x - np.array([_bordered_solve(g) for g in gens]))) <= 1e-12
+
+
+class TestSteadyStateCertificate:
+    def test_a_certified_batch_makes_no_svd_call(self, monkeypatch):
+        from fss import models
+
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        # fig2b's physics and probe grid
+        spectrum = models.cpt_spectrum(models.CptParams(), np.linspace(2.40, 2.80, 161))
+        assert spectrum.shape == (161,) and np.all(np.isfinite(spectrum))
+        assert calls == []
+
+    def test_a_member_the_certificate_cannot_clear_falls_back_to_the_svd(self, monkeypatch):
+        # a two-level model whose decay is 1e-10 of its drive: the certificate
+        # (3.2e10) fails, yet the SVD rule finds a one-dimensional null space
+        # (the two smallest singular values are 0 and 3.5e-11 of the largest)
+        omega, gamma_mhz = mhz_to_angular(1e3), 1e-7
+        model = LindbladModel(dim=2, h0=(omega / 2) * SX,
+                              channels=(CollapseChannel(gamma_mhz, np.array([[0, 1], [0, 0]], dtype=complex)),))
+        gen = liouvillian(model)
+        a = np.array(gen)
+        a[0] = np.eye(2).reshape(-1)
+        assert np.linalg.norm(np.linalg.inv(a)) * np.linalg.norm(gen) > core.STEADY_STATE_CERTIFICATE_MAX
+        assert _svd_null_dim(gen) == 1
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        rho = steady_state(model)
+        assert calls == [(1, 4, 4)]
+        assert np.max(np.abs(_coords(rho.matrix) - _bordered_solve(gen))) <= 1e-12
+        # near saturation: both populations 1/2
+        assert rho.population(1) == pytest.approx(0.5, abs=1e-6)
+
+    def test_an_exactly_singular_member_goes_to_the_svd(self):
+        # pure dephasing leaves the populations' rows of the generator zero,
+        # so the bordered matrix is exactly singular: no inverse is formed,
+        # and the SVD rule names the member
+        decay = (CollapseChannel(5.0, np.array([[0, 1], [0, 0]], dtype=complex)),)
+        dephasing = (CollapseChannel(5.0, SZ),)
+        gens = np.stack([liouvillian(LindbladModel(dim=2, h0=SZ, channels=decay)),
+                         liouvillian(LindbladModel(dim=2, h0=SZ, channels=dephasing))])
+        with pytest.raises(SteadyStateAmbiguityError, match="at batch index 1$") as err:
+            _steady_states(gens, np.stack([SZ, SZ]), decay)
+        assert err.value.null_dim == 2

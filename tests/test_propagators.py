@@ -272,6 +272,27 @@ def test_one_table_per_model_covers_every_period(monkeypatch):
     assert calls == [pytest.approx((1.0, 1.0 + model.period_ns), abs=1e-12)]
 
 
+def test_a_driven_stack_builds_one_table_per_distinct_generator(monkeypatch):
+    # members 0, 2 and 4 share one generator and 1 and 3 another
+    built = []
+    real = fss.core._propagators
+
+    def recording(gen, *args):
+        built.append(gen.copy())
+        return real(gen, *args)
+
+    monkeypatch.setattr(fss.core, "_propagators", recording)
+    model = _random_model(5, 2)
+    gens = _generators(5, 2, [0, 1, 0, 1, 0])
+    rng = np.random.default_rng(5)
+    rhos = [_coords(_random_state(rng, 2)) for _ in gens]
+    t = np.linspace(0.0, 2.5 * model.period_ns, 7)
+    batch = _propagate(gens, rhos, t, model.drives)
+    assert sorted(g.tobytes() for g in built) == sorted([gens[0].tobytes(), gens[1].tobytes()])
+    for b, rho in enumerate(rhos):
+        np.testing.assert_array_equal(batch[:, b], _propagate(gens[b:b + 1], [rho], t, model.drives)[:, 0])
+
+
 @pytest.mark.parametrize("period", [0.0, -1.0, np.inf, np.nan])
 def test_drive_period_must_be_positive_and_finite(period):
     with pytest.raises(UsageError):

@@ -633,13 +633,13 @@ class TestShotExecutor:
         simulate_protocol(prot, TwoLevelPhysics(epsilon_init=0.01),
                           EnsembleSpec(t2star_ns=34.0, nodes=9), ideal_pulses=ideal)
         # a state per node for every distinct shot prefix that ends in a
-        # rotation or in a drive or wait of nonzero duration, plus the two
-        # initial states the binding prepares
+        # rotation or in a drive or wait of nonzero duration; the binding's
+        # initial state is written as coordinates, not guarded
         prefixes = {tuple(shot[:k + 1])
                     for x in prot.axis("tau_ns") for shot in _shots(prot, ideal, x)
                     for k, seg in enumerate(shot)
                     if seg.kind == "rotation" or (seg.kind in ("drive", "wait") and seg.duration_ns > 0)}
-        assert sum(guarded) == 9 * len(prefixes) + 2
+        assert sum(guarded) == 9 * len(prefixes)
 
     @staticmethod
     def _node_readouts(monkeypatch, prot, physics, ensemble) -> np.ndarray:
