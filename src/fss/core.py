@@ -47,7 +47,8 @@ exactly once, as part of a stack of coordinates: eigenvalues in
 [EIGENVALUE_FLOOR, 0) = [-1e-8, 0) are clamped to zero with the trace
 renormalized, anything more negative is a numerical failure.  Only the
 states it clamps are diagonalized; the others need only their lowest
-eigenvalue.  Exact states stay within about -1e-14 of zero and states of
+eigenvalue, and not even that when a Cholesky factorization certifies them
+positive definite with a margin (POSITIVITY_MARGIN).  Exact states stay within about -1e-14 of zero and states of
 models with drives within about -4e-14 (see _CFM4_TOL).  ``DensityMatrix``
 checks states from outside, and ``evolve`` and ``steady_state`` return d x d
 matrices (``_matrices``); propagated states are not checked twice.
@@ -56,7 +57,10 @@ Steady states have one path too, ``_steady_states``, batched over a stack
 of generators and solved in float64; ``steady_state`` is its one-model case.
 The inverse of the bordered matrix that gives the states also certifies
 that each null space is one-dimensional; only members it cannot clear pay
-for an SVD.
+for an SVD.  The states are checked against the master equation in another
+form, complex superoperators on row-major vectorized matrices
+(``_rhs_superop``, which ``lindblad_rhs`` applies too), that the caller
+passes with the stack; the CPT spectrum takes them from a cached basis.
 """
 
 from __future__ import annotations
@@ -76,6 +80,16 @@ from .units import mhz_to_angular
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
+# The guard clears a state of d > 2 levels without eigvalsh when the Cholesky
+# factorization of rho - tau I, tau = POSITIVITY_MARGIN, completes.  Its
+# computed factor R is then exact for rho - tau I + E with
+# |E| <= gamma_{d+1} |R^+| |R| (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Sec. 10.1), so ||E|| <= d gamma_{d+1} max_i rho_ii, a
+# few 1e-15 for a state that passed the trace check: rho has no eigenvalue
+# below tau - 1e-14, and eigvalsh, backward stable to a few d eps ||rho||,
+# finds none below zero.  tau is four decades above both errors and eight
+# below the lowest eigenvalue of the CPT steady states (0.038).
+POSITIVITY_MARGIN = 1e-10
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -127,7 +141,9 @@ def _guard(x, times=None) -> np.ndarray:
     of [[a, b], [b*, c]] is the projector onto its upper eigenvector,
     (r + h, 2 Re b, 2 Im b, r - h) / 2r with h = (a - c)/2 and
     r = hypot(h, |b|); a larger one is rebuilt from ``eigh`` of its matrix,
-    with the eigenvalues clipped.
+    with the eigenvalues clipped.  For d > 2, the states that
+    :func:`_positive_definite` certifies need no eigenvalue: only the others
+    go through ``eigvalsh``, and the result is the same.
     """
     d = math.isqrt(x.shape[-1])
 
@@ -140,7 +156,14 @@ def _guard(x, times=None) -> np.ndarray:
     check(~np.isfinite(x).all(axis=-1), "density matrix has non-finite entries")
     off = np.abs(x[..., ::d + 1].sum(axis=-1) - 1.0)
     check(off > TRACE_TOL, "density matrix trace deviates from 1 by {:.3e}", off)
-    low = _lowest_eigenvalues(x)
+    if d == 2:
+        low = _lowest_eigenvalues(x)
+    else:  # a certified state has no eigenvalue below zero
+        unclear = ~_positive_definite(x)
+        if not np.any(unclear):
+            return x
+        low = np.full(x.shape[:-1], np.inf)
+        low[unclear] = _lowest_eigenvalues(x[unclear])
     check(low < EIGENVALUE_FLOOR, "density matrix has negative eigenvalue {:.3e}", low)
     neg = low < 0.0
     if not np.any(neg):
@@ -165,6 +188,23 @@ def _lowest_eigenvalues(x: np.ndarray) -> np.ndarray:
         a, c = x[..., 0], x[..., 3]
         return 0.5 * (a + c) - np.hypot(0.5 * (a - c), 0.5 * np.hypot(x[..., 1], x[..., 2]))
     return np.linalg.eigvalsh(_matrices(x))[..., 0]  # ascending
+
+
+def _positive_definite(x: np.ndarray) -> np.ndarray:
+    """Whether each state of a (..., d^2) stack of unit-trace coordinates is
+    certified to have no eigenvalue below zero: every population exceeds
+    POSITIVITY_MARGIN = tau, and the Cholesky factorization of rho - tau I
+    completes for the states that pass that (one LAPACK call for the stack;
+    see POSITIVITY_MARGIN for the margin).  If it fails for one of them, it
+    certifies none, as the bordered inverse of :func:`_steady_states` does."""
+    d = math.isqrt(x.shape[-1])
+    ok = np.all(x[..., ::d + 1] > POSITIVITY_MARGIN, axis=-1)
+    if np.any(ok):
+        try:
+            np.linalg.cholesky(_matrices(x[ok]) - POSITIVITY_MARGIN * np.eye(d))
+        except np.linalg.LinAlgError:  # a pivot is not positive
+            return np.zeros_like(ok)
+    return ok
 
 
 class DensityMatrix:
@@ -361,10 +401,10 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
 
     ``rho`` and ``hamiltonian`` may also be (..., d, d) stacks that
     broadcast against each other.  The result is traceless and keeps
-    rho + dt * rhs Hermitian to first order.  The channels enter as one
-    stack of sqrt(g) L: the jump terms g L rho L^+ of all channels are one
-    d^2 x d^2 superoperator, applied to the whole state stack by one matrix
-    product, and the anticommutator terms share one sum of g L^+ L.
+    rho + dt * rhs Hermitian to first order.  It is the superoperator of
+    :func:`_rhs_superop` applied to row-major vec(rho): the complex
+    Kronecker form of the equation, not the real generators of
+    :func:`liouvillian`, so it checks them independently.
     """
     r = _as_matrix(rho)
     h = np.asarray(hamiltonian, dtype=complex)
@@ -376,14 +416,32 @@ def lindblad_rhs(rho, hamiltonian: np.ndarray, channels: Sequence[CollapseChanne
     _require_hermitian(h, "Hamiltonian")
     if any(ch.operator.shape[0] != dim for ch in channels):
         raise UsageError("channel operator dimension mismatch")
-    out = -1j * (h @ r - r @ h)
-    if channels:
-        ops = np.stack([math.sqrt(ch.rate_angular) * ch.operator for ch in channels])  # sqrt(g) L
-        decay = np.einsum("cji,cjk->ik", ops.conj(), ops)
-        # vec(rho) @ jumps = vec(sum of g L rho L^+), with the row-major vec below
-        jumps = np.einsum("cij,clk->jkil", ops, ops.conj()).reshape(dim * dim, dim * dim)
-        out += (r.reshape(*r.shape[:-2], dim * dim) @ jumps).reshape(r.shape) - 0.5 * (decay @ r + r @ decay)
-    return out
+    vec = r.reshape(*r.shape[:-2], dim * dim, 1)
+    return (_rhs_superop(h, _jump_ops(channels, dim)) @ vec).reshape(np.broadcast_shapes(r.shape, h.shape))
+
+
+def _jump_ops(channels: Sequence[CollapseChannel], d: int) -> np.ndarray:
+    """The (C, d, d) stack of the channels' sqrt(g_i) L_i, g_i angular."""
+    return np.array([math.sqrt(ch.rate_angular) * ch.operator for ch in channels]).reshape(-1, d, d)
+
+
+def _rhs_superop(hamiltonians: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The master equation as complex superoperators S on row-major vec(rho),
+    vec(drho/dt) = S vec(rho), one per Hamiltonian of a (..., d, d) stack,
+    with the dissipators of the (C, d, d) stack ``ops`` of sqrt(g) L: the
+    jump terms g L rho L^+ of all channels are one d^2 x d^2 matrix, and the
+    anticommutator terms share one sum of g L^+ L.  Written with Kronecker
+    products and no :func:`_hermitian_basis`, it is the residual check of
+    the steady states, independent of the generators that they solve."""
+    h = np.asarray(hamiltonians, dtype=complex)
+    d = h.shape[-1]
+    eye = np.eye(d)
+    decay = np.einsum("cji,cjk->ik", ops.conj(), ops)
+    # vec(A rho B) = (A (x) B^T) vec(rho), A (x) B with rows (i, j) and columns (k, l)
+    out = (np.einsum("cik,cjl->ijkl", ops, ops.conj())
+           - 0.5 * (np.einsum("ik,jl->ijkl", decay, eye) + np.einsum("ik,jl->ijkl", eye, decay.T))
+           - 1j * (np.einsum("...ik,jl->...ijkl", h, eye) - np.einsum("ik,...lj->...ijkl", eye, h)))
+    return out.reshape(h.shape[:-2] + (d * d, d * d))
 
 
 # --- superoperators ---------------------------------------------------------
@@ -455,9 +513,7 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     of h0 plus the dissipator of the channels' sqrt(g_i) L_i,
     rho -> -i [h0, rho] + sum_i g_i (L_i rho L_i^+ - 1/2 {L_i^+ L_i, rho}).
     """
-    d = model.dim
-    ops = np.array([math.sqrt(ch.rate_angular) * ch.operator for ch in model.channels]).reshape(-1, d, d)
-    return _commutator_superop(model.h0) + _dissipator_superop(ops)
+    return _commutator_superop(model.h0) + _dissipator_superop(_jump_ops(model.channels, model.dim))
 
 
 # Padé-13 coefficients b_k / b_0, k = 0..13, and the 1-norm up to which the
@@ -770,7 +826,8 @@ STEADY_STATE_CERTIFICATE_MAX = 1e10
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
     """Unique stationary state of a time-independent dissipative model: the
-    one-member batch of :func:`_steady_states`.
+    one-member batch of :func:`_steady_states`, checked against the
+    :func:`_rhs_superop` of its Hamiltonian and channels.
 
     A null space of dimension > 1 raises :class:`SteadyStateAmbiguityError`.
     Uniqueness is certified when ||A^-1||_F ||L||_F <= 1e10
@@ -781,12 +838,13 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     if model.time_dependent:
         raise UsageError("steady_state requires a time-independent Hamiltonian")
     model.slowest_rate_angular()  # raises if there is no dissipative channel
-    rho = _matrices(_steady_states(liouvillian(model)[None], model.h0[None], model.channels)[0])
+    residual_ops = _rhs_superop(model.h0[None], _jump_ops(model.channels, model.dim))
+    rho = _matrices(_steady_states(liouvillian(model)[None], residual_ops)[0])
     rho.setflags(write=False)
     return DensityMatrix._guarded(rho)
 
 
-def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequence[CollapseChannel],
+def _steady_states(gens: np.ndarray, residual_ops: np.ndarray,
                    where: Callable[[int], str] = "batch index {}".format) -> np.ndarray:
     """Stationary states of a (B, d^2, d^2) stack of static generators, as a
     guarded (B, d^2) array of coordinates, in float64.
@@ -800,14 +858,15 @@ def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequenc
     c <= STEADY_STATE_CERTIFICATE_MAX = 1e10 has a one-dimensional null
     space.  Every other member (c above the cutoff or not finite, or the
     whole stack when some member is exactly singular) goes through one
-    batched SVD: a singular value below 1e-12 of the largest counts as zero,
-    and a null space of dimension > 1 raises SteadyStateAmbiguityError; those
-    that pass are solved with the bordered matrix.  Then one residual check by
-    :func:`lindblad_rhs` of the states' matrices, from the (B, d, d)
-    ``hamiltonians`` and shared ``channels``, independent of the generators
-    solved: a residual above STEADY_STATE_RESIDUAL_TOL raises
-    NumericalFailure.  Both errors name the first failing member as
-    ``where(index)``.
+    batched SVD: a singular value at most 1e-12 of the largest counts as
+    zero (all of them, for a zero generator), and a null space of dimension
+    > 1 raises SteadyStateAmbiguityError; those that pass are solved with
+    the bordered matrix.  Then one residual check: ``residual_ops`` is the
+    (B, d^2, d^2) stack of :func:`_rhs_superop` superoperators of the same
+    models, built from their Hamiltonians and channels independently of the
+    generators solved, and applied to the states' row-major matrices; a
+    residual above STEADY_STATE_RESIDUAL_TOL raises NumericalFailure.  Both
+    errors name the first failing member as ``where(index)``.
     """
     n2 = gens.shape[1]
     n = math.isqrt(n2)
@@ -824,14 +883,14 @@ def _steady_states(gens: np.ndarray, hamiltonians: np.ndarray, channels: Sequenc
     unclear = np.flatnonzero(~(cert <= STEADY_STATE_CERTIFICATE_MAX))
     if unclear.size:
         sv = np.linalg.svd(gens[unclear], compute_uv=False)
-        null_dim = np.sum(sv < 1e-12 * sv[:, :1], axis=1)
+        null_dim = np.sum(sv <= 1e-12 * sv[:, :1], axis=1)
         if np.any(null_dim > 1):
             k = int(np.argmax(null_dim > 1))
             raise SteadyStateAmbiguityError(int(null_dim[k]), where(int(unclear[k])))
         x[unclear] = np.linalg.solve(a[unclear], np.eye(n2)[:, :1])[..., 0]
     x = x / x[:, ::n + 1].sum(axis=1, keepdims=True)
 
-    residual = np.max(np.abs(lindblad_rhs(_matrices(x), hamiltonians, channels)), axis=(-2, -1))
+    residual = np.max(np.abs(residual_ops @ _matrices(x).reshape(-1, n2, 1)), axis=(-2, -1))
     if np.any(residual > STEADY_STATE_RESIDUAL_TOL):
         k = int(np.argmax(residual > STEADY_STATE_RESIDUAL_TOL))
         raise NumericalFailure(f"steady-state residual {residual[k]:.3e} exceeds tolerance at {where(k)}")

@@ -94,9 +94,10 @@ def fit(
     ``fixed`` freezes named parameters at given values.  The optimiser is
     Levenberg-Marquardt (:func:`_least_squares`), projected onto the bounds
     when the model declares them; the errors come from a finite-difference
-    Jacobian at the optimum.  ``max_nfev`` caps the optimiser's model
-    evaluations, and the result's ``n_eval`` counts every model evaluation
-    the optimiser made, its finite-difference Jacobians included.
+    Jacobian at the optimum, the optimiser's own if it took one there.
+    ``max_nfev`` caps the optimiser's model evaluations, and the result's
+    ``n_eval`` counts every model evaluation the optimiser made, its
+    finite-difference Jacobians included; no point is evaluated twice.
     """
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
@@ -135,12 +136,12 @@ def fit(
     # scale each direction by the guess magnitude: parameters here span
     # orders of magnitude (GHz splittings against sub-ns^-1 rates)
     x_scale = np.where(np.abs(p_free0) > 0, np.abs(p_free0), 1.0)
-    p_opt, converged = _least_squares(residuals, p_free0, lower, upper, x_scale, max_nfev)
+    p_opt, r, jac, converged = _least_squares(residuals, p_free0, lower, upper, x_scale, max_nfev)
     status = "converged" if converged else "max-iterations"
     n_opt = n_eval  # the error bars below are not part of the optimisation
 
-    r = residuals(p_opt)
-    jac = _numeric_jacobian(residuals, p_opt, r, upper)
+    if jac is None:
+        jac = _numeric_jacobian(residuals, p_opt, r, upper)
     stderr, cov, unident = _errors_from_jacobian(jac, r, len(free_names))
     if unident:
         status = "rank-deficient"
@@ -160,10 +161,11 @@ def fit(
 
 
 def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarray, scale: np.ndarray,
-                   max_nfev: int) -> tuple[np.ndarray, bool]:
+                   max_nfev: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, bool]:
     """Minimise sum(residuals(p)^2) by Levenberg-Marquardt from p0 projected
-    onto [lower, upper]; returns the optimum and whether it converged within
-    ``max_nfev`` calls of ``residuals``.
+    onto [lower, upper]; returns the optimum, its residuals, the
+    forward-difference Jacobian there if one was taken there (else None) and
+    whether it converged within ``max_nfev`` calls of ``residuals``.
 
     The damping is set by a trust region on the scaled parameters p / scale
     (Moré, Lecture Notes in Mathematics 630, 105, 1978), which starts, grows
@@ -178,6 +180,9 @@ def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarr
     the scaled parameters, when both the actual and the predicted cost
     reduction of a step are at most _LS_TOL of the cost, or when every free
     column of the Jacobian is within _LS_TOL of orthogonal to the residuals.
+    A trial equal to the one just rejected, as after a rejection that
+    shrinks the region to the length of the Gauss-Newton step, reuses its
+    residuals.
     """
     n = p0.size
     p = np.clip(p0, lower, upper)
@@ -186,14 +191,17 @@ def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarr
         raise UsageError("the residuals are not finite at the initial guess")
     nfev, cost = 1, float(r @ r)
     radius = 100.0 * (np.linalg.norm(p / scale) or 1.0)
+    rejected = None  # the last rejected trial, with its residuals
+    at_p = None  # the forward-difference Jacobian at p
     while nfev + n + 1 <= max_nfev:
-        jac = _numeric_jacobian(residuals, p, r, upper) * scale
+        at_p = _numeric_jacobian(residuals, p, r, upper)
+        jac = at_p * scale
         nfev += n
         grad = jac.T @ r
         held = ((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0))
         jac[:, held] = 0.0
         if np.all(np.abs(grad[~held]) <= _LS_TOL * np.linalg.norm(jac[:, ~held], axis=0) * math.sqrt(cost)):
-            return p, True
+            return p, r, at_p, True
         u, sv, vt = np.linalg.svd(jac, full_matrices=False)
         ur = u.T @ r
         while nfev < max_nfev:
@@ -205,8 +213,11 @@ def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarr
             step[past] = np.copysign(0.5 * gap[past], step[past])
             trial = np.clip(p + step, lower, upper)
             dz = (trial - p) / scale
-            r_trial = residuals(trial)
-            nfev += 1
+            if rejected is not None and np.array_equal(trial, rejected[0]):
+                r_trial = rejected[1]
+            else:
+                r_trial = residuals(trial)
+                nfev += 1
             cost_trial = float(r_trial @ r_trial)
             # MINPACK's relative reductions and region update (lmdif)
             length, fit_part = np.linalg.norm(dz), float(np.sum((jac @ dz) ** 2)) / cost
@@ -221,13 +232,15 @@ def _least_squares(residuals, p0: np.ndarray, lower: np.ndarray, upper: np.ndarr
             elif damping == 0.0 or ratio >= 0.75:
                 radius = 2.0 * length
             if ratio >= 1e-4:
-                p, r, cost = trial, r_trial, cost_trial
+                p, r, cost, at_p = trial, r_trial, cost_trial, None
+            else:
+                rejected = trial, r_trial
             if (abs(actual) <= _LS_TOL and predicted <= _LS_TOL and ratio <= 2.0
                     or radius <= _LS_TOL * np.linalg.norm(p / scale)):
-                return p, True
+                return p, r, at_p, True
             if ratio >= 1e-4:
                 break
-    return p, False
+    return p, r, at_p, False
 
 
 def _damping(sv: np.ndarray, ur: np.ndarray, radius: float) -> float:

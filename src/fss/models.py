@@ -16,6 +16,7 @@ trion_minus couples to |down> through the sigma- dipole.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from .core import (
     _coords,
     _dissipator_superop,
     _propagate,
+    _rhs_superop,
     _require_finite_fields,
     _steady_states,
     liouvillian,
@@ -180,44 +182,76 @@ class CptParams:
         return self.omega_down * self.trion_lifetime_ns * math.sqrt(2.0)
 
 
+# The lambda model is linear in eight angular coefficients: the trion
+# detuning Delta |e><e|, the two-photon detuning delta |up><up|, the arm
+# amplitudes Omega_down and Omega_up of (|i><e| + |e><i|) / 2, and the rates
+# of four channels (ground flip, ground dephasing, spin-conserving and
+# spin-flipping decay), each the dissipator of its operator per unit rate.
+_CPT_HAMILTONIAN = np.stack([_proj(3, 2, 2), _proj(3, 1, 1),
+                             (_proj(3, 0, 2) + _proj(3, 2, 0)) / 2, (_proj(3, 1, 2) + _proj(3, 2, 1)) / 2])
+_CPT_CHANNELS = (("ground-flip", _ground_flip(3)), ("ground-dephase", _ground_dephase(3)),
+                 ("spin-conserving", _proj(3, 0, 2)), ("spin-flipping", _proj(3, 1, 2)))
+
+
+def _cpt_coefficients(p: CptParams, delta2) -> np.ndarray:
+    """The eight coefficients of the lambda model at two-photon detunings
+    ``delta2`` (angular), as a (shape of delta2..., 8) array."""
+    delta2 = np.asarray(delta2, dtype=float)
+    out = np.empty(delta2.shape + (8,))
+    out[...] = (ghz_to_angular(p.delta_ghz), 0.0, p.omega_down, p.omega_up,
+                0.5 / p.gamma1_inv_ns, p.gamma2, 1.0 / p.trion_lifetime_ns, 1.0 / p.spin_flip_time_ns)
+    out[..., 1] = delta2
+    return out
+
+
+@functools.cache
+def _cpt_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The eight terms of the lambda model as two bases, built at first use:
+    the real generators on the coordinates of
+    :func:`fss.core._hermitian_basis`, which are solved, and the complex
+    row-major superoperators of :func:`fss.core._rhs_superop`, which check
+    the solution.  A model's operators are its coefficients times a basis."""
+    ops = np.stack([op for _, op in _CPT_CHANNELS])
+    gens = np.concatenate([_commutator_superop(_CPT_HAMILTONIAN), [_dissipator_superop(op) for op in ops]])
+    rhs = np.concatenate([_rhs_superop(_CPT_HAMILTONIAN, np.zeros((0, 3, 3))),
+                          [_rhs_superop(np.zeros((3, 3)), op[None]) for op in ops]])
+    # the complex basis as its (8, 162) float view: real coefficients times it
+    # are the real and imaginary parts of the products, interleaved
+    bases = gens.reshape(8, 81), rhs.reshape(8, 81).view(float)
+    for basis in bases:
+        basis.setflags(write=False)  # shared by every call
+    return bases
+
+
 def build_cpt_three_level(p: CptParams, omega_ghz: float | None = None) -> LindbladModel:
-    """Three-level lambda model at two-photon detuning delta = omega - omega_e0.
+    """Three-level lambda model at two-photon detuning delta = omega - omega_e0,
+    assembled from the term table _CPT_HAMILTONIAN and _CPT_CHANNELS.
 
     With ``omega_ghz`` omitted the model sits exactly on two-photon resonance.
     """
     delta2 = 0.0 if omega_ghz is None else ghz_to_angular(omega_ghz - p.omega_e0_ghz)
-    big_delta = ghz_to_angular(p.delta_ghz)
-
-    h = np.zeros((3, 3), dtype=complex)
-    h[2, 2] = big_delta
-    h[1, 1] = delta2
-    h[0, 2] = h[2, 0] = p.omega_down / 2
-    h[1, 2] = h[2, 1] = p.omega_up / 2
-
-    chans = [
-        CollapseChannel(angular_to_mhz(0.5 / p.gamma1_inv_ns), _ground_flip(3), "ground-flip"),
-        CollapseChannel(angular_to_mhz(p.gamma2), _ground_dephase(3), "ground-dephase"),
-        CollapseChannel(angular_to_mhz(1.0 / p.trion_lifetime_ns), _proj(3, 0, 2), "spin-conserving"),
-        CollapseChannel(angular_to_mhz(1.0 / p.spin_flip_time_ns), _proj(3, 1, 2), "spin-flipping"),
-    ]
-    return LindbladModel(dim=3, h0=h, channels=tuple(chans), labels=("down", "up", "trion"))
+    c = _cpt_coefficients(p, delta2)
+    chans = tuple(CollapseChannel(angular_to_mhz(g), op, label) for g, (label, op) in zip(c[4:], _CPT_CHANNELS))
+    return LindbladModel(dim=3, h0=np.tensordot(c[:4], _CPT_HAMILTONIAN, axes=1), channels=chans,
+                         labels=("down", "up", "trion"))
 
 
 def cpt_spectrum(p: CptParams, omega_grid_ghz) -> np.ndarray:
     """Steady-state fluorescence (gamma_1 * rho_ee, ns^-1) per probe frequency.
 
-    The model is affine in the two-photon detuning delta, which enters only
-    as delta |up><up|: every frequency's generator is L(0) + delta * L_up, and
-    all the steady states are one batched solve.
+    The model is linear in its eight coefficients (see _cpt_coefficients),
+    of which only the two-photon detuning delta changes with the frequency:
+    the (frequencies, 8) coefficient matrix times each cached basis of
+    :func:`_cpt_terms` gives every generator and every residual
+    superoperator, and all the steady states are one batched solve.
     """
     grid = np.atleast_1d(np.asarray(omega_grid_ghz, dtype=float))
     if grid.size == 0:
         raise UsageError("frequency grid must be non-empty")
-    model = build_cpt_three_level(p)
-    up = _proj(3, 1, 1)
-    delta2 = ghz_to_angular(grid - p.omega_e0_ghz)[:, None, None]
-    rhos = _steady_states(liouvillian(model) + delta2 * _commutator_superop(up), model.h0 + delta2 * up,
-                          model.channels, lambda k: f"probe frequency {grid[k]:g} GHz")
+    coeffs = _cpt_coefficients(p, ghz_to_angular(grid - p.omega_e0_ghz))
+    gens, rhs = _cpt_terms()
+    rhos = _steady_states((coeffs @ gens).reshape(-1, 9, 9), (coeffs @ rhs).view(complex).reshape(-1, 9, 9),
+                          lambda k: f"probe frequency {grid[k]:g} GHz")
     return (1.0 / p.trion_lifetime_ns) * rhos[:, ::4][:, 2]  # rho_ee, a population coordinate
 
 

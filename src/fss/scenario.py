@@ -470,8 +470,8 @@ def run_scenario(sc: Scenario, seed: int | None = None) -> list[ScanResult]:
 
 # --- CSV emission -----------------------------------------------------------------
 
-def format_float(v: float) -> str:
-    return f"{v:.12g}"
+# the text of each CSV value, f"{v:.12g}"; a row is one %-format of its values
+_CSV_FLOAT = "%.12g"
 
 
 def result_to_csv(sc: Scenario, res: ScanResult, seed: int | None) -> str:
@@ -484,9 +484,9 @@ def result_to_csv(sc: Scenario, res: ScanResult, seed: int | None) -> str:
         raise UsageError("CSV emission supports 1 or 2 axes")
     lines.append(",".join([n for n, _ in res.axes] + ["signal"]))
     grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
+    row = ",".join([_CSV_FLOAT] * (len(res.axes) + 1))
     # Python floats format faster than numpy scalars, to the same text
-    for row in zip(*(g.ravel().tolist() for g in grids), np.ravel(res.signal).tolist()):
-        lines.append(",".join(map(format_float, row)))
+    lines.extend(row % r for r in zip(*(g.ravel().tolist() for g in grids), np.ravel(res.signal).tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -503,7 +503,7 @@ def summary_to_csv(sc: Scenario, res: ScanResult) -> str:
     for x0, row in zip(a0.tolist(), res.signal):
         k = int(np.argmax(row))
         peak = fitting.refine_peak(a1, row, k)
-        lines.append(f"{format_float(x0)},{format_float(peak)},{format_float(float(row[k]))}")
+        lines.append(f"{_CSV_FLOAT},{_CSV_FLOAT},{_CSV_FLOAT}" % (x0, peak, float(row[k])))
     return "\n".join(lines) + "\n"
 
 
@@ -513,9 +513,8 @@ def fft_to_csv(sc: Scenario, res: ScanResult) -> str:
     spec = fitting.fft_spectrum(res.axes[0][1], res.signal)
     lines = [
         f"# fss scenario={sc.name} product={res.name} transform=fft",
-        "# meta peaks=" + ";".join(f"{format_float(f)}" for f, _ in spec.peaks[:5]),
+        "# meta peaks=" + ";".join(_CSV_FLOAT % f for f, _ in spec.peaks[:5]),
         "freq_mhz,amplitude",
     ]
-    for f, a in zip(spec.freq_mhz.tolist(), spec.amplitude.tolist()):
-        lines.append(f"{format_float(f)},{format_float(a)}")
+    lines.extend(f"{_CSV_FLOAT},{_CSV_FLOAT}" % r for r in zip(spec.freq_mhz.tolist(), spec.amplitude.tolist()))
     return "\n".join(lines) + "\n"

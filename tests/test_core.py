@@ -18,17 +18,19 @@ from fss.core import (
     _coords,
     _expm,
     _guard,
+    _jump_ops,
     _lowest_eigenvalues,
     _matrices,
     _propagate,
+    _rhs_superop,
     _steady_states,
     liouvillian,
     steady_state,
 )
 from fss.errors import NumericalFailure, SteadyStateAmbiguityError, UsageError
 from fss.units import mhz_to_angular
-from oracles import (coordinate_map, model_liouvillian, oracle_commutator, oracle_dissipator, oracle_liouvillian,
-                     to_coordinates)
+from oracles import (coordinate_map, guard_reference, model_liouvillian, oracle_commutator, oracle_dissipator,
+                     oracle_liouvillian, to_coordinates)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -226,6 +228,99 @@ class TestGuard:
         rhos = (u * evals[:, None, :]) @ u.conj().swapaxes(-1, -2)
         assert np.any(np.linalg.eigvalsh(rhos)[:, 0] < 0.0)
         assert np.abs(_matrices(_guard(_coords(rhos))) - self._full_eigh_guard(rhos)).max() <= 1e-14
+
+
+# --- the positivity certificate of _guard against eigvalsh of every state ------
+
+def _guard_batch(seed: int, dim: int, failure: str, layout: str):
+    """Twelve states of ``dim`` levels as coordinates, each full-rank,
+    rank-deficient, near-pure or with its lowest eigenvalue slightly
+    negative (down to -1e-9), some of them diagonal; with ``failure`` one
+    member has an eigenvalue of -1e-6, a trace off by 1e-7 or a NaN entry.
+    The ``layout`` is a (12, d^2) "stack", a (2, 6, d^2) "grid" or a
+    "single" (d^2,) state (the failing member, if any), with times."""
+    rng = np.random.default_rng(seed)
+    b = 12
+    evals = rng.dirichlet(np.ones(dim), size=b)
+    for row, kind in zip(evals, rng.choice(["full-rank", "rank-deficient", "near-pure", "negative"], size=b)):
+        if kind == "rank-deficient":
+            row[:rng.integers(1, dim)] = 0.0
+        elif kind == "near-pure":
+            row[1:] = 10.0 ** -rng.uniform(6.0, 16.0, size=dim - 1)
+        elif kind == "negative":
+            row[0] = -(10.0 ** -rng.uniform(9.0, 16.0))
+        row[1:] *= (1.0 - row[0]) / row[1:].sum()
+    u, _ = np.linalg.qr(rng.normal(size=(b, dim, dim)) + 1j * rng.normal(size=(b, dim, dim)))
+    u[rng.random(b) < 0.25] = np.eye(dim)
+    rhos = (u * evals[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    x = (rhos.reshape(b, -1) @ coordinate_map(dim).T).real
+    k = rng.integers(b)
+    if failure == "eigenvalue":
+        x[k] = (np.diag(np.r_[1.0 + 1e-6, -1e-6, np.zeros(dim - 2)]).reshape(-1) @ coordinate_map(dim).T).real
+    elif failure == "trace":
+        x[k, ::dim + 1] *= 1.0 + 1e-7
+    elif failure == "nan":
+        x[k, rng.integers(dim * dim)] = np.nan
+    times = 0.5 * np.arange(b)
+    if layout == "single":
+        return x[k], times[k]
+    return (x.reshape(2, 6, -1), times.reshape(2, 6)) if layout == "grid" else (x, times)
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 4]),
+       failure=st.sampled_from(["none", "none", "eigenvalue", "trace", "nan"]),
+       layout=st.sampled_from(["stack", "grid", "single"]))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_guard_is_bit_identical_to_eigvalsh_of_every_state(seed, dim, failure, layout):
+    x, times = _guard_batch(seed, dim, failure, layout)
+    expected = guard_reference(x.copy(), times)
+    if isinstance(expected, tuple):
+        with pytest.raises(NumericalFailure) as err:
+            _guard(x, times)
+        assert str(err.value) == str(NumericalFailure(*expected))
+        assert err.value.time_ns == expected[1]
+    else:
+        assert np.array_equal(_guard(x, times), expected)
+
+
+class TestPositivityCertificate:
+    @staticmethod
+    def _states(lowest: list[float], dim: int = 3) -> np.ndarray:
+        """Rotated unit-trace states with the given lowest eigenvalues."""
+        rng = np.random.default_rng(dim)
+        u, _ = np.linalg.qr(rng.normal(size=(len(lowest), dim, dim)) + 1j * rng.normal(size=(len(lowest), dim, dim)))
+        evals = np.array([np.r_[low, np.full(dim - 1, (1.0 - low) / (dim - 1))] for low in lowest])
+        return _coords((u * evals[:, None, :]) @ u.conj().swapaxes(-1, -2))
+
+    def test_clears_states_with_margin_above_tau(self):
+        assert core._positive_definite(self._states([0.3, 1e-3, 1e-8, 1e2 * core.POSITIVITY_MARGIN])).all()
+
+    def test_does_not_clear_states_within_tau_of_singular(self):
+        lows = [0.1 * core.POSITIVITY_MARGIN, 0.0, -1e-12, -1e-9]
+        assert not np.any([core._positive_definite(self._states([low]))[0] for low in lows])
+        # a population at most tau is not factorized at all
+        assert not core._positive_definite(_coords(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)))
+
+    def test_single_states_it_cannot_clear(self):
+        # populations all above tau, so the Cholesky runs on one state and fails
+        assert not core._positive_definite(_coords(np.full((3, 3), 1 / 3, dtype=complex)))
+        assert np.allclose(DensityMatrix(np.full((3, 3), 1 / 3)).matrix, 1 / 3, rtol=0.0, atol=1e-15)
+        assert DensityMatrix(np.full((4, 4), 0.25)).dim == 4
+        for dim in (3, 4):
+            near = _matrices(self._states([-1e-12], dim)[0])
+            assert np.linalg.eigvalsh(DensityMatrix(near).matrix)[0] >= -1e-15
+            with pytest.raises(NumericalFailure, match="negative eigenvalue -1.000e-06"):
+                DensityMatrix(_matrices(self._states([-1e-6], dim)[0]))
+
+    def test_one_member_it_cannot_clear_sends_the_stack_to_eigvalsh(self, monkeypatch):
+        x = self._states([0.3, 0.2, -1e-9, 0.1])
+        assert not core._positive_definite(x).any()
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        out = _guard(x)
+        assert calls == [(4, 3, 3)]
+        assert np.array_equal(out[[0, 1, 3]], x[[0, 1, 3]]) and not np.array_equal(out[2], x[2])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -788,6 +883,11 @@ def test_liouvillian_matches_kron_oracle(seed, dim, channels):
     assert np.max(np.abs(_commutator_superop(model.h0) - to_coordinates(oracle_commutator(model.h0)))) <= 1e-13
 
 
+def _residual_ops(hams: np.ndarray, chans) -> np.ndarray:
+    """The residual superoperators of _steady_states for a stack of Hamiltonians that share channels."""
+    return _rhs_superop(hams, _jump_ops(chans, hams.shape[-1]))
+
+
 class TestBatchedSteadyStates:
     @staticmethod
     def _damped(delta_mhz: float) -> LindbladModel:
@@ -802,7 +902,8 @@ class TestBatchedSteadyStates:
 
     def test_batch_matches_single_models(self):
         models = [self._damped(d) for d in (-30.0, 0.0, 12.0, 80.0)]
-        batch = _steady_states(*self._batch(models))
+        gens, hams, chans = self._batch(models)
+        batch = _steady_states(gens, _residual_ops(hams, chans))
         assert batch.shape == (len(models), 4) and batch.dtype == np.float64
         for rho, model in zip(_matrices(batch), models):
             assert np.max(np.abs(rho - steady_state(model).matrix)) <= 1e-14
@@ -819,9 +920,9 @@ class TestBatchedSteadyStates:
         coupled = LindbladModel(dim=4, h0=mix, channels=chans)
         gens = np.stack([liouvillian(coupled), liouvillian(coupled), liouvillian(unique)])
         hams = np.stack([coupled.h0, coupled.h0, unique.h0])
-        assert _steady_states(gens[:2], hams[:2], chans).shape == (2, 16)
+        assert _steady_states(gens[:2], _residual_ops(hams[:2], chans)).shape == (2, 16)
         with pytest.raises(SteadyStateAmbiguityError, match="batch index 2") as err:
-            _steady_states(gens, hams, chans)
+            _steady_states(gens, _residual_ops(hams, chans))
         assert err.value.null_dim > 1
 
     def test_residual_is_checked_against_the_hamiltonians(self):
@@ -831,9 +932,9 @@ class TestBatchedSteadyStates:
         gens, hams, chans = self._batch(models)
         gens[2] = liouvillian(self._damped(5.0))
         with pytest.raises(NumericalFailure, match="residual .* at batch index 2"):
-            _steady_states(gens, hams, chans)
+            _steady_states(gens, _residual_ops(hams, chans))
         with pytest.raises(NumericalFailure, match="at point 2"):
-            _steady_states(gens, hams, chans, "point {}".format)
+            _steady_states(gens, _residual_ops(hams, chans), "point {}".format)
 
 
 # --- the uniqueness certificate of _steady_states against the SVD rule ---------
@@ -895,18 +996,18 @@ def test_steady_states_raise_exactly_when_the_svd_rule_does(seed, dim):
     for k, model in enumerate(models):
         if null_dims[k] > 1:
             with pytest.raises(SteadyStateAmbiguityError) as err:
-                _steady_states(gens[k:k + 1], hams[k:k + 1], chans)
+                _steady_states(gens[k:k + 1], _residual_ops(hams[k:k + 1], chans))
             assert err.value.null_dim == null_dims[k]
         else:
-            x = _steady_states(gens[k:k + 1], hams[k:k + 1], chans)[0]
+            x = _steady_states(gens[k:k + 1], _residual_ops(hams[k:k + 1], chans))[0]
             assert np.max(np.abs(x - _bordered_solve(gens[k]))) <= 1e-12
     ambiguous = [k for k, n in enumerate(null_dims) if n > 1]
     if ambiguous:
         with pytest.raises(SteadyStateAmbiguityError, match=f"at batch index {ambiguous[0]}$") as err:
-            _steady_states(gens, hams, chans)
+            _steady_states(gens, _residual_ops(hams, chans))
         assert err.value.null_dim == null_dims[ambiguous[0]]
     else:
-        x = _steady_states(gens, hams, chans)
+        x = _steady_states(gens, _residual_ops(hams, chans))
         assert np.max(np.abs(x - np.array([_bordered_solve(g) for g in gens]))) <= 1e-12
 
 
@@ -943,6 +1044,14 @@ class TestSteadyStateCertificate:
         # near saturation: both populations 1/2
         assert rho.population(1) == pytest.approx(0.5, abs=1e-6)
 
+    def test_a_zero_generator_is_ambiguous_in_every_direction(self):
+        # a positive rate on a zero operator dissipates nothing: every singular
+        # value of the generator is 0, and the whole space is its null space
+        model = LindbladModel(dim=2, h0=np.zeros((2, 2)), channels=(CollapseChannel(5.0, np.zeros((2, 2))),))
+        with pytest.raises(SteadyStateAmbiguityError, match="dimension 4 at batch index 0$") as err:
+            steady_state(model)
+        assert err.value.null_dim == 4
+
     def test_an_exactly_singular_member_goes_to_the_svd(self):
         # pure dephasing leaves the populations' rows of the generator zero,
         # so the bordered matrix is exactly singular: no inverse is formed,
@@ -952,5 +1061,5 @@ class TestSteadyStateCertificate:
         gens = np.stack([liouvillian(LindbladModel(dim=2, h0=SZ, channels=decay)),
                          liouvillian(LindbladModel(dim=2, h0=SZ, channels=dephasing))])
         with pytest.raises(SteadyStateAmbiguityError, match="at batch index 1$") as err:
-            _steady_states(gens, np.stack([SZ, SZ]), decay)
+            _steady_states(gens, _residual_ops(np.stack([SZ, SZ]), decay))
         assert err.value.null_dim == 2

@@ -150,9 +150,48 @@ class TestFitEngine:
         y = base(x, *_params_vec(base, true)) + np.random.default_rng(5).normal(0, 3.0, x.size)
         model, calls = _counting(base, base.bounds if bounded else None)
         r = fit(model, x, y, {k: v * 1.1 for k, v in true.items()})
-        # after the optimisation, the error bars take one residual and one
-        # forward difference per free parameter
-        assert r.n_eval == len(calls) - 1 - len(r.param_names)
+        # this fit ends where the optimiser took its last Jacobian, so the
+        # error bars reuse it and the optimum's residuals, and call nothing
+        assert r.n_eval == len(calls)
+
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+    @pytest.mark.parametrize("name", sorted(MODEL_LIBRARY))
+    def test_no_parameter_vector_is_evaluated_twice(self, name, bounded):
+        base = MODEL_LIBRARY[name]
+        x, true = MODEL_CASES[name]
+        clean = base(x, *_params_vec(base, true))
+        y = clean + np.random.default_rng(3).normal(0.0, 0.01 * np.ptp(clean), x.size)
+        model, calls = _counting(base, base.bounds if bounded else None)
+        r = fit(model, x, y, 1.1 * np.array(_params_vec(base, true)))
+        points = [tuple(args[1:]) for args in calls]
+        assert len(points) == len(set(points))
+        # the error bars add a Jacobian only where the optimiser took none
+        assert len(calls) in (r.n_eval, r.n_eval + len(r.param_names))
+
+    def test_cpt_refit_evaluates_no_parameter_vector_twice(self):
+        # the benchmark's noiseless refit: a rejected trial and its repeat
+        # after the region shrank to its length, and the optimum, were each
+        # evaluated twice
+        from fss.models import CptParams, cpt_spectrum
+
+        names = ("omega_e0", "omega_down", "omega_up", "gamma2")
+        truth = dict(zip(names, (2.60, 9.3, 0.19, 0.53)))
+        grid = np.linspace(2.40, 2.80, 41)
+        points = []
+
+        def spectrum(x, omega_e0, omega_down, omega_up, gamma2):
+            points.append((omega_e0, omega_down, omega_up, gamma2))
+            return cpt_spectrum(CptParams(omega_e0_ghz=omega_e0, omega_down=abs(omega_down),
+                                          omega_up=abs(omega_up), gamma2=abs(gamma2)), x)
+
+        y = spectrum(grid, *truth.values())
+        points.clear()
+        p0 = {"omega_e0": 2.605, "omega_down": 9.3 * 0.97, "omega_up": 0.19 * 1.04, "gamma2": 0.53 * 0.95}
+        r = fit(FitModel("cpt", names, spectrum), grid, y, p0)
+        assert len(points) == len(set(points))
+        assert len(points) in (r.n_eval, r.n_eval + len(names))
+        for name in names:
+            assert abs(r[name]) == pytest.approx(truth[name], rel=1e-6)
 
     # widths enter their models squared, so an unbounded fit may end on
     # either sign of them

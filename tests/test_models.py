@@ -170,6 +170,55 @@ class TestCptModel:
         with pytest.raises(NumericalFailure, match="at probe frequency 2.57 GHz"):
             cpt_spectrum(CptParams(), [2.57, 2.6])
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.floats(2.0, 3.0), st.floats(-5.0, 5.0), st.floats(0.0, 20.0), st.floats(0.0, 2.0),
+           st.floats(1.0, 1e5), st.floats(0.0, 3.0), st.floats(0.05, 2.0), st.floats(1.0, 1e3),
+           st.floats(-0.3, 0.3), st.integers(0, 2**32 - 1))
+    def test_cached_bases_match_the_model(self, e0, delta, w_down, w_up, t1, g2, trion, flip, offset, seed):
+        from fss.core import lindblad_rhs
+        from fss.models import _cpt_coefficients, _cpt_terms
+
+        p = CptParams(omega_e0_ghz=e0, delta_ghz=delta, omega_down=w_down, omega_up=w_up, gamma1_inv_ns=t1,
+                      gamma2=g2, trion_lifetime_ns=trion, spin_flip_time_ns=flip)
+        model = build_cpt_three_level(p, e0 + offset)
+        coeffs = _cpt_coefficients(p, ghz_to_angular(offset))
+        gens, rhs = _cpt_terms()
+        gen = liouvillian(model)
+        assert np.max(np.abs((coeffs @ gens).reshape(9, 9) - gen)) <= 1e-12 * max(1.0, np.abs(gen).max())
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = z @ z.conj().T / np.trace(z @ z.conj().T)
+        want = lindblad_rhs(rho, model.h0, model.channels)
+        got = ((coeffs @ rhs).view(complex).reshape(9, 9) @ rho.reshape(-1)).reshape(3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+        # the term table writes the lambda Hamiltonian entry by entry
+        h = np.zeros((3, 3), dtype=complex)
+        h[2, 2], h[1, 1] = ghz_to_angular(delta), ghz_to_angular(e0 + offset - e0)
+        h[0, 2] = h[2, 0] = w_down / 2
+        h[1, 2] = h[2, 1] = w_up / 2
+        assert np.array_equal(model.h0, h)
+        assert [ch.label for ch in model.channels] == ["ground-flip", "ground-dephase", "spin-conserving",
+                                                       "spin-flipping"]
+
+    def test_spectrum_states_are_cleared_without_eigvalsh(self, monkeypatch):
+        from importlib import resources
+
+        from fss import scenario
+
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        # fig2b's physics and probe grid
+        spectrum = cpt_spectrum(CptParams(), np.linspace(2.40, 2.80, 161))
+        assert spectrum.shape == (161,) and np.all(np.isfinite(spectrum))
+        assert calls == []
+        # fig1e's pumped states have an empty level: the certificate clears
+        # none of them, and eigvalsh decides
+        sc = scenario.load_scenario(resources.files("fss") / "scenarios" / "fig1e.scenario")
+        scenario.run_scenario(sc, seed=0)
+        assert calls and all(shape[-2:] == (4, 4) for shape in calls)
+        assert sum(shape[0] for shape in calls if len(shape) == 3) >= 200
+
     def test_trion_population_is_local_minimum_at_resonance(self):
         p = CptParams()
         pop = [steady_state(build_cpt_three_level(p, w)).population(2)
